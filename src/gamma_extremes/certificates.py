@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
-
 from .exact_poly import (
     RationalFunction,
     RationalPoly,
@@ -403,7 +401,13 @@ _CASE1_VALUE_BOUND = 0.003095392
 
 
 def verify_case1_transcendental(samples=1000):
-    """High-precision checks of the two transcendental bounds for 1 < alpha <= 2."""
+    """High-precision checks of the two transcendental bounds for 1 < alpha <= 2.
+
+    mpmath is imported here, on first use, so that importing the package
+    does not pay for it.
+    """
+    import mpmath
+
     start = time.perf_counter()
     with mpmath.workdps(50):
         xi = 1 / (mpmath.sqrt(2) + mpmath.sqrt(3))

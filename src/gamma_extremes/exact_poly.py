@@ -195,21 +195,6 @@ class RationalPoly:
         return a.monic()
 
 
-def poly_arith(a, b, op):
-    """Named-op wrapper around the exact ring operations."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def poly_pow(p, n):
-    return p ** n
-
-
 class RationalFunction:
     """Quotient of two RationalPoly, normalized lazily via polynomial gcd.
 

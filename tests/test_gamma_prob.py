@@ -10,6 +10,7 @@ import pytest
 from gamma_extremes.gamma_prob import (
     GammaParams,
     Kappa,
+    _gauss_legendre,
     band,
     g,
     h,
@@ -26,6 +27,22 @@ def mp_log_h(kappa, alpha):
         a, x = mpmath.mpf(alpha), mpmath.mpf(float(kappa) * float(alpha))
         series = mpmath.hyp1f1(1, a + 1, x, maxterms=10 ** 6)
         return a * mpmath.log(x) - x - mpmath.loggamma(a + 1) + mpmath.log(series)
+
+
+def mp_step_integral(kappa, alpha):
+    """integral_0^1 kappa (1 + w/alpha)^alpha e^(-kappa w) dw at 30 digits by
+    tanh-sinh quadrature, split at s, 4 s, ... below 1 for s = min(alpha,
+    1/kappa) so that the branch point at w = -alpha and the boundary layer
+    of width 1/kappa stay resolved."""
+    with mpmath.workdps(30):
+        k, a = mpmath.mpf(kappa), mpmath.mpf(alpha)
+        points = [mpmath.mpf(0)]
+        edge = min(a, 1 / k)
+        while edge < 1:
+            points.append(edge)
+            edge *= 4
+        points.append(mpmath.mpf(1))
+        return mpmath.quad(lambda w: k * mpmath.exp(a * mpmath.log1p(w / a) - k * w), points)
 
 
 def _log_grid(lo, hi, n):
@@ -181,3 +198,38 @@ class TestStepMonotoneIntegral:
             step_monotone_integral(1.0, 0.0)
         with pytest.raises(ValueError):
             step_monotone_integral(-1.0, 1.0)
+
+    @pytest.mark.parametrize("kappa", (0.2, 0.5, 0.8, 1.0, 4.0))
+    def test_matches_mpmath(self, kappa):
+        for alpha in (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e6, 1e7):
+            expected = mp_step_integral(kappa, alpha)
+            value = step_monotone_integral(kappa, alpha)
+            assert abs(value - expected) <= 1e-13, (kappa, alpha)
+
+    def test_large_kappa_matches_mpmath(self):
+        for kappa in (10.0, 1e2, 1e4):
+            for alpha in (1e-6, 1.0, 1e6):
+                expected = mp_step_integral(kappa, alpha)
+                value = step_monotone_integral(kappa, alpha)
+                assert abs(value - expected) <= 1e-13, (kappa, alpha)
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", (1, 2, 5, 12, 16))
+    def test_matches_mpmath_rule(self, n):
+        nodes, weights = _gauss_legendre(n)
+        with mpmath.workdps(30):
+            mp_nodes, mp_weights = mpmath.gauss_quadrature(n, "legendre")
+            for x, w, mp_x, mp_w in zip(nodes, weights, mp_nodes, mp_weights):
+                assert abs(x - mp_x) <= 1e-16, (n, x)
+                assert abs(w - mp_w) <= 4e-15 * mp_w, (n, w)
+
+    @pytest.mark.parametrize("n", (1, 2, 5, 12, 16))
+    def test_integrates_monomials_exactly(self, n):
+        # the n-point rule is exact for x^k, k <= 2n - 1, on [-1, 1]
+        nodes, weights = _gauss_legendre(n)
+        assert nodes == [-x for x in reversed(nodes)]
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            value = math.fsum(w * x ** k for x, w in zip(nodes, weights))
+            assert abs(value - exact) <= 1e-14, (n, k)
