@@ -9,16 +9,16 @@ open: scans produce evidence only, and reports say so.
 """
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Union
 
 from .gamma_prob import GammaParams, band
 from .specfun import (
-    ConvergenceError,
     Probability,
     ln_gamma,
     log_std_normal_sf,
-    reg_lower_gamma,
     std_normal_band,
     std_normal_cdf,
 )
@@ -39,8 +39,6 @@ __all__ = [
     "FAMILIES",
 ]
 
-_SERIES_CAP = 10 ** 6
-_TAIL_BOUND = 1e-12
 _VIOLATION_SLACK = 1e-9
 
 NEGBINOMIAL_CONVENTION = "negative binomial counts failures before the r-th success"
@@ -204,40 +202,41 @@ def _inverse_gaussian_band(mu, shape):
     return Probability(upper - lower)
 
 
-def _compound_poisson_exp_band(rate, scale):
-    """Band mass of the mixed law: atom at 0 plus the Gamma-mixture series.
+def _poisson_window_pmf(mean, lo, hi):
+    """Poisson(mean) pmf at lo..hi, normalised; built from 1 at the mode, not e^-mean."""
+    mode = int(mean)
+    up = accumulate((mean / k for k in range(mode + 1, hi + 1)), operator.mul, initial=1.0)
+    down = list(accumulate((k / mean for k in range(mode, lo, -1)), operator.mul, initial=1.0))
+    pmf = down[:0:-1] + list(up)
+    total = math.fsum(pmf)
+    return [p / total for p in pmf]
 
-    Conditioned on n >= 1 jumps the total is Gamma(n, scale), so each term
-    is the Poisson(n) weight times a regularized-incomplete-gamma window.
-    The n = 0 atom (probability e^-rate) sits at 0, inside the band exactly
-    when mean - sd <= 0. Truncates once the accumulated Poisson weight
-    leaves a tail below 1e-12.
+
+def _compound_poisson_exp_band(rate):
+    """Band mass of S, a sum of Poisson(rate) many Exponential(1) jumps (the band
+    is scale-free). S <= x exactly when a unit-rate Poisson process has at least
+    N points in [0, x], so F(x) = P{S <= x} = sum_k Pois_x(k) F_rate(k), F_rate
+    the Poisson(rate) CDF: no incomplete gamma, and the N = 0 atom is in F. The
+    band mass is F(H) - F(L) for H, L = rate +- sqrt(2 rate), or F(H) if L <= 0.
+
+    Poisson(mu) has mass < e^-T beyond mu +- t once t^2 >= 2 T (mu + t/3)
+    (Bernstein above, Chernoff below). Solved at mu = H, T = 40, the window
+    [L - t, H + t] serves all three pmfs, drops < 5 e^-40 ~ 2e-17 and has
+    O(sqrt(rate)) terms. Within ~1e-15 of 40-digit mpmath at the double band
+    edges up to rate 1e6; rounding the edges adds < 1e-15 up to rate 1e3,
+    ~1e-14 at 1e6, ~1e-13 at 1e7. Larger rates are refused (memory ~ sqrt(rate)).
     """
-    mean = rate * scale
-    sd = math.sqrt(2.0 * rate) * scale
-    lo = max(0.0, mean - sd)
-    hi = mean + sd
-    log_rate = math.log(rate)
-    total = 0.0
-    weight_seen = 0.0
-    atom = math.exp(-rate)
-    weight_seen += atom
-    if mean - sd <= 0.0:
-        total += atom
-    for n in range(1, _SERIES_CAP + 1):
-        log_w = n * log_rate - rate - ln_gamma(n + 1.0)
-        w = math.exp(log_w)
-        weight_seen += w
-        if w > 0.0:
-            window = reg_lower_gamma(n, hi / scale)
-            if lo > 0.0:
-                window -= reg_lower_gamma(n, lo / scale)
-            total += w * window
-        if n > rate and 1.0 - weight_seen < _TAIL_BOUND:
-            return Probability(total)
-    raise ConvergenceError(
-        f"compound Poisson series tail bound not reached for rate={rate}, scale={scale}"
-    )
+    if rate > 1e7:
+        raise ValueError(f"compound Poisson band needs rate <= 1e7, got {rate!r}")
+    sd = math.sqrt(2.0 * rate)
+    lower, upper = rate - sd, rate + sd
+    t = (40.0 + math.sqrt(1600.0 + 720.0 * upper)) / 3.0  # t^2 = 2 T (H + t/3) at T = 40
+    lo, hi = max(0, math.floor(lower - t)), math.ceil(upper + t)
+    cdf_rate = list(accumulate(_poisson_window_pmf(rate, lo, hi)))
+    pmf = _poisson_window_pmf(upper, lo, hi)
+    if lower > 0.0:
+        pmf = map(operator.sub, pmf, _poisson_window_pmf(lower, lo, hi))
+    return Probability(math.fsum(map(operator.mul, pmf, cdf_rate)))
 
 
 def band_prob(spec):
@@ -249,7 +248,7 @@ def band_prob(spec):
     if isinstance(spec, InverseGaussian):
         return _inverse_gaussian_band(spec.mu, spec.shape)
     if isinstance(spec, CompoundPoissonExp):
-        return _compound_poisson_exp_band(spec.rate, spec.jump_scale)
+        return _compound_poisson_exp_band(spec.rate)
     if isinstance(spec, GammaDist):
         return band(GammaParams(spec.alpha, spec.beta), 1.0)
     if isinstance(spec, NormalBaseline):

@@ -4,7 +4,10 @@ inequality grid scanner."""
 import math
 import random
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamma_extremes.gamma_prob import t
 from gamma_extremes.iddist import (
@@ -19,7 +22,38 @@ from gamma_extremes.iddist import (
     default_grid,
     moments,
 )
-from gamma_extremes.specfun import std_normal_band
+from gamma_extremes.specfun import reg_lower_gamma, std_normal_band
+
+
+def _compound_cdf_mpmath(rate, x, start=0):
+    """P{S <= x} in jump-scale units as sum_{k >= start} Pois_x(k) F_rate(k),
+    F_rate the Poisson(rate) CDF, taking F_rate(start - 1) as 0."""
+    log_factorial = mpmath.loggamma(start + 1)
+    pmf_x = mpmath.exp(start * mpmath.log(x) - x - log_factorial)
+    pmf_rate = mpmath.exp(start * mpmath.log(rate) - rate - log_factorial)
+    cdf_rate = total = mpmath.mpf(0)
+    k = start
+    while k <= x or pmf_x > mpmath.mpf(10) ** -45:
+        cdf_rate += pmf_rate
+        total += pmf_x * cdf_rate
+        k += 1
+        pmf_x *= x / k
+        pmf_rate *= rate / k
+    return total
+
+
+def _compound_band_mpmath(rate, scale, window=None):
+    """40-digit band mass of CompoundPoissonExp(rate, scale), summed from
+    k = 0, or from `window` standard deviations of Poisson(H) below L."""
+    with mpmath.workdps(40):
+        rate, scale = mpmath.mpf(rate), mpmath.mpf(scale)
+        mean, sd = rate * scale, mpmath.sqrt(2 * rate) * scale
+        upper, lower = (mean + sd) / scale, (mean - sd) / scale
+        start = 0 if window is None else int(lower - window * mpmath.sqrt(upper))
+        total = _compound_cdf_mpmath(rate, upper, start)
+        if mean - sd > 0:
+            total -= _compound_cdf_mpmath(rate, lower, start)
+        return float(total)
 
 
 class TestSpecs:
@@ -122,6 +156,46 @@ class TestBandProb:
             assert band_prob(CompoundPoissonExp(rate, scale)) == pytest.approx(
                 expected, abs=1e-9
             )
+
+    def test_compound_poisson_against_mpmath_identity(self):
+        rng = random.Random(13)
+        rates = [0.01, 0.3, 1.9, 2.0, 2.1, 17.0, 150.0, 743.2, 1e3]
+        rates += [math.exp(rng.uniform(math.log(0.01), math.log(1e3))) for _ in range(20)]
+        for rate in rates:
+            for scale in (1e-3, 1.0, 1e3):
+                expected = _compound_band_mpmath(rate, scale)
+                assert abs(band_prob(CompoundPoissonExp(rate, scale)) - expected) <= 1e-14
+
+    def test_compound_poisson_large_rate(self):
+        # 10 standard deviations below L leave out less than e^-50 of each law
+        expected = _compound_band_mpmath(1e6, 1.0, window=10)
+        assert abs(band_prob(CompoundPoissonExp(1e6, 1.0)) - expected) <= 1e-13
+
+    def test_compound_poisson_refuses_rate_above_1e7(self):
+        assert 0.68 < band_prob(CompoundPoissonExp(1e7, 1.0)) < 0.69
+        with pytest.raises(ValueError):
+            band_prob(CompoundPoissonExp(1.01e7, 1.0))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        rate=st.floats(min_value=0.01, max_value=200.0),
+        scale=st.floats(min_value=1e-3, max_value=1e3),
+    )
+    def test_compound_poisson_matches_gamma_mixture(self, rate, scale):
+        # the atom at 0 plus sum_n Pois_rate(n) [P(n, H) - P(n, L)]: given
+        # n >= 1 jumps the sum is Gamma(n, scale)
+        mean, variance = moments(CompoundPoissonExp(rate, scale))
+        sd = math.sqrt(variance)
+        lo, hi = max(0.0, mean - sd) / scale, (mean + sd) / scale
+        weight = math.exp(-rate)
+        total = weight if mean - sd <= 0.0 else 0.0
+        n = 0
+        while n <= rate or weight > 1e-18:
+            n += 1
+            weight *= rate / n
+            window = reg_lower_gamma(n, hi) - (reg_lower_gamma(n, lo) if lo > 0.0 else 0.0)
+            total += weight * window
+        assert abs(band_prob(CompoundPoissonExp(rate, scale)) - total) <= 1e-12
 
     def test_compound_poisson_scale_free(self):
         for rate in (0.5, 3.0, 40.0):
