@@ -155,14 +155,14 @@ def _exp_taylor_cleared(numer, denom, order):
     return total
 
 
-def _r_numerator(side):
+def _r_numerator(side, n_p, n_q, d):
     """Numerator of the exp-truncated combination over D^exp_order.
 
     R = (1 +- 4w) expT(P) + 2 expT(Q) - 3 with exp truncation order 4 on
     the plus side and 3 on the minus side; R vanishes to third order at
-    w = 0, so the numerator is divisible by w^3.
+    w = 0, so the numerator is divisible by w^3. (n_p, n_q, d) are the
+    side's `_cleared_numerators`.
     """
-    n_p, n_q, d = _cleared_numerators(side)
     if side == "plus":
         linear = RationalPoly([1, 4])
         exp_order = 4
@@ -174,7 +174,7 @@ def _r_numerator(side):
         + 2 * _exp_taylor_cleared(n_q, d, exp_order)
         - 3 * d ** exp_order
     )
-    return num, exp_order
+    return num
 
 
 def _q_expansion(poly_w, factor_power, outer_constant, den_constant):
@@ -300,7 +300,7 @@ def _verify_chain(side, full_compare):
         detail_g = "all coefficients positive, so the order-4 log truncation exponent is positive"
 
     reports = []
-    n_p, n_q, _ = _cleared_numerators(side)
+    n_p, n_q, d = _cleared_numerators(side)
 
     start = time.perf_counter()
     f_poly = f_scale * n_p  # F = scale * D * P with the D already cleared
@@ -315,7 +315,7 @@ def _verify_chain(side, full_compare):
     reports.append(_make_report(names[1], i_poly, sign, spots[names[1]], start, detail_g))
 
     start = time.perf_counter()
-    r_num, _ = _r_numerator(side)
+    r_num = _r_numerator(side, n_p, n_q, d)
     # the clearing factor (1-w^2)^a quad^b of L equals D^exp_order exactly,
     # so L reduces to l_const * (R numerator) / w^3
     l_poly = (l_const * r_num).shift_down(3)

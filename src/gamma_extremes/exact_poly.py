@@ -1,11 +1,20 @@
 """Exact univariate polynomial and rational-function arithmetic over
 arbitrary-precision rationals, with Sturm-sequence root counting.
 
-Coefficients are `fractions.Fraction` (always reduced, positive
-denominator), stored densely with index = degree. Everything here is
-immutable and exact: no floats, no tolerances.
+A `RationalPoly` stores a tuple of integer numerators, index = degree,
+over one positive denominator, in canonical form: no trailing zero
+numerator, and gcd(denominator, all numerators) = 1, so equal polynomials
+have equal representations. Sums, scalar products, derivatives and shifts
+stay in integers. Polynomial products use Kronecker substitution (Harvey,
+J. Symbolic Comput. 2009): each numerator list is packed into one big
+integer, in slots wide enough for any coefficient of the product, the two
+integers are multiplied (CPython's Karatsuba does the work) and the
+product is unpacked slot by slot. The reduced `fractions.Fraction`
+coefficients are a view, built on first use. Everything here is immutable
+and exact: no floats, no tolerances.
 """
 
+import math
 from fractions import Fraction
 
 __all__ = [
@@ -34,135 +43,241 @@ def _as_fraction(value):
     raise TypeError(f"exact arithmetic needs int or Fraction, got {type(value).__name__}")
 
 
-class RationalPoly:
-    """Dense univariate polynomial with Fraction coefficients."""
+def _pack(nums, slot_bytes):
+    """sum nums[i] 2^(8 slot_bytes i) as one integer; every |nums[i]| must
+    fit in a slot."""
+    zero = bytes(slot_bytes)
+    positive = b"".join(n.to_bytes(slot_bytes, "little") if n > 0 else zero for n in nums)
+    negative = b"".join((-n).to_bytes(slot_bytes, "little") if n < 0 else zero for n in nums)
+    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
 
-    __slots__ = ("coeffs",)
+
+def _unpack(value, slot_bytes, count):
+    """The count signed slots of `value`, each below 2^(8 slot_bytes - 1) in
+    magnitude: slots of its two's complement bytes with a signed borrow."""
+    raw = value.to_bytes(slot_bytes * count, "little", signed=True)
+    half = 1 << (8 * slot_bytes - 1)
+    full = half << 1
+    from_bytes = int.from_bytes
+    out = []
+    borrow = 0
+    for start in range(0, len(raw), slot_bytes):
+        n = from_bytes(raw[start:start + slot_bytes], "little") + borrow
+        borrow = n >= half
+        out.append(n - full if borrow else n)
+    return out
+
+
+class RationalPoly:
+    """Dense univariate polynomial with rational coefficients.
+
+    ``nums`` is a tuple of integer numerators (index = degree) over the
+    positive integer ``den``; the pair is canonical (see the module
+    docstring). ``coeffs`` is the same polynomial as a tuple of reduced
+    Fractions.
+    """
+
+    __slots__ = ("nums", "den", "_coeffs")
 
     def __init__(self, coefficients):
-        coeffs = [_as_fraction(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        values = [_as_fraction(c) for c in coefficients]
+        den = math.lcm(*(c.denominator for c in values))
+        self._set([c.numerator * (den // c.denominator) for c in values], den)
+
+    def _set(self, nums, den):
+        """Store nums / den (den > 0) in canonical form."""
+        end = len(nums)
+        while end and not nums[end - 1]:
+            end -= 1
+        if end == 0:
+            self.nums, self.den = (), 1
+        else:
+            common = math.gcd(den, *nums[:end])
+            if common == 1:
+                self.nums = tuple(nums[:end])
+            else:
+                self.nums = tuple(n // common for n in nums[:end])
+                den //= common
+            self.den = den
+        self._coeffs = None
+
+    @classmethod
+    def _from_parts(cls, nums, den):
+        poly = cls.__new__(cls)
+        poly._set(nums, den)
+        return poly
 
     @classmethod
     def zero(cls):
-        return cls([])
+        return cls._from_parts((), 1)
 
     @classmethod
     def one(cls):
-        return cls([1])
+        return cls._from_parts((1,), 1)
 
-    @classmethod
-    def monomial(cls, coefficient, degree):
-        return cls([0] * degree + [coefficient])
+    @property
+    def coeffs(self):
+        """The coefficients as a tuple of reduced Fractions, index = degree."""
+        if self._coeffs is None:
+            den = self.den
+            if den == 1:
+                self._coeffs = tuple(Fraction(n) for n in self.nums)
+            else:
+                self._coeffs = tuple(Fraction(n, den) for n in self.nums)
+        return self._coeffs
 
     @property
     def degree(self):
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RationalPoly([other])
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
         return f"RationalPoly({list(self.coeffs)!r})"
 
     def __neg__(self):
-        return RationalPoly([-c for c in self.coeffs])
+        return RationalPoly._from_parts([-n for n in self.nums], self.den)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RationalPoly([other])
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return RationalPoly([x + y for x, y in zip(a, b)])
+        a, da, b, db = self.nums, self.den, other.nums, other.den
+        if len(a) < len(b):
+            a, da, b, db = b, db, a, da
+        if da == db:
+            out = list(a)
+            for i, n in enumerate(b):
+                out[i] += n
+            return RationalPoly._from_parts(out, da)
+        common = math.gcd(da, db)
+        sa, sb = db // common, da // common
+        out = [n * sa for n in a]
+        for i, n in enumerate(b):
+            out[i] += n * sb
+        return RationalPoly._from_parts(out, da * sa)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, RationalPoly) else RationalPoly([-_as_fraction(other)]))
+        if isinstance(other, (int, Fraction)):
+            return self + RationalPoly([-other])
+        if not isinstance(other, RationalPoly):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return RationalPoly([c * other for c in self.coeffs])
+            scalar = Fraction(other)
+            numerator = scalar.numerator
+            return RationalPoly._from_parts(
+                [n * numerator for n in self.nums], self.den * scalar.denominator
+            )
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
+        a, b = self.nums, other.nums
+        if not a or not b:
             return RationalPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RationalPoly(out)
+        # every product coefficient is at most min(len) max|a| max|b| in
+        # magnitude; one more bit holds its sign
+        bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+        slot_bytes = (bound.bit_length() + 8) // 8
+        packed = _pack(a, slot_bytes)
+        product = packed * packed if a is b else packed * _pack(b, slot_bytes)
+        return RationalPoly._from_parts(
+            _unpack(product, slot_bytes, len(a) + len(b) - 1), self.den * other.den
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError(f"exponent must be a nonnegative integer, got {n!r}")
-        result = RationalPoly.one()
+        if n == 0:
+            return RationalPoly.one()
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def evaluate(self, x):
         """Horner evaluation at a Fraction (or int) point, exact."""
         x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.nums:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        # integer Horner on sum nums[i] p^i q^(degree - i)
+        acc = self.nums[-1]
+        q_power = 1
+        for n in reversed(self.nums[:-1]):
+            q_power *= q
+            acc = acc * p + n * q_power
+        return Fraction(acc, self.den * q_power)
 
     def evaluate_float(self, x):
         acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + float(c)
+        den = self.den
+        for n in reversed(self.nums):
+            acc = acc * x + n / den
         return acc
 
     def derivative(self):
-        return RationalPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return RationalPoly._from_parts([i * n for i, n in enumerate(self.nums)][1:], self.den)
 
     def divmod(self, divisor):
-        """Exact polynomial long division: self = q*divisor + r, deg r < deg divisor."""
+        """Exact polynomial long division: self = q*divisor + r, deg r < deg divisor.
+
+        Pseudo-division on the numerators: with s = lead^steps, where lead
+        is the divisor's leading numerator, s * nums = Q * b + R in
+        integers, so q = Q den_b / (s den) and r = R / (s den).
+        """
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dcoeffs = divisor.coeffs
-        dlead = dcoeffs[-1]
-        dn = len(dcoeffs)
-        if len(rem) < dn:
+        b = divisor.nums
+        dn = len(b)
+        steps = len(self.nums) - dn + 1
+        if steps <= 0:
             return RationalPoly.zero(), self
-        q = [Fraction(0)] * (len(rem) - dn + 1)
-        for k in range(len(rem) - dn, -1, -1):
-            factor = rem[k + dn - 1] / dlead
-            q[k] = factor
-            if factor:
-                for j in range(dn):
-                    rem[k + j] -= factor * dcoeffs[j]
-        return RationalPoly(q), RationalPoly(rem[: dn - 1])
+        lead = b[-1]
+        rem = list(self.nums)
+        quotient = [0] * steps
+        for k in range(steps - 1, -1, -1):
+            top = rem.pop()
+            # scaled by lead once for each of the k steps still to come
+            quotient[k] = top * lead ** k
+            rem = [r * lead for r in rem]
+            for j in range(dn - 1):
+                rem[k + j] -= top * b[j]
+        scale = lead ** steps * self.den
+        if scale < 0:
+            scale = -scale
+            quotient = [-n for n in quotient]
+            rem = [-n for n in rem]
+        return (
+            RationalPoly._from_parts([n * divisor.den for n in quotient], scale),
+            RationalPoly._from_parts(rem, scale),
+        )
 
     def __floordiv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -178,14 +293,14 @@ class RationalPoly:
 
     def shift_down(self, k):
         """Divide by x^k; the k lowest coefficients must vanish."""
-        if any(c != 0 for c in self.coeffs[:k]):
+        if any(self.nums[:k]):
             raise ValueError(f"polynomial is not divisible by x^{k}")
-        return RationalPoly(self.coeffs[k:])
+        return RationalPoly._from_parts(self.nums[k:], self.den)
 
     def monic(self):
         if self.is_zero():
             return self
-        return self * (1 / self.coeffs[-1])
+        return self * Fraction(self.den, self.nums[-1])
 
     def gcd(self, other):
         """Monic greatest common divisor by the Euclidean algorithm."""

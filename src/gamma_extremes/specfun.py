@@ -323,8 +323,11 @@ def lower_series(a, x):
       erfc(-eta sqrt(a/2)) / 2 - R_a(eta) in O(1), to ~2e-16 relative.
     """
     _check_domain(a, x)
-    a = float(a)
-    x = float(x)
+    return _lower_series(float(a), float(x))
+
+
+def _lower_series(a, x):
+    """lower_series for float a and x already inside the domain."""
     if x == 0.0:
         return Probability(0.0)
     if a >= TEMME_MIN_SHAPE and x >= a + 1.0:
@@ -389,8 +392,11 @@ def upper_continued_fraction(a, x):
       (except Q(a, 0) = 1).
     """
     _check_domain(a, x)
-    a = float(a)
-    x = float(x)
+    return _upper_continued_fraction(float(a), float(x))
+
+
+def _upper_continued_fraction(a, x):
+    """upper_continued_fraction for float a and x already inside the domain."""
     if x >= a + 1.0:
         return _from_log_parts(_lentz(a, x), _log_prefactor(a, x))
     if x == 0.0:
@@ -427,11 +433,9 @@ def reg_lower_gamma(a, x):
     _check_domain(a, x)
     a = float(a)
     x = float(x)
-    if x == 0.0:
-        return Probability(0.0)
     if x < a + 1.0 or a >= TEMME_MIN_SHAPE:
-        return lower_series(a, x)
-    return Probability(1.0 - upper_continued_fraction(a, x))
+        return _lower_series(a, x)
+    return Probability(1.0 - _upper_continued_fraction(a, x))
 
 
 def std_normal_band(kappa):

@@ -1,6 +1,7 @@
 """Tests for exact rational polynomial arithmetic, substitution, and Sturm
 root counting."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -204,3 +205,236 @@ class TestVerifySign:
     def test_invalid_expected(self):
         with pytest.raises(ValueError):
             verify_sign_on_interval(RationalPoly([1]), 0, 1, "nonnegative")
+
+
+# -- the integer-numerator representation against a schoolbook Fraction ring --
+
+def _trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _school_add(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return _trim(x + y for x, y in zip(a, b))
+
+
+def _school_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _school_pow(a, n):
+    out = (Fraction(1),)
+    for _ in range(n):
+        out = _school_mul(out, a)
+    return out
+
+
+def _school_evaluate(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _school_divmod(a, b):
+    b = _trim(b)
+    rem = list(_trim(a))
+    if len(rem) < len(b):
+        return (), tuple(rem)
+    q = [Fraction(0)] * (len(rem) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        factor = rem[k + len(b) - 1] / b[-1]
+        q[k] = factor
+        for j, c in enumerate(b):
+            rem[k + j] -= factor * c
+    return _trim(q), _trim(rem[: len(b) - 1])
+
+
+def _fractions(values):
+    return [Fraction(v) for v in values]
+
+
+def _assert_canonical(p):
+    assert isinstance(p.nums, tuple) and all(type(n) is int for n in p.nums)
+    assert type(p.den) is int and p.den > 0
+    if p.nums:
+        assert p.nums[-1] != 0
+        assert math.gcd(p.den, *p.nums) == 1
+    else:
+        assert p.den == 1
+    assert isinstance(p.coeffs, tuple)
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert p.coeffs == tuple(Fraction(n, p.den) for n in p.nums)
+
+
+wide_rationals = st.one_of(
+    st.integers(min_value=-(2 ** 80), max_value=2 ** 80).map(Fraction),
+    st.fractions(max_denominator=10 ** 6),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(2 ** 120), max_value=2 ** 120),
+        st.integers(min_value=1, max_value=2 ** 90),
+    ),
+    st.sampled_from([Fraction(0), Fraction(1, 2 ** 200), Fraction(-(2 ** 200) + 1, 3)]),
+)
+coefficient_lists = st.lists(wide_rationals, min_size=0, max_size=12)
+
+
+class TestAgainstSchoolbook:
+    @given(a=coefficient_lists, b=coefficient_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_mul_add_sub(self, a, b):
+        p, q = RationalPoly(a), RationalPoly(b)
+        assert (p * q).coeffs == _school_mul(a, b)
+        assert (p + q).coeffs == _school_add(a, b)
+        assert (p - q).coeffs == _school_add(a, [-c for c in b])
+        assert (-p).coeffs == _trim(-c for c in a)
+        for result in (p * q, p + q, p - q, -p):
+            _assert_canonical(result)
+
+    @given(a=coefficient_lists, scalar=wide_rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_scalar_mul(self, a, scalar):
+        p = RationalPoly(a)
+        expected = _trim(c * scalar for c in a)
+        assert (p * scalar).coeffs == expected
+        assert (scalar * p).coeffs == expected
+        _assert_canonical(p * scalar)
+
+    @given(a=st.lists(wide_rationals, max_size=5), n=st.integers(min_value=0, max_value=6))
+    @settings(max_examples=100, deadline=None)
+    def test_pow(self, a, n):
+        result = RationalPoly(a) ** n
+        assert result.coeffs == _school_pow(a, n)
+        _assert_canonical(result)
+
+    @given(a=coefficient_lists, x=wide_rationals)
+    @settings(max_examples=150, deadline=None)
+    def test_evaluate(self, a, x):
+        assert RationalPoly(a).evaluate(x) == _school_evaluate(a, x)
+
+    @given(a=coefficient_lists, b=coefficient_lists)
+    @settings(max_examples=150, deadline=None)
+    def test_divmod(self, a, b):
+        if not _trim(b):
+            with pytest.raises(ZeroDivisionError):
+                RationalPoly(a).divmod(RationalPoly(b))
+            return
+        q, r = RationalPoly(a).divmod(RationalPoly(b))
+        assert (q.coeffs, r.coeffs) == _school_divmod(a, b)
+        _assert_canonical(q)
+        _assert_canonical(r)
+
+    @given(a=coefficient_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_derivative_and_shift(self, a):
+        p = RationalPoly(a)
+        assert p.derivative().coeffs == _trim(i * c for i, c in enumerate(a))[1:]
+        shifted = (p * RationalPoly([0, 0, 1])).shift_down(2)
+        assert shifted == p
+        _assert_canonical(p.derivative())
+
+
+class TestKroneckerEdges:
+    @pytest.mark.parametrize("bits", [1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 200])
+    def test_all_ones_at_slot_boundary(self, bits):
+        m = 2 ** bits - 1
+        for length in (1, 2, 3, 8):
+            for signs in ((1,) * length, tuple((-1) ** i for i in range(length))):
+                a = _fractions(s * m for s in signs)
+                b = _fractions(-s * m for s in reversed(signs))
+                for left, right in ((a, a), (a, b), (b, a[:1])):
+                    assert (RationalPoly(left) * RationalPoly(right)).coeffs == _school_mul(left, right)
+
+    def test_alternating_signs(self):
+        a = _fractions((-1) ** i * (i + 1) ** 9 for i in range(20))
+        b = _fractions((-1) ** (i + 1) * 255 for i in range(13))
+        assert (RationalPoly(a) * RationalPoly(b)).coeffs == _school_mul(a, b)
+        assert (RationalPoly(a) ** 3).coeffs == _school_pow(a, 3)
+
+    def test_borrow_through_zero_slots(self):
+        # -1 + x^3 packs to a run of all-ones slots under the top one
+        a = _fractions([-1, 0, 0, 1])
+        assert (RationalPoly(a) * RationalPoly([1])).coeffs == tuple(a)
+        b = _fractions([1, -1, 0, 0, -1])
+        assert (RationalPoly(a) * RationalPoly(b)).coeffs == _school_mul(a, b)
+
+    def test_huge_numerators_and_denominators(self):
+        tiny = Fraction(1, 2 ** 200)
+        a = [tiny, Fraction(-(3 ** 150), 7), Fraction(2 ** 300 - 1), tiny]
+        b = [Fraction(5, 2 ** 199), Fraction(0), Fraction(-1, 3 ** 90)]
+        assert (RationalPoly(a) * RationalPoly(b)).coeffs == _school_mul(a, b)
+        assert (RationalPoly(a) ** 2).coeffs == _school_mul(a, a)
+        assert RationalPoly(a).evaluate(tiny) == _school_evaluate(a, tiny)
+        _assert_canonical(RationalPoly(a) * RationalPoly(b))
+
+    def test_constants_and_zero(self):
+        zero, three = RationalPoly.zero(), RationalPoly([3])
+        p = RationalPoly([Fraction(1, 3), -2, 5])
+        assert (zero * p).is_zero() and (p * zero).is_zero()
+        assert (zero * zero).is_zero() and (zero ** 3).is_zero()
+        assert zero ** 0 == RationalPoly.one()
+        assert (three * p).coeffs == (1, -6, 15)
+        assert (three * three).coeffs == (9,)
+        assert (p - p).is_zero()
+        assert zero.evaluate(Fraction(7, 3)) == 0
+        assert zero.degree == -1 and zero.coeffs == ()
+        for q in (zero, zero * p, p - p, zero ** 2):
+            _assert_canonical(q)
+
+
+class TestCanonicalForm:
+    def test_equal_by_different_routes_compare_and_hash_equal(self):
+        x_plus_half = RationalPoly([Fraction(1, 2), 1])
+        routes = [
+            x_plus_half * x_plus_half,
+            x_plus_half ** 2,
+            RationalPoly([Fraction(1, 4), 1, 1]),
+            RationalPoly([Fraction(2, 8), Fraction(3, 3), 1, 0, 0]),
+            RationalPoly([1, 4, 4]) * Fraction(1, 4),
+            (RationalPoly([3, 12, 12]) * Fraction(1, 12)),
+            RationalPoly([1, 2]) ** 2 // RationalPoly([4]),
+            RationalPoly([0, 0, Fraction(1, 4), 1, 1]).shift_down(2),
+            RationalPoly([Fraction(1, 4), 1, 1]) + RationalPoly([Fraction(1, 6), Fraction(-1, 3)])
+            - RationalPoly([Fraction(1, 6), Fraction(-1, 3)]),
+            RationalPoly([0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 3)]).derivative(),
+            (RationalPoly([1, 4, 4]) * RationalPoly([1, 1])).divmod(RationalPoly([4, 4]))[0],
+        ]
+        for p in routes:
+            assert p == routes[0]
+            assert hash(p) == hash(routes[0])
+            assert (p.nums, p.den) == ((1, 4, 4), 4)
+            _assert_canonical(p)
+        assert len(set(routes)) == 1
+
+    def test_constant_equals_scalar(self):
+        assert RationalPoly([Fraction(6, 4)]) == Fraction(3, 2)
+        assert RationalPoly([4]) * Fraction(1, 2) == 2
+        assert RationalPoly.zero() == 0
+
+    def test_coeffs_are_reduced_fractions_without_trailing_zeros(self):
+        p = RationalPoly([Fraction(2, 4), 6, Fraction(-9, 6), 0, 0])
+        assert p.coeffs == (Fraction(1, 2), Fraction(6), Fraction(-3, 2))
+        assert all(type(c) is Fraction for c in p.coeffs)
+        assert [(c.numerator, c.denominator) for c in p.coeffs] == [(1, 2), (6, 1), (-3, 2)]
+        assert p.coeffs is p.coeffs
+        _assert_canonical(p)
+
+    def test_float_coefficient_raises_type_error(self):
+        with pytest.raises(TypeError):
+            RationalPoly([1, 0.5])
+        with pytest.raises(TypeError):
+            RationalPoly([1.0])
+        with pytest.raises(TypeError):
+            RationalPoly([1]).evaluate(0.5)
