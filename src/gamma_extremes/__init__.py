@@ -9,7 +9,8 @@ A library and CLI that
   (``optimize``);
 - machine-verifies, in exact rational arithmetic, the polynomial sign
   certificates behind the band-probability monotonicity and its sharp
-  lower bound (``exact_poly``, ``certificates``);
+  lower bound, including its one transcendental step (``exact_poly``,
+  ``certificates``);
 - scans families of infinitely divisible distributions for violations of
   the conjectured band inequality (``iddist``).
 """
@@ -30,11 +31,8 @@ from .certificates import (
     verify_small_alpha_certificate,
 )
 from .exact_poly import (
-    BigRational,
     EndpointRoot,
-    RationalFunction,
     RationalPoly,
-    substitute_rational,
     sturm_roots_in_interval,
     sturm_sequence,
     verify_sign_on_interval,
@@ -44,7 +42,6 @@ from .gamma_prob import (
     Kappa,
     QuadratureError,
     band,
-    g,
     h,
     step_monotone_integral,
     t,
@@ -94,14 +91,13 @@ __all__ = [
     "lower_series", "upper_continued_fraction", "std_normal_band",
     "std_normal_cdf", "log_std_normal_sf",
     # gamma_prob
-    "GammaParams", "Kappa", "QuadratureError", "h", "g", "t", "band",
+    "GammaParams", "Kappa", "QuadratureError", "h", "t", "band",
     "step_monotone_integral",
     # optimize
     "OptimizationResult", "NoInteriorMinimum", "MaxEvaluations",
     "bracket_minimum", "brent_min", "min_h", "scan",
     # exact_poly
-    "BigRational", "RationalPoly", "RationalFunction", "EndpointRoot",
-    "substitute_rational", "sturm_sequence", "sturm_roots_in_interval",
+    "RationalPoly", "EndpointRoot", "sturm_sequence", "sturm_roots_in_interval",
     "verify_sign_on_interval",
     # certificates
     "CertificateReport", "SpotCheck", "Case1Report", "CertificateMismatch",

@@ -7,18 +7,19 @@ factors and the final rational substitution in q), never transcribed from
 the printed expansions. The printed values enter only as spot-check
 expectations: constant term, q^2 term, and top term by default, the full
 coefficient lists behind the full_compare flag.
+
+The one transcendental step, case 1 of the sharp lower bound, is proved on
+the same ring: a Taylor sum bounds the exponential from below, which turns
+it into a polynomial sign certificate, and the square roots at its ends
+enter as rational enclosures from `math.isqrt`.
 """
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_poly import (
-    RationalFunction,
-    RationalPoly,
-    verify_sign_on_interval,
-)
+from .exact_poly import RationalPoly, verify_sign_on_interval
 from .reference_data import V_MINUS_EVEN_COEFFS, V_PLUS_EVEN_COEFFS
 
 __all__ = [
@@ -42,7 +43,7 @@ __all__ = [
 ]
 
 _W = RationalPoly([0, 1])
-_ONE = RationalPoly.one()
+_ONE_MINUS_W = RationalPoly([1, -1])
 _ONE_MINUS_W2 = RationalPoly([1, 0, -1])
 _PLUS_QUAD = RationalPoly([1, 2, -1])   # 1 + 2w - w^2
 _MINUS_QUAD = RationalPoly([1, -2, -1])  # 1 - 2w - w^2
@@ -106,14 +107,19 @@ def _side_pieces(side):
     raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
 
-def _cleared_numerators(side):
-    """Polynomial numerators (N_P, N_Q) of P and Q over the denominator D.
+def build_P_Q(side):
+    """The two truncated log-exponents P and Q as polynomial numerators
+    (N_P, N_Q) over one polynomial denominator D, all in w.
 
+    P = -1 + alpha * [tau - tau^2/2 + ...], Q = -1/2 + alpha * [same in
+    tau/2]; truncation order 5 on the plus side and 4 on the minus side.
     With alpha = (1-w^2)^2/(4w^2) and tau = 4w^2/((1-w^2)*quad), each term
     alpha * tau^k / k collapses to 4^(k-1) w^(2k-2) (1-w^2)^(2-k) / (k quad^k),
-    so D = (1-w^2)^(order-2) quad^order clears the whole truncated log sum.
-    Working over this fixed denominator keeps the entire chain inside the
-    polynomial ring: no gcd normalization is ever needed.
+    so D = (1-w^2)^(order-2) quad^order clears the whole truncated log sum
+    and the entire chain stays inside the polynomial ring.
+    The minus-side tau^3 term is taken in tau_minus (the tau_plus appearing
+    at that spot in one displayed equation is treated as a typo,
+    consistently with the explicit minus-side definitions).
     """
     quad, order = _side_pieces(side)
     d = _ONE_MINUS_W2 ** (order - 2) * quad ** order
@@ -129,19 +135,6 @@ def _cleared_numerators(side):
         n_p = n_p + shared * coeff
         n_q = n_q + shared * (coeff / 2 ** k)
     return n_p, n_q, d
-
-
-def build_P_Q(side):
-    """The two truncated log-exponents as exact rational functions of w.
-
-    P = -1 + alpha * [tau - tau^2/2 + ...], Q = -1/2 + alpha * [same in
-    tau/2]; truncation order 5 on the plus side and 4 on the minus side.
-    The minus-side tau^3 term is taken in tau_minus (the tau_plus appearing
-    at that spot in one displayed equation is treated as a typo,
-    consistently with the explicit minus-side definitions).
-    """
-    n_p, n_q, d = _cleared_numerators(side)
-    return RationalFunction(n_p, d), RationalFunction(n_q, d)
 
 
 def _exp_taylor_cleared(numer, denom, order):
@@ -161,7 +154,7 @@ def _r_numerator(side, n_p, n_q, d):
     R = (1 +- 4w) expT(P) + 2 expT(Q) - 3 with exp truncation order 4 on
     the plus side and 3 on the minus side; R vanishes to third order at
     w = 0, so the numerator is divisible by w^3. (n_p, n_q, d) are the
-    side's `_cleared_numerators`.
+    side's `build_P_Q`.
     """
     if side == "plus":
         linear = RationalPoly([1, 4])
@@ -184,16 +177,17 @@ def _q_expansion(poly_w, factor_power, outer_constant, den_constant):
     (den_constant (1+q^2))^deg cancels into the prefactor exactly and the
     result is a polynomial in q.
     """
-    n = poly_w.degree
+    n = max(poly_w.degree, 0)  # the zero polynomial expands to zero
     if factor_power < n:
         raise ValueError(f"(1+q^2) power {factor_power} below degree {n}")
-    # Horner with sub_num = 1: acc <- acc + base^j * c_j
+    # sum_j c_j base^(n - j), the powers of base kept apart from the
+    # coefficients so that their products stay small-integer
     base = den_constant * _ONE_PLUS_Q2
-    acc = RationalPoly([poly_w.coeffs[-1]])
-    den_power = _ONE
-    for c in reversed(poly_w.coeffs[:-1]):
-        den_power = den_power * base
+    acc = RationalPoly.zero()
+    den_power = RationalPoly.one()
+    for c in reversed(poly_w.coeffs):
         acc = acc + den_power * c
+        den_power = den_power * base
     scale = Fraction(outer_constant, den_constant ** n)
     return acc * _ONE_PLUS_Q2 ** (factor_power - n) * scale
 
@@ -300,7 +294,7 @@ def _verify_chain(side, full_compare):
         detail_g = "all coefficients positive, so the order-4 log truncation exponent is positive"
 
     reports = []
-    n_p, n_q, d = _cleared_numerators(side)
+    n_p, n_q, d = build_P_Q(side)
 
     start = time.perf_counter()
     f_poly = f_scale * n_p  # F = scale * D * P with the D already cleared
@@ -358,21 +352,28 @@ CASE2_NUMERATOR = RationalPoly([-1, 1, 9, 38, -31, 9, -1])
 _CASE2_FLOAT_BOUND = 0.1723633
 
 
-def _sqrt3_minus_sqrt2_below(bound):
-    """Exact check sqrt(3) - sqrt(2) < bound for rational bound in (0, 1)."""
-    bound = Fraction(bound)
-    # sqrt(3) < bound + sqrt(2)  <=>  3 - bound^2 - 2 < 2*bound*sqrt(2)
-    lhs = 1 - bound * bound
-    if lhs <= 0:
-        return True
-    return lhs * lhs < 8 * bound * bound
+_ENCLOSURE_BITS = 80
+
+
+def _sqrt_bounds(n):
+    """Rationals lo < sqrt(n) < hi, 2^-80 apart, for a non-square integer n."""
+    root = math.isqrt(n << (2 * _ENCLOSURE_BITS))
+    return Fraction(root, 1 << _ENCLOSURE_BITS), Fraction(root + 1, 1 << _ENCLOSURE_BITS)
+
+
+def _xi_bounds():
+    """Rationals lo < xi < hi around xi = sqrt(3) - sqrt(2) = 1/(sqrt(2) + sqrt(3)),
+    where case 2 ends and case 1 begins."""
+    sqrt2_lo, sqrt2_hi = _sqrt_bounds(2)
+    sqrt3_lo, sqrt3_hi = _sqrt_bounds(3)
+    return sqrt3_lo - sqrt2_hi, sqrt3_hi - sqrt2_lo
 
 
 def verify_case2_J():
     """Positivity of the J numerator on the rational superinterval (1/4, 1/3)."""
     start = time.perf_counter()
     lo, hi = Fraction(1, 4), Fraction(1, 3)
-    if not _sqrt3_minus_sqrt2_below(hi):
+    if not _xi_bounds()[1] < hi:
         raise SignViolation("rational superinterval does not enclose sqrt(3)-sqrt(2)")
     if not verify_sign_on_interval(CASE2_NUMERATOR, lo, hi, "positive"):
         raise SignViolation("J numerator is not positive on (1/4, 1/3)")
@@ -400,44 +401,90 @@ _CASE1_DERIVATIVE_BOUND = 1.746594
 _CASE1_VALUE_BOUND = 0.003095392
 
 
-def verify_case1_transcendental(samples=1000):
-    """High-precision checks of the two transcendental bounds for 1 < alpha <= 2.
+def _exp_one_minus_w(order):
+    """sum_{k <= order} (1-w)^k / k!. For 0 <= w < 1 every term is positive,
+    so it lies below e^(1-w), by at most 2 (1-w)^(order+1) / (order+1)!."""
+    acc = RationalPoly([Fraction(1, math.factorial(order))])
+    for k in range(order - 1, -1, -1):
+        acc = acc * _ONE_MINUS_W + Fraction(1, math.factorial(k))
+    return acc
 
-    mpmath is imported here, on first use, so that importing the package
-    does not pay for it.
+
+def _case1_certificate():
+    """(1 - w^2) times a lower bound of phi(w) = e^(1-w) + w - 3 + 2w/(1-w^2),
+    with the degree-12 Taylor sum in place of e^(1-w): a degree-14
+    polynomial. Where 0 < w < 1, so 1 - w^2 > 0, it is positive only where
+    phi is."""
+    return (_exp_one_minus_w(12) + _W - 3) * _ONE_MINUS_W2 + 2 * _W
+
+
+def _case1_endpoint_bounds(xi_lo, xi_hi):
+    """Rational enclosures of phi(xi) and phi'(xi) from xi_lo < xi < xi_hi.
+
+    e^(1-xi) lies between the degree-24 Taylor sum at xi_hi and that sum
+    plus its tail bound 2/25! at xi_lo. The rational parts, w - 3 +
+    2w/(1-w^2) of phi and 1 + 2(1+w^2)/(1-w^2)^2 of phi', increase in w, so
+    each bound takes each term at the end that makes it smaller or larger.
     """
-    import mpmath
+    taylor = _exp_one_minus_w(24)
+    exp_lo = taylor.evaluate(xi_hi)
+    exp_hi = taylor.evaluate(xi_lo) + Fraction(2, math.factorial(25))
 
+    def rational_parts(w):
+        u = 1 - w * w
+        return w - 3 + 2 * w / u, 1 + 2 * (1 + w * w) / (u * u)
+
+    value_lo, slope_lo = rational_parts(xi_lo)
+    value_hi, slope_hi = rational_parts(xi_hi)
+    return (exp_lo + value_lo, exp_hi + value_hi), (slope_lo - exp_hi, slope_hi - exp_lo)
+
+
+def _check_published(name, bounds, published, tolerance):
+    """The midpoint of an enclosure as a float, once the whole enclosure is
+    within tolerance of its published value."""
+    lo, hi = bounds
+    if not published - tolerance <= lo <= hi <= published + tolerance:
+        raise NumericMismatch(f"{name} in [{float(lo)}, {float(hi)}], published {published}")
+    return float((lo + hi) / 2)
+
+
+def verify_case1_transcendental(samples=1000):
+    """phi(w) = e^(1-w) + w - 3 + 2w/(1-w^2) > 0 on [xi, 1/(1+sqrt(2))], the
+    transcendental step of the sharp lower bound for 1 < alpha <= 2.
+
+    The proof is exact: a zero Sturm count and positive endpoint values show
+    that `_case1_certificate` is positive on [xi_lo, sqrt2_hi - 1], a
+    rational interval that contains the case-1 interval. phi(xi) and
+    phi'(xi) come from rational enclosures, checked against the published
+    0.003095392 and 1.746594. The certificate is then cross-checked against
+    phi in floats at `samples` points: a disagreement raises
+    NumericMismatch, but the positivity rests on the proof alone.
+    """
     start = time.perf_counter()
-    with mpmath.workdps(50):
-        xi = 1 / (mpmath.sqrt(2) + mpmath.sqrt(3))
-        derivative = -mpmath.e ** (1 - xi) + 1 + 2 * (1 + xi ** 2) / (1 - xi ** 2) ** 2
-        value = mpmath.e ** (1 - xi) + xi - 3 + 2 * xi / (1 - xi ** 2)
-        if abs(derivative - _CASE1_DERIVATIVE_BOUND) > 1e-5:
-            raise NumericMismatch(
-                f"derivative bound {mpmath.nstr(derivative, 10)} != {_CASE1_DERIVATIVE_BOUND}"
-            )
-        if abs(value - _CASE1_VALUE_BOUND) > 1e-8:
-            raise NumericMismatch(
-                f"value bound {mpmath.nstr(value, 10)} != {_CASE1_VALUE_BOUND}"
-            )
-        hi = 1 / (1 + mpmath.sqrt(2))
-        all_positive = True
-        for i in range(samples):
-            w = xi + (hi - xi) * Fraction(i, samples)
-            phi = mpmath.e ** (1 - w) + w - 3 + 2 * w / (1 - w ** 2)
-            if phi <= 0:
-                all_positive = False
-                break
-        if not all_positive:
-            raise NumericMismatch("phi(w) not positive on the sampled interval")
-        return Case1Report(
-            derivative_bound=float(derivative),
-            value_at_endpoint=float(value),
-            samples_checked=samples,
-            all_samples_positive=all_positive,
-            elapsed=time.perf_counter() - start,
-        )
+    xi_lo, xi_hi = _xi_bounds()
+    hi = _sqrt_bounds(2)[1] - 1  # above sqrt(2) - 1 = 1/(1 + sqrt(2))
+    certificate = _case1_certificate()
+    if not verify_sign_on_interval(certificate, xi_lo, hi, "positive"):
+        raise SignViolation("case-1 certificate is not positive on [xi, 1/(1+sqrt(2))]")
+    value_bounds, derivative_bounds = _case1_endpoint_bounds(xi_lo, xi_hi)
+    derivative = _check_published(
+        "derivative bound", derivative_bounds, _CASE1_DERIVATIVE_BOUND, 1e-5
+    )
+    value = _check_published("value bound", value_bounds, _CASE1_VALUE_BOUND, 1e-8)
+    lo_f, hi_f = float(xi_lo), float(hi)
+    for i in range(samples):
+        w = lo_f + (hi_f - lo_f) * i / samples
+        bound = certificate.evaluate_float(w)
+        phi = math.exp(1.0 - w) + w - 3.0 + 2.0 * w / (1.0 - w * w)
+        if not 0.0 < bound <= (1.0 - w * w) * phi:
+            raise NumericMismatch(f"case-1 certificate and phi disagree in floats at w={w}")
+    return Case1Report(
+        derivative_bound=derivative,
+        value_at_endpoint=value,
+        samples_checked=samples,
+        all_samples_positive=True,
+        elapsed=time.perf_counter() - start,
+    )
 
 
 def verify_all(full_compare=False, only=None):

@@ -1,5 +1,5 @@
-"""Exact univariate polynomial and rational-function arithmetic over
-arbitrary-precision rationals, with Sturm-sequence root counting.
+"""Exact univariate polynomial arithmetic over arbitrary-precision
+rationals, with Sturm-sequence root counting.
 
 A `RationalPoly` stores a tuple of integer numerators, index = degree,
 over one positive denominator, in canonical form: no trailing zero
@@ -11,24 +11,22 @@ integer, in slots wide enough for any coefficient of the product, the two
 integers are multiplied (CPython's Karatsuba does the work) and the
 product is unpacked slot by slot. The reduced `fractions.Fraction`
 coefficients are a view, built on first use. Everything here is immutable
-and exact: no floats, no tolerances.
+and exact: no floats, no tolerances. `verify_sign_on_interval` turns a
+zero Sturm root count into a proof that a polynomial keeps one sign on a
+closed interval with rational endpoints; every sign certificate in
+`certificates` ends in it or in a coefficient-sign check.
 """
 
 import math
 from fractions import Fraction
 
 __all__ = [
-    "BigRational",
     "RationalPoly",
-    "RationalFunction",
     "EndpointRoot",
-    "substitute_rational",
     "sturm_sequence",
     "sturm_roots_in_interval",
     "verify_sign_on_interval",
 ]
-
-BigRational = Fraction
 
 
 class EndpointRoot(Exception):
@@ -279,15 +277,6 @@ class RationalPoly:
             RationalPoly._from_parts(rem, scale),
         )
 
-    def __floordiv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            inv = 1 / _as_fraction(other)
-            return self * inv
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("polynomial division is not exact")
-        return q
-
     def __mod__(self, other):
         return self.divmod(other)[1]
 
@@ -296,147 +285,6 @@ class RationalPoly:
         if any(self.nums[:k]):
             raise ValueError(f"polynomial is not divisible by x^{k}")
         return RationalPoly._from_parts(self.nums[k:], self.den)
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self * Fraction(self.den, self.nums[-1])
-
-    def gcd(self, other):
-        """Monic greatest common divisor by the Euclidean algorithm."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
-
-class RationalFunction:
-    """Quotient of two RationalPoly, normalized lazily via polynomial gcd.
-
-    Normalization keeps intermediate degrees small through the long
-    certificate chains; equality cross-multiplies so it never depends on
-    the stored representation.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den):
-        if isinstance(num, (int, Fraction)):
-            num = RationalPoly([num])
-        if isinstance(den, (int, Fraction)):
-            den = RationalPoly([den])
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        common = num.gcd(den)
-        if common.degree > 0:
-            num = num // common
-            den = den // common
-        # canonical: monic denominator
-        lead = den.coeffs[-1]
-        if lead != 1:
-            inv = 1 / lead
-            num = num * inv
-            den = den * inv
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p, RationalPoly.one())
-
-    def __repr__(self):
-        return f"RationalFunction({self.num!r}, {self.den!r})"
-
-    def __eq__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __add__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _as_ratfun(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _as_ratfun(other)
-        return other / self
-
-    def __pow__(self, n):
-        return RationalFunction(self.num ** n, self.den ** n)
-
-    def evaluate(self, x):
-        den = self.den.evaluate(x)
-        if den == 0:
-            raise ZeroDivisionError(f"pole at {x}")
-        return self.num.evaluate(x) / den
-
-    def as_polynomial(self):
-        """The underlying polynomial, if the denominator divides out."""
-        q, r = self.num.divmod(self.den)
-        if not r.is_zero():
-            raise ValueError("rational function is not a polynomial")
-        return q
-
-
-def _as_ratfun(value):
-    if isinstance(value, RationalFunction):
-        return value
-    if isinstance(value, RationalPoly):
-        return RationalFunction.from_poly(value)
-    if isinstance(value, (int, Fraction)):
-        return RationalFunction(RationalPoly([value]), RationalPoly.one())
-    return NotImplemented
-
-
-def substitute_rational(p, sub_num, sub_den):
-    """p(sub_num/sub_den) as an exact rational function.
-
-    Horner in the polynomial ring; the result is returned over the
-    uncancelled denominator sub_den^deg(p).
-    """
-    if sub_den.is_zero():
-        raise ZeroDivisionError("substitution with zero denominator")
-    if p.is_zero():
-        return RationalFunction(RationalPoly.zero(), RationalPoly.one())
-    acc = RationalPoly([p.coeffs[-1]])
-    den_power = RationalPoly.one()
-    for c in reversed(p.coeffs[:-1]):
-        den_power = den_power * sub_den
-        acc = acc * sub_num + den_power * c
-    return RationalFunction(acc, den_power)
 
 
 def sturm_sequence(p):

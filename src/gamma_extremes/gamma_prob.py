@@ -16,7 +16,6 @@ __all__ = [
     "Kappa",
     "QuadratureError",
     "h",
-    "g",
     "t",
     "band",
     "step_monotone_integral",
@@ -62,11 +61,6 @@ def h(kappa, alpha):
     """P{X <= kappa * E[X]} for X ~ Gamma(alpha, 1)."""
     kappa = Kappa(kappa)
     return reg_lower_gamma(alpha, kappa * alpha)
-
-
-def g(kappa, params):
-    """P{X <= kappa * E[X]} for X ~ Gamma(alpha, beta); beta drops out."""
-    return h(kappa, params.alpha)
 
 
 def _band_shape(alpha, kappa):

@@ -97,13 +97,8 @@ class CompoundPoissonExp:
 
 
 @dataclass(frozen=True)
-class GammaDist:
-    alpha: float
-    beta: float = 1.0
-
-    def __post_init__(self):
-        _check_positive("alpha", self.alpha)
-        _check_positive("beta", self.beta)
+class GammaDist(GammaParams):
+    """Gamma(alpha, beta) as a member of the catalog."""
 
 
 @dataclass(frozen=True)
@@ -140,7 +135,7 @@ def moments(spec):
         mean = spec.rate * spec.jump_scale
         return mean, 2.0 * spec.rate * spec.jump_scale ** 2
     if isinstance(spec, GammaDist):
-        return spec.alpha * spec.beta, spec.alpha * spec.beta ** 2
+        return spec.mean, spec.variance
     if isinstance(spec, NormalBaseline):
         return 0.0, 1.0
     raise TypeError(f"not a distribution spec: {spec!r}")
@@ -250,7 +245,7 @@ def band_prob(spec):
     if isinstance(spec, CompoundPoissonExp):
         return _compound_poisson_exp_band(spec.rate)
     if isinstance(spec, GammaDist):
-        return band(GammaParams(spec.alpha, spec.beta), 1.0)
+        return band(spec, 1.0)
     if isinstance(spec, NormalBaseline):
         return std_normal_band(1.0)
     raise TypeError(f"not a distribution spec: {spec!r}")

@@ -4,10 +4,15 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from gamma_extremes import certificates as C
-from gamma_extremes.exact_poly import RationalPoly, verify_sign_on_interval
+from gamma_extremes.exact_poly import (
+    RationalPoly,
+    sturm_roots_in_interval,
+    verify_sign_on_interval,
+)
 from gamma_extremes.reference_data import V_MINUS_EVEN_COEFFS, V_PLUS_EVEN_COEFFS
 
 # printed w-expansions of the cleared log-truncation numerators
@@ -62,21 +67,21 @@ def _direct_p_q(side, w):
 class TestBuildPQ:
     @pytest.mark.parametrize("side", ["plus", "minus"])
     def test_matches_direct_formula(self, side):
-        p, q = C.build_P_Q(side)
+        n_p, n_q, d = C.build_P_Q(side)
         for w in (Fraction(1, 10), Fraction(1, 7), Fraction(2, 9)):
             p_ref, q_ref = _direct_p_q(side, w)
-            assert p.evaluate(w) == p_ref
-            assert q.evaluate(w) == q_ref
+            assert n_p.evaluate(w) / d.evaluate(w) == p_ref
+            assert n_q.evaluate(w) / d.evaluate(w) == q_ref
 
     def test_invalid_side(self):
         with pytest.raises(ValueError):
             C.build_P_Q("both")
 
     def test_cleared_numerators_match_printed_polynomials(self):
-        n_p, n_q, _ = C._cleared_numerators("plus")
+        n_p, n_q, _ = C.build_P_Q("plus")
         assert 15 * n_p == F_PLUS_EXPECTED
         assert 30 * n_q == H_PLUS_EXPECTED
-        n_p, n_q, _ = C._cleared_numerators("minus")
+        n_p, n_q, _ = C.build_P_Q("minus")
         assert 3 * n_p == F_MINUS_EXPECTED
         assert 6 * n_q == H_MINUS_EXPECTED
 
@@ -141,6 +146,12 @@ class TestSmallAlphaCertificate:
         assert expansion.evaluate(1) == 64 * C.SMALL_ALPHA_POLY.evaluate(Fraction(1, 2))
 
 
+def _below_xi(b):
+    """b < sqrt(3) - sqrt(2) for rational 0 < b < 1, in exact arithmetic:
+    squaring b + sqrt(2) < sqrt(3) twice gives 8 b^2 < (1 - b^2)^2."""
+    return 8 * b * b < (1 - b * b) ** 2
+
+
 class TestCase2:
     def test_report(self):
         report = C.verify_case2_J()
@@ -151,8 +162,10 @@ class TestCase2:
         assert C.CASE2_NUMERATOR.evaluate(0) == -1
 
     def test_enclosure_is_exact(self):
-        assert C._sqrt3_minus_sqrt2_below(Fraction(1, 3))
-        assert not C._sqrt3_minus_sqrt2_below(Fraction(3, 10))  # sqrt3-sqrt2 > 0.3
+        lo, hi = C._xi_bounds()
+        assert Fraction(3, 10) < lo < hi < Fraction(1, 3)  # (1/4, 1/3) encloses (1/4, xi)
+        assert hi - lo <= Fraction(2, 2 ** 80)
+        assert _below_xi(lo) and not _below_xi(hi)
 
 
 class TestCase1:
@@ -162,6 +175,24 @@ class TestCase1:
         assert report.value_at_endpoint == pytest.approx(0.003095392, abs=1e-8)
         assert report.samples_checked == 1000
         assert report.all_samples_positive
+        # the rational enclosures round to the doubles of 50-digit mpmath
+        with mpmath.workdps(50):
+            xi = 1 / (mpmath.sqrt(2) + mpmath.sqrt(3))
+            derivative = -mpmath.e ** (1 - xi) + 1 + 2 * (1 + xi ** 2) / (1 - xi ** 2) ** 2
+            value = mpmath.e ** (1 - xi) + xi - 3 + 2 * xi / (1 - xi ** 2)
+        assert report.derivative_bound == float(derivative) == 1.7465935058681832
+        assert report.value_at_endpoint == float(value) == 0.003095391905735631
+
+    def test_certificate_changes_sign_where_phi_does(self):
+        # positive for no trivial reason: the same polynomial has a root
+        # between 0.3, where phi < 0, and the left end of the proven interval
+        certificate = C._case1_certificate()
+        assert certificate.degree == 14
+        xi_lo, _ = C._xi_bounds()
+        assert certificate.evaluate(Fraction(3, 10)) < 0
+        assert sturm_roots_in_interval(certificate, Fraction(3, 10), xi_lo) == 1
+        hi = C._sqrt_bounds(2)[1] - 1
+        assert sturm_roots_in_interval(certificate, xi_lo, hi) == 0
 
     def test_phi_positive_inside_interval(self):
         # interior points of [1/(sqrt(2)+sqrt(3)), 1/(1+sqrt(2))) ~ [0.3178, 0.4142)

@@ -1,4 +1,4 @@
-"""Tests for the Gamma probability functions h, g, t, band, and the
+"""Tests for the Gamma probability functions h, t, band, and the
 step-monotonicity integral."""
 
 import math
@@ -12,7 +12,6 @@ from gamma_extremes.gamma_prob import (
     Kappa,
     _gauss_legendre,
     band,
-    g,
     h,
     step_monotone_integral,
     t,
@@ -79,12 +78,6 @@ class TestH:
     def test_small_alpha_limit(self):
         for kappa in (0.5, 1.0, 2.0):
             assert h(kappa, 1e-6) > 0.9999
-
-    def test_scale_invariance_of_g(self):
-        for beta in (1e-3, 1.0, 7.3, 100.0):
-            assert g(1.0, GammaParams(1.0, beta)) == h(1.0, 1.0)
-        assert g(1.5, GammaParams(0.757559, 1.0)) == pytest.approx(0.774739, abs=1e-4)
-        assert g(2.0, GammaParams(0.396184, 100.0)) == pytest.approx(0.841243, abs=1e-4)
 
     def test_above_half_at_kappa_one(self):
         for alpha in _log_grid(1e-4, 1e7, 200):

@@ -1,5 +1,6 @@
-"""Import hygiene: importing the package and its CLI loads no heavy numeric
-library; mpmath is loaded on first use by the case-1 check alone."""
+"""Import hygiene: importing the package and its CLI, and running the
+case-1 proof, loads no heavy numeric library; the full certificate suite
+runs where mpmath cannot be imported at all."""
 
 import json
 import os
@@ -11,6 +12,10 @@ import pytest
 import gamma_extremes
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(gamma_extremes.__file__)))
+GOLDEN_VERIFY = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks", "golden", "verify_full_compare.txt",
+)
 
 HEAVY = ("scipy", "numpy", "mpmath")
 
@@ -31,15 +36,27 @@ print(json.dumps({{
 """
 
 
+# a None entry in sys.modules makes every later `import mpmath` fail
+_BLOCKED_PROBE = """
+import sys
+sys.modules["mpmath"] = None
+from gamma_extremes import cli
+sys.exit(cli.run(["verify", "--full-compare"]))
+"""
+
+
+def _run_fresh(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+
+
 @pytest.fixture(scope="module")
 def probe():
     """What a fresh interpreter has loaded after importing the package and
-    after running the case-1 check."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
-    result = subprocess.run(
-        [sys.executable, "-c", _PROBE], env=env, capture_output=True, text=True, check=True
-    )
+    after running the case-1 proof."""
+    result = _run_fresh(_PROBE)
+    assert result.returncode == 0, result.stderr
     return json.loads(result.stdout)
 
 
@@ -47,6 +64,13 @@ def test_package_and_cli_import_load_no_heavy_library(probe):
     assert probe["after_import"] == []
 
 
-def test_case1_loads_mpmath_and_passes(probe):
-    assert probe["after_case1"] == ["mpmath"]
+def test_case1_loads_no_heavy_library_and_passes(probe):
+    assert probe["after_case1"] == []
     assert probe["case1_passed"] is True
+
+
+def test_full_compare_verify_runs_with_mpmath_blocked():
+    result = _run_fresh(_BLOCKED_PROBE)
+    assert result.returncode == 0, result.stderr
+    with open(GOLDEN_VERIFY, "rb") as fh:
+        assert result.stdout == fh.read()
