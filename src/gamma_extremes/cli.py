@@ -3,8 +3,10 @@ certificate verification, the reference probability table, and conjecture
 grid scans.
 
 Exit codes: 0 success, 1 a verification check failed or a conjecture
-violation was found, 2 usage error. All output is deterministic for fixed
-arguments; scan CSV is byte-stable.
+violation was found, 2 usage error, 3 a numerical method failed
+(ConvergenceError, QuadratureError or another ArithmeticError; the message
+goes to stderr). All output is deterministic for fixed arguments; scan CSV
+is byte-stable.
 """
 
 import argparse
@@ -214,6 +216,9 @@ def run(argv=None, out=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 def main():

@@ -2,26 +2,24 @@
 one-standard-deviation band inequality.
 
 Every family here is infinitely divisible (a documented property, not
-machine-checked). band_prob computes P{|L - E[L]| <= sqrt(Var L)} in closed
-form per family; conjecture_scan sweeps a parameter grid looking for band
-probabilities below the standard normal band. The underlying question is
-open: scans produce evidence only, and reports say so.
+machine-checked). Each family is one frozen dataclass with two methods:
+moments() gives (mean, variance) and band() gives P{|L - E[L]| <= sqrt(Var L)},
+both in closed form; moments(spec) and band_prob(spec) call them. The Poisson
+and compound Poisson bands sum pmfs from one builder, _poisson_window_pmf.
+conjecture_scan sweeps a parameter grid looking for band probabilities below
+the standard normal band. The underlying question is open: scans produce
+evidence only, and reports say so.
 """
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Union
 
-from .gamma_prob import GammaParams, band
-from .specfun import (
-    Probability,
-    ln_gamma,
-    log_std_normal_sf,
-    std_normal_band,
-    std_normal_cdf,
-)
+from . import gamma_prob
+from .specfun import Probability, log_std_normal_sf, std_normal_band, std_normal_cdf
 
 __all__ = [
     "Poisson",
@@ -40,6 +38,7 @@ __all__ = [
 ]
 
 _VIOLATION_SLACK = 1e-9
+_LOG_MIN_NORMAL = math.log(sys.float_info.min)
 
 NEGBINOMIAL_CONVENTION = "negative binomial counts failures before the r-th success"
 EVIDENCE_NOTE = (
@@ -53,12 +52,52 @@ def _check_positive(name, value):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _integer_band(mean, sd):
+    """Integers k >= 0 with |k - mean| <= sd, endpoints inclusive."""
+    return max(0, math.ceil(mean - sd)), math.floor(mean + sd)
+
+
+def _poisson_window(lower, upper):
+    """Integers lo..hi outside which every Poisson(mu) with lower <= mu <= upper
+    has mass < 2 e^-40 ~ 8e-18.
+
+    Poisson(mu) has mass < e^-T beyond mu +- t once t^2 >= 2 T (mu + t/3)
+    (Bernstein above, Chernoff below); t is solved at mu = upper, T = 40, so
+    the window [lower - t, upper + t] has O(sqrt(upper)) terms.
+    """
+    t = (40.0 + math.sqrt(1600.0 + 720.0 * upper)) / 3.0  # t^2 = 2 T (upper + t/3) at T = 40
+    return max(0, math.floor(lower - t)), math.ceil(upper + t)
+
+
+def _poisson_window_pmf(mean, lo, hi):
+    """Poisson(mean) pmf at lo..hi, normalised; built from 1 at the mode, not e^-mean."""
+    mode = int(mean)
+    up = accumulate((mean / k for k in range(mode + 1, hi + 1)), operator.mul, initial=1.0)
+    down = list(accumulate((k / mean for k in range(mode, lo, -1)), operator.mul, initial=1.0))
+    pmf = down[:0:-1] + list(up)
+    total = math.fsum(pmf)
+    return [p / total for p in pmf]
+
+
 @dataclass(frozen=True)
 class Poisson:
     lam: float
 
     def __post_init__(self):
         _check_positive("lam", self.lam)
+
+    def moments(self):
+        return self.lam, self.lam
+
+    def band(self):
+        """The window pmf summed over the band, within ~2e-16 of 40-digit mpmath
+        up to lam = 1e6. The band holds 0 below lam = 1 and is >= 2 wide above."""
+        mean, variance = self.moments()
+        sd = math.sqrt(variance)
+        lo, hi = _integer_band(mean, sd)
+        start, stop = _poisson_window(mean - sd, mean + sd)
+        pmf = _poisson_window_pmf(mean, start, stop)
+        return Probability(math.fsum(pmf[lo - start:hi - start + 1]))
 
 
 @dataclass(frozen=True)
@@ -73,6 +112,29 @@ class NegativeBinomial:
         if not (isinstance(self.p, (int, float)) and 0.0 < self.p < 1.0):
             raise ValueError(f"p must lie in (0, 1), got {self.p!r}")
 
+    def moments(self):
+        q = 1.0 - self.p
+        return self.r * q / self.p, self.r * q / self.p ** 2
+
+    def band(self):
+        """pmf(0) = p^r, then pmf(k+1) = pmf(k) (k + r) q / (k + 1). The band holds
+        0 if r q < 1 and is > 2 wide otherwise. Refused once p^r leaves the normal
+        double range, where the terms underflow and the band would read as ~0."""
+        r, p = self.r, self.p
+        q = 1.0 - p
+        mean, _ = self.moments()
+        lo, hi = _integer_band(mean, math.sqrt(r * q) / p)
+        log_pmf = r * math.log(p)
+        if log_pmf < _LOG_MIN_NORMAL:
+            raise ValueError(f"negative binomial band: p^r underflows at r={r!r}, p={p!r}")
+        pmf = math.exp(log_pmf)
+        total = pmf if lo == 0 else 0.0
+        for k in range(hi):
+            pmf *= (k + r) * q / (k + 1.0)
+            if k + 1 >= lo:
+                total += pmf
+        return Probability(total)
+
 
 @dataclass(frozen=True)
 class InverseGaussian:
@@ -82,6 +144,26 @@ class InverseGaussian:
     def __post_init__(self):
         _check_positive("mu", self.mu)
         _check_positive("shape", self.shape)
+
+    def moments(self):
+        return self.mu, self.mu ** 3 / self.shape
+
+    def band(self):
+        mean, variance = self.moments()
+        sd = math.sqrt(variance)
+        return Probability(self._cdf(mean + sd) - self._cdf(mean - sd))
+
+    def _cdf(self, x):
+        """Closed-form CDF through the standard normal CDF, overflow-safe."""
+        if x <= 0.0:
+            return 0.0
+        mu, shape = self.mu, self.shape
+        root = math.sqrt(shape / x)
+        first = std_normal_cdf(root * (x / mu - 1.0))
+        # second term: e^(2 shape/mu) Phi(-root (x/mu + 1)); combine in logs so the
+        # exploding exponential and the vanishing tail cancel before exponentiating
+        log_second = 2.0 * shape / mu + log_std_normal_sf(root * (x / mu + 1.0))
+        return first + math.exp(log_second)
 
 
 @dataclass(frozen=True)
@@ -95,15 +177,55 @@ class CompoundPoissonExp:
         _check_positive("rate", self.rate)
         _check_positive("jump_scale", self.jump_scale)
 
+    def moments(self):
+        return self.rate * self.jump_scale, 2.0 * self.rate * self.jump_scale ** 2
+
+    def band(self):
+        """Band mass of S, a sum of Poisson(rate) many Exponential(1) jumps (the
+        band is scale-free). S <= x exactly when a unit-rate Poisson process has
+        at least N points in [0, x], so F(x) = P{S <= x} = sum_k Pois_x(k)
+        F_rate(k), F_rate the Poisson(rate) CDF: no incomplete gamma, and the
+        N = 0 atom is in F. The band mass is F(H) - F(L) for H, L =
+        rate +- sqrt(2 rate), or F(H) if L <= 0.
+
+        One _poisson_window serves all three pmfs. Within ~1e-15 of 40-digit
+        mpmath at the double band edges up to rate 1e6; rounding the edges
+        adds < 1e-15 up to rate 1e3, ~1e-14 at 1e6, ~1e-13 at 1e7. Larger
+        rates are refused (memory ~ sqrt(rate)).
+        """
+        rate = self.rate
+        if rate > 1e7:
+            raise ValueError(f"compound Poisson band needs rate <= 1e7, got {rate!r}")
+        sd = math.sqrt(2.0 * rate)
+        lower, upper = rate - sd, rate + sd
+        lo, hi = _poisson_window(lower, upper)
+        cdf_rate = list(accumulate(_poisson_window_pmf(rate, lo, hi)))
+        pmf = _poisson_window_pmf(upper, lo, hi)
+        if lower > 0.0:
+            pmf = map(operator.sub, pmf, _poisson_window_pmf(lower, lo, hi))
+        return Probability(math.fsum(map(operator.mul, pmf, cdf_rate)))
+
 
 @dataclass(frozen=True)
-class GammaDist(GammaParams):
+class GammaDist(gamma_prob.GammaParams):
     """Gamma(alpha, beta) as a member of the catalog."""
+
+    def moments(self):
+        return self.mean, self.variance
+
+    def band(self):
+        return gamma_prob.band(self, 1.0)
 
 
 @dataclass(frozen=True)
 class NormalBaseline:
-    """Standard normal reference point; band_prob is the conjectured bound."""
+    """Standard normal reference point; its band is the conjectured bound."""
+
+    def moments(self):
+        return 0.0, 1.0
+
+    def band(self):
+        return std_normal_band(1.0)
 
 
 DistributionSpec = Union[
@@ -124,131 +246,16 @@ class ScanReport:
 
 def moments(spec):
     """Closed-form (mean, variance) of the distribution."""
-    if isinstance(spec, Poisson):
-        return spec.lam, spec.lam
-    if isinstance(spec, NegativeBinomial):
-        q = 1.0 - spec.p
-        return spec.r * q / spec.p, spec.r * q / spec.p ** 2
-    if isinstance(spec, InverseGaussian):
-        return spec.mu, spec.mu ** 3 / spec.shape
-    if isinstance(spec, CompoundPoissonExp):
-        mean = spec.rate * spec.jump_scale
-        return mean, 2.0 * spec.rate * spec.jump_scale ** 2
-    if isinstance(spec, GammaDist):
-        return spec.mean, spec.variance
-    if isinstance(spec, NormalBaseline):
-        return 0.0, 1.0
-    raise TypeError(f"not a distribution spec: {spec!r}")
-
-
-def _integer_band(mean, sd):
-    """Integers k >= 0 with |k - mean| <= sd, endpoints inclusive."""
-    lo = max(0, math.ceil(mean - sd))
-    hi = math.floor(mean + sd)
-    return lo, hi
-
-
-def _poisson_band(lam):
-    mean, sd = lam, math.sqrt(lam)
-    lo, hi = _integer_band(mean, sd)
-    if hi < lo:
-        return Probability(0.0)
-    log_lam = math.log(lam)
-    total = 0.0
-    for k in range(lo, hi + 1):
-        total += math.exp(k * log_lam - lam - ln_gamma(k + 1.0))
-    return Probability(total)
-
-
-def _negbinomial_band(r, p):
-    mean = r * (1.0 - p) / p
-    sd = math.sqrt(r * (1.0 - p)) / p
-    lo, hi = _integer_band(mean, sd)
-    if hi < lo:
-        return Probability(0.0)
-    # pmf(0) = p^r, then pmf(k+1) = pmf(k) (k + r)(1 - p)/(k + 1)
-    pmf = math.exp(r * math.log(p))
-    total = pmf if lo == 0 else 0.0
-    q = 1.0 - p
-    for k in range(hi):
-        pmf *= (k + r) * q / (k + 1.0)
-        if k + 1 >= lo:
-            total += pmf
-    return Probability(total)
-
-
-def _inverse_gaussian_cdf(x, mu, shape):
-    """Closed-form CDF through the standard normal CDF, overflow-safe."""
-    if x <= 0.0:
-        return 0.0
-    root = math.sqrt(shape / x)
-    first = std_normal_cdf(root * (x / mu - 1.0))
-    # second term: e^(2 shape/mu) Phi(-root (x/mu + 1)); combine in logs so the
-    # exploding exponential and the vanishing tail cancel before exponentiating
-    log_second = 2.0 * shape / mu + log_std_normal_sf(root * (x / mu + 1.0))
-    return first + math.exp(log_second)
-
-
-def _inverse_gaussian_band(mu, shape):
-    mean, variance = mu, mu ** 3 / shape
-    sd = math.sqrt(variance)
-    upper = _inverse_gaussian_cdf(mean + sd, mu, shape)
-    lower = _inverse_gaussian_cdf(mean - sd, mu, shape)
-    return Probability(upper - lower)
-
-
-def _poisson_window_pmf(mean, lo, hi):
-    """Poisson(mean) pmf at lo..hi, normalised; built from 1 at the mode, not e^-mean."""
-    mode = int(mean)
-    up = accumulate((mean / k for k in range(mode + 1, hi + 1)), operator.mul, initial=1.0)
-    down = list(accumulate((k / mean for k in range(mode, lo, -1)), operator.mul, initial=1.0))
-    pmf = down[:0:-1] + list(up)
-    total = math.fsum(pmf)
-    return [p / total for p in pmf]
-
-
-def _compound_poisson_exp_band(rate):
-    """Band mass of S, a sum of Poisson(rate) many Exponential(1) jumps (the band
-    is scale-free). S <= x exactly when a unit-rate Poisson process has at least
-    N points in [0, x], so F(x) = P{S <= x} = sum_k Pois_x(k) F_rate(k), F_rate
-    the Poisson(rate) CDF: no incomplete gamma, and the N = 0 atom is in F. The
-    band mass is F(H) - F(L) for H, L = rate +- sqrt(2 rate), or F(H) if L <= 0.
-
-    Poisson(mu) has mass < e^-T beyond mu +- t once t^2 >= 2 T (mu + t/3)
-    (Bernstein above, Chernoff below). Solved at mu = H, T = 40, the window
-    [L - t, H + t] serves all three pmfs, drops < 5 e^-40 ~ 2e-17 and has
-    O(sqrt(rate)) terms. Within ~1e-15 of 40-digit mpmath at the double band
-    edges up to rate 1e6; rounding the edges adds < 1e-15 up to rate 1e3,
-    ~1e-14 at 1e6, ~1e-13 at 1e7. Larger rates are refused (memory ~ sqrt(rate)).
-    """
-    if rate > 1e7:
-        raise ValueError(f"compound Poisson band needs rate <= 1e7, got {rate!r}")
-    sd = math.sqrt(2.0 * rate)
-    lower, upper = rate - sd, rate + sd
-    t = (40.0 + math.sqrt(1600.0 + 720.0 * upper)) / 3.0  # t^2 = 2 T (H + t/3) at T = 40
-    lo, hi = max(0, math.floor(lower - t)), math.ceil(upper + t)
-    cdf_rate = list(accumulate(_poisson_window_pmf(rate, lo, hi)))
-    pmf = _poisson_window_pmf(upper, lo, hi)
-    if lower > 0.0:
-        pmf = map(operator.sub, pmf, _poisson_window_pmf(lower, lo, hi))
-    return Probability(math.fsum(map(operator.mul, pmf, cdf_rate)))
+    if not isinstance(spec, DistributionSpec):
+        raise TypeError(f"not a distribution spec: {spec!r}")
+    return spec.moments()
 
 
 def band_prob(spec):
     """P{|L - E[L]| <= sqrt(Var L)} for the given distribution."""
-    if isinstance(spec, Poisson):
-        return _poisson_band(spec.lam)
-    if isinstance(spec, NegativeBinomial):
-        return _negbinomial_band(spec.r, spec.p)
-    if isinstance(spec, InverseGaussian):
-        return _inverse_gaussian_band(spec.mu, spec.shape)
-    if isinstance(spec, CompoundPoissonExp):
-        return _compound_poisson_exp_band(spec.rate)
-    if isinstance(spec, GammaDist):
-        return band(spec, 1.0)
-    if isinstance(spec, NormalBaseline):
-        return std_normal_band(1.0)
-    raise TypeError(f"not a distribution spec: {spec!r}")
+    if not isinstance(spec, DistributionSpec):
+        raise TypeError(f"not a distribution spec: {spec!r}")
+    return spec.band()
 
 
 def _log_grid(lo, hi, n):
@@ -293,7 +300,8 @@ FAMILIES = ("gamma", "poisson", "negbinomial", "invgaussian", "compound_poisson_
 
 def conjecture_scan(family, grid=None, threshold=None):
     """Sweep band_prob over a grid, recording the minimum and any entries
-    strictly below threshold - 1e-9 (slack absorbs quadrature error)."""
+    strictly below threshold - 1e-9 (slack keeps rounding error in the
+    band values from reading as a violation)."""
     if grid is None:
         grid = default_grid(family)
     grid = tuple(grid)

@@ -1,5 +1,6 @@
-"""From-scratch special functions: log-gamma, regularized incomplete gamma,
-and the standard normal CDF / symmetric band probability.
+"""From-scratch special functions: log-gamma and the regularized incomplete
+gamma. The standard normal CDF, band and log tail come from libm's erf and
+erfc, with Lentz's fraction in log space where erfc underflows.
 
 The incomplete gamma uses three methods, each where it is accurate:
 
@@ -50,6 +51,7 @@ REL_TOL = 1e-15
 TINY = 1e-300
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
 
 # Stirling series coefficients B_{2n} / (2n (2n-1)), n = 1..8.
 _STIRLING = (
@@ -439,28 +441,23 @@ def reg_lower_gamma(a, x):
 
 
 def std_normal_band(kappa):
-    """P{|Z| <= kappa} for a standard normal Z, via erf = P(1/2, z^2)."""
+    """P{|Z| <= kappa} = erf(kappa / sqrt 2) for a standard normal Z."""
     if not (isinstance(kappa, (int, float)) and math.isfinite(kappa)) or kappa <= 0.0:
         raise ValueError(f"kappa must be finite and positive, got {kappa!r}")
-    return reg_lower_gamma(0.5, 0.5 * float(kappa) ** 2)
+    return Probability(math.erf(float(kappa) / _SQRT2))
 
 
 def std_normal_cdf(z):
-    """Standard normal CDF."""
-    z = float(z)
-    if z == 0.0:
-        return Probability(0.5)
-    band = reg_lower_gamma(0.5, 0.5 * z * z)
-    if z > 0.0:
-        return Probability(0.5 * (1.0 + band))
-    return Probability(0.5 * (1.0 - band))
+    """Standard normal CDF, erfc(-z / sqrt 2) / 2: within ~z^2 1e-16 relative
+    (2e-13 at z = -37, below which it is subnormal)."""
+    return Probability(0.5 * math.erfc(-float(z) / _SQRT2))
 
 
 def log_std_normal_sf(z):
     """log P{Z > z}, usable far into the upper tail (z up to ~1e7)."""
     z = float(z)
     if z <= 2.0:
-        return math.log(1.0 - std_normal_cdf(z))
+        return math.log(0.5 * math.erfc(z / _SQRT2))
     # P{Z > z} = Q(1/2, z^2/2) / 2; reuse Lentz's fraction in log space.
     a = 0.5
     x = 0.5 * z * z

@@ -3,10 +3,17 @@ exit codes."""
 
 import io
 import math
+import os
 
 import pytest
 
+from gamma_extremes import cli
 from gamma_extremes.cli import counterexample_table, run
+from gamma_extremes.gamma_prob import QuadratureError
+from gamma_extremes.iddist import FAMILIES
+from gamma_extremes.specfun import ConvergenceError
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
 
 def invoke(*argv):
@@ -153,6 +160,14 @@ class TestConjecture:
         code, _ = invoke("conjecture", "--family", "zeta")
         assert code == 2
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_output_matches_golden_transcript(self, family):
+        code, text = invoke("conjecture", "--family", family)
+        path = os.path.join(GOLDEN_DIR, f"conjecture_{family}.txt")
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert text == fh.read()
+        assert code == (1 if family in ("poisson", "negbinomial") else 0)
+
 
 class TestUsage:
     def test_no_subcommand(self):
@@ -162,3 +177,16 @@ class TestUsage:
     def test_unknown_subcommand(self):
         code, _ = invoke("frobnicate")
         assert code == 2
+
+
+class TestNumericalFailure:
+    @pytest.mark.parametrize("error", (ConvergenceError, QuadratureError))
+    def test_arithmetic_error_is_diagnosed_with_exit_three(self, monkeypatch, capsys, error):
+        def fail(alpha):
+            raise error(f"no convergence at alpha={alpha}")
+
+        monkeypatch.setattr(cli, "t", fail)
+        code, text = invoke("eval", "--function", "t", "--alpha", "7")
+        assert code == 3
+        assert text == ""
+        assert capsys.readouterr().err == "error: no convergence at alpha=7.0\n"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamma_extremes.gamma_prob import t
+from gamma_extremes.gamma_prob import GammaParams, t
 from gamma_extremes.iddist import (
     CompoundPoissonExp,
     GammaDist,
@@ -86,6 +86,17 @@ class TestMoments:
     def test_rejects_non_spec(self):
         with pytest.raises(TypeError):
             moments(42)
+        with pytest.raises(TypeError):
+            band_prob(42)
+        with pytest.raises(TypeError):
+            band_prob(GammaParams(2.0))
+
+    def test_entry_points_call_the_family_methods(self):
+        specs = (Poisson(3.5), NegativeBinomial(3.0, 0.25), InverseGaussian(2.0, 4.0),
+                 CompoundPoissonExp(2.0, 0.5), GammaDist(2.0, 3.0), NormalBaseline())
+        for spec in specs:
+            assert moments(spec) == spec.moments()
+            assert band_prob(spec) == spec.band()
 
 
 class TestBandProb:
@@ -115,6 +126,48 @@ class TestBandProb:
             dist = stats.poisson(lam)
             expected = dist.cdf(hi) - (dist.cdf(lo - 1) if lo > 0 else 0.0)
             assert band_prob(Poisson(lam)) == pytest.approx(expected, abs=1e-9)
+
+    def test_poisson_against_mpmath(self):
+        rng = random.Random(14)
+        lams = [math.exp(rng.uniform(math.log(0.01), math.log(1e3))) for _ in range(50)]
+        # the four default-grid lams whose 12th printed digit the window pmf corrected
+        lams += [148.20207057988566, 444.8782831127584, 529.1978735958436, 666.9919663030117]
+        for lam in lams:
+            sd = math.sqrt(lam)
+            lo, hi = max(0, math.ceil(lam - sd)), math.floor(lam + sd)
+            with mpmath.workdps(40):
+                mlam = mpmath.mpf(lam)
+                expected = mpmath.fsum(
+                    mpmath.exp(k * mpmath.log(mlam) - mlam - mpmath.loggamma(k + 1))
+                    for k in range(lo, hi + 1)
+                )
+            assert abs(band_prob(Poisson(lam)) - expected) <= 1e-15, lam
+
+    def test_negbinomial_near_underflow_against_mpmath(self):
+        # p^r = 1e-300 is still a normal double
+        r, p = 150.0, 0.01
+        mean, variance = moments(NegativeBinomial(r, p))
+        sd = math.sqrt(variance)
+        lo, hi = max(0, math.ceil(mean - sd)), math.floor(mean + sd)
+        with mpmath.workdps(40):
+            r40, p40 = mpmath.mpf(r), mpmath.mpf(p)
+            q40 = 1 - p40
+            pmf = mpmath.exp(
+                mpmath.loggamma(lo + r40) - mpmath.loggamma(r40) - mpmath.loggamma(lo + 1)
+                + r40 * mpmath.log(p40) + lo * mpmath.log(q40)
+            )
+            expected = mpmath.mpf(0)
+            for k in range(lo, hi + 1):
+                expected += pmf
+                pmf *= (k + r40) * q40 / (k + 1)
+        assert abs(band_prob(NegativeBinomial(r, p)) - expected) <= 1e-12
+
+    def test_negbinomial_refuses_underflowed_pmf(self):
+        # p^r = 1e-2000: every recurrence term would underflow to 0.0
+        with pytest.raises(ValueError, match="r=1000, p=0.01"):
+            band_prob(NegativeBinomial(1000, 0.01))
+        with pytest.raises(ValueError):
+            conjecture_scan("negbinomial", grid=[NegativeBinomial(1000, 0.01)])
 
     def test_negbinomial_against_scipy(self):
         stats = pytest.importorskip("scipy.stats")

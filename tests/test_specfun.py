@@ -300,3 +300,23 @@ class TestStdNormal:
         for z in (10.0, 50.0, 1e3, 1e5):
             asymptotic = -0.5 * z * z - math.log(z * math.sqrt(2.0 * math.pi))
             assert log_std_normal_sf(z) == pytest.approx(asymptotic, rel=1e-3)
+
+    def test_band_one_is_correctly_rounded(self):
+        # erf(1/sqrt 2) rounded once to double
+        assert std_normal_band(1.0) == float.fromhex("0x1.5d897a241a6fap-1")
+
+    def test_cdf_against_mpmath(self):
+        rng = random.Random(21)
+        zs = [rng.uniform(-37.0, 8.0) for _ in range(400)] + [-37.0, -9.0, 0.0, 8.0]
+        with mpmath.workdps(40):
+            for z in zs:
+                expected = mpmath.ncdf(z)
+                assert abs((std_normal_cdf(z) - expected) / expected) <= 1e-12, z
+
+    def test_log_sf_against_mpmath_up_to_two(self):
+        rng = random.Random(22)
+        zs = [rng.uniform(-40.0, 2.0) for _ in range(400)] + [-1.0, 0.0, 1.0, 2.0]
+        with mpmath.workdps(40):
+            for z in zs:
+                expected = mpmath.log(mpmath.ncdf(-z))
+                assert abs(log_std_normal_sf(z) - expected) <= 1e-15, z
