@@ -6,7 +6,9 @@ truncated log terms, the w-parametrized shape variable, the clearing
 factors and the final rational substitution in q), never transcribed from
 the printed expansions. The printed values enter only as spot-check
 expectations: constant term, q^2 term, and top term by default, the full
-coefficient lists behind the full_compare flag.
+coefficient lists behind the full_compare flag. Every report, case 2's
+included, is built by `_make_report`, which raises on a missed spot check
+or sign verdict, so a report that exists has passed all of its checks.
 
 The one transcendental step, case 1 of the sharp lower bound, is proved on
 the same ring: a Taylor sum bounds the exponential from below, which turns
@@ -36,18 +38,20 @@ __all__ = [
     "verify_case2_J",
     "verify_case1_transcendental",
     "verify_all",
-    "format_text",
     "format_records",
-    "r_plus_float",
-    "r_minus_float",
 ]
 
 _W = RationalPoly([0, 1])
 _ONE_MINUS_W = RationalPoly([1, -1])
 _ONE_MINUS_W2 = RationalPoly([1, 0, -1])
-_PLUS_QUAD = RationalPoly([1, 2, -1])   # 1 + 2w - w^2
-_MINUS_QUAD = RationalPoly([1, -2, -1])  # 1 - 2w - w^2
 _ONE_PLUS_Q2 = RationalPoly([1, 0, 1])
+
+# per side: the quadratic 1 +- 2w - w^2 in tau's denominator, the log and
+# exp truncation orders, and the linear factor 1 +- 4w of R
+_SIDES = {
+    "plus": (RationalPoly([1, 2, -1]), 5, 4, RationalPoly([1, 4])),
+    "minus": (RationalPoly([1, -2, -1]), 4, 3, RationalPoly([1, -4])),
+}
 
 
 class CertificateMismatch(Exception):
@@ -76,7 +80,6 @@ class SpotCheck:
     index: int
     expected: Fraction
     actual: Fraction
-    matched: bool
 
 
 @dataclass(frozen=True)
@@ -95,16 +98,7 @@ class Case1Report:
     derivative_bound: float
     value_at_endpoint: float
     samples_checked: int
-    all_samples_positive: bool
     elapsed: float
-
-
-def _side_pieces(side):
-    if side == "plus":
-        return _PLUS_QUAD, 5
-    if side == "minus":
-        return _MINUS_QUAD, 4
-    raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
 
 
 def build_P_Q(side):
@@ -121,7 +115,9 @@ def build_P_Q(side):
     at that spot in one displayed equation is treated as a typo,
     consistently with the explicit minus-side definitions).
     """
-    quad, order = _side_pieces(side)
+    if side not in _SIDES:
+        raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
+    quad, order, _, _ = _SIDES[side]
     d = _ONE_MINUS_W2 ** (order - 2) * quad ** order
     n_p = -d
     n_q = d * Fraction(-1, 2)
@@ -138,14 +134,17 @@ def build_P_Q(side):
 
 
 def _exp_taylor_cleared(numer, denom, order):
-    """Numerator of 1 + x + ... + x^order/order! over denom^order, x=numer/denom."""
-    total = RationalPoly.zero()
-    fact = 1
-    for k in range(order + 1):
-        if k > 0:
-            fact *= k
-        total = total + numer ** k * denom ** (order - k) * Fraction(1, fact)
-    return total
+    """Numerator of 1 + x + ... + x^order/order! over denom^order, x=numer/denom.
+
+    Horner form: acc_k = acc_(k+1) numer + denom^(order-k) / k!, from
+    acc_order = 1/order! down to acc_0.
+    """
+    acc = RationalPoly([Fraction(1, math.factorial(order))])
+    den_power = RationalPoly.one()
+    for k in range(order - 1, -1, -1):
+        den_power = den_power * denom
+        acc = acc * numer + den_power * Fraction(1, math.factorial(k))
+    return acc
 
 
 def _r_numerator(side, n_p, n_q, d):
@@ -156,18 +155,12 @@ def _r_numerator(side, n_p, n_q, d):
     w = 0, so the numerator is divisible by w^3. (n_p, n_q, d) are the
     side's `build_P_Q`.
     """
-    if side == "plus":
-        linear = RationalPoly([1, 4])
-        exp_order = 4
-    else:
-        linear = RationalPoly([1, -4])
-        exp_order = 3
-    num = (
+    _, _, exp_order, linear = _SIDES[side]
+    return (
         linear * _exp_taylor_cleared(n_p, d, exp_order)
         + 2 * _exp_taylor_cleared(n_q, d, exp_order)
         - 3 * d ** exp_order
     )
-    return num
 
 
 def _q_expansion(poly_w, factor_power, outer_constant, den_constant):
@@ -208,10 +201,9 @@ def _make_report(name, poly, expected_verdict, expected_spots, start, detail="",
     spots = []
     for index, expected in expected_spots:
         actual = coeffs[index] if index <= poly.degree else Fraction(0)
-        matched = actual == expected
-        spots.append(SpotCheck(index, Fraction(expected), actual, matched))
-        if not matched:
+        if actual != expected:
             raise CertificateMismatch(name, index, expected, actual)
+        spots.append(SpotCheck(index, Fraction(expected), actual))
     if full_compare_coeffs is not None:
         expected_full = [Fraction(0)] * (poly.degree + 1)
         for i, c in enumerate(full_compare_coeffs):
@@ -382,14 +374,8 @@ def verify_case2_J():
         raise NumericMismatch(
             f"J numerator at w=1/4 is {at_quarter}, below {_CASE2_FLOAT_BOUND}"
         )
-    spots = [SpotCheck(0, Fraction(-1), CASE2_NUMERATOR.coeffs[0], True)]
-    return CertificateReport(
-        name="case2J",
-        degree=CASE2_NUMERATOR.degree,
-        coefficients=CASE2_NUMERATOR.coeffs,
-        sign_verdict="mixed",
-        spot_checks=tuple(spots),
-        elapsed=time.perf_counter() - start,
+    return _make_report(
+        "case2J", CASE2_NUMERATOR, "mixed", [(0, -1)], start,
         detail=(
             "Sturm count 0 on (1/4, 1/3) which encloses (1/4, sqrt(3)-sqrt(2)); "
             f"value at w=1/4 is {at_quarter:.7f} >= {_CASE2_FLOAT_BOUND}"
@@ -399,23 +385,17 @@ def verify_case2_J():
 
 _CASE1_DERIVATIVE_BOUND = 1.746594
 _CASE1_VALUE_BOUND = 0.003095392
-
-
-def _exp_one_minus_w(order):
-    """sum_{k <= order} (1-w)^k / k!. For 0 <= w < 1 every term is positive,
-    so it lies below e^(1-w), by at most 2 (1-w)^(order+1) / (order+1)!."""
-    acc = RationalPoly([Fraction(1, math.factorial(order))])
-    for k in range(order - 1, -1, -1):
-        acc = acc * _ONE_MINUS_W + Fraction(1, math.factorial(k))
-    return acc
+_CASE1_SAMPLES = 1000
 
 
 def _case1_certificate():
     """(1 - w^2) times a lower bound of phi(w) = e^(1-w) + w - 3 + 2w/(1-w^2),
     with the degree-12 Taylor sum in place of e^(1-w): a degree-14
-    polynomial. Where 0 < w < 1, so 1 - w^2 > 0, it is positive only where
-    phi is."""
-    return (_exp_one_minus_w(12) + _W - 3) * _ONE_MINUS_W2 + 2 * _W
+    polynomial. For 0 <= w < 1 every Taylor term (1-w)^k/k! is positive, so
+    the sum lies below e^(1-w), by at most 2 (1-w)^13 / 13!; and 1 - w^2 > 0,
+    so the polynomial is positive only where phi is."""
+    taylor = _exp_taylor_cleared(_ONE_MINUS_W, RationalPoly.one(), 12)
+    return (taylor + _W - 3) * _ONE_MINUS_W2 + 2 * _W
 
 
 def _case1_endpoint_bounds(xi_lo, xi_hi):
@@ -426,7 +406,7 @@ def _case1_endpoint_bounds(xi_lo, xi_hi):
     2w/(1-w^2) of phi and 1 + 2(1+w^2)/(1-w^2)^2 of phi', increase in w, so
     each bound takes each term at the end that makes it smaller or larger.
     """
-    taylor = _exp_one_minus_w(24)
+    taylor = _exp_taylor_cleared(_ONE_MINUS_W, RationalPoly.one(), 24)
     exp_lo = taylor.evaluate(xi_hi)
     exp_hi = taylor.evaluate(xi_lo) + Fraction(2, math.factorial(25))
 
@@ -448,7 +428,7 @@ def _check_published(name, bounds, published, tolerance):
     return float((lo + hi) / 2)
 
 
-def verify_case1_transcendental(samples=1000):
+def verify_case1_transcendental():
     """phi(w) = e^(1-w) + w - 3 + 2w/(1-w^2) > 0 on [xi, 1/(1+sqrt(2))], the
     transcendental step of the sharp lower bound for 1 < alpha <= 2.
 
@@ -457,8 +437,8 @@ def verify_case1_transcendental(samples=1000):
     rational interval that contains the case-1 interval. phi(xi) and
     phi'(xi) come from rational enclosures, checked against the published
     0.003095392 and 1.746594. The certificate is then cross-checked against
-    phi in floats at `samples` points: a disagreement raises
-    NumericMismatch, but the positivity rests on the proof alone.
+    phi in floats at 1000 points: a disagreement raises NumericMismatch, but
+    the positivity rests on the proof alone.
     """
     start = time.perf_counter()
     xi_lo, xi_hi = _xi_bounds()
@@ -472,8 +452,8 @@ def verify_case1_transcendental(samples=1000):
     )
     value = _check_published("value bound", value_bounds, _CASE1_VALUE_BOUND, 1e-8)
     lo_f, hi_f = float(xi_lo), float(hi)
-    for i in range(samples):
-        w = lo_f + (hi_f - lo_f) * i / samples
+    for i in range(_CASE1_SAMPLES):
+        w = lo_f + (hi_f - lo_f) * i / _CASE1_SAMPLES
         bound = certificate.evaluate_float(w)
         phi = math.exp(1.0 - w) + w - 3.0 + 2.0 * w / (1.0 - w * w)
         if not 0.0 < bound <= (1.0 - w * w) * phi:
@@ -481,8 +461,7 @@ def verify_case1_transcendental(samples=1000):
     return Case1Report(
         derivative_bound=derivative,
         value_at_endpoint=value,
-        samples_checked=samples,
-        all_samples_positive=True,
+        samples_checked=_CASE1_SAMPLES,
         elapsed=time.perf_counter() - start,
     )
 
@@ -505,28 +484,10 @@ def verify_all(full_compare=False, only=None):
     return reports, case1
 
 
-def format_text(reports, case1=None):
-    lines = []
-    for r in reports:
-        lines.append(f"{r.name}: degree {r.degree}, verdict {r.sign_verdict} ({r.elapsed:.3f}s)")
-        for s in r.spot_checks:
-            status = "ok" if s.matched else "MISMATCH"
-            lines.append(f"  q^{s.index}: {s.actual} [{status}]")
-        if r.detail:
-            lines.append(f"  {r.detail}")
-    if case1 is not None:
-        lines.append(
-            f"case1: derivative bound {case1.derivative_bound:.6f}, "
-            f"value {case1.value_at_endpoint:.9f}, "
-            f"{case1.samples_checked} samples positive ({case1.elapsed:.3f}s)"
-        )
-    return "\n".join(lines)
-
-
 def format_records(reports, case1=None):
     lines = []
     for r in reports:
-        spot = ",".join(f"q^{s.index}={'ok' if s.matched else 'mismatch'}" for s in r.spot_checks)
+        spot = ",".join(f"q^{s.index}=ok" for s in r.spot_checks)
         lines.append(f"name={r.name};verdict={r.sign_verdict};detail=degree {r.degree}; {spot}")
     if case1 is not None:
         lines.append(
@@ -536,29 +497,3 @@ def format_records(reports, case1=None):
         )
     return "\n".join(lines)
 
-
-def _p_q_float(side, alpha):
-    """Float evaluation of the truncated exponents from their definitions."""
-    sqrt_a = math.sqrt(alpha)
-    tau = 1.0 / (alpha + sqrt_a) if side == "plus" else 1.0 / (alpha - sqrt_a)
-    eta = tau / 2.0
-    order = 5 if side == "plus" else 4
-    def trunc(x):
-        return sum((-1) ** (k + 1) * x ** k / k for k in range(1, order + 1))
-    return -1.0 + alpha * trunc(tau), -0.5 + alpha * trunc(eta)
-
-
-def r_plus_float(alpha):
-    """Direct float evaluation of the plus-side combination (alpha > 1)."""
-    p, q = _p_q_float("plus", alpha)
-    w = math.sqrt(alpha + 1) - math.sqrt(alpha)
-    expt = lambda x: sum(x ** k / math.factorial(k) for k in range(5))
-    return (1 + 4 * w) * expt(p) + 2 * expt(q) - 3
-
-
-def r_minus_float(alpha):
-    """Direct float evaluation of the minus-side combination (alpha >= (15/8)^2)."""
-    p, q = _p_q_float("minus", alpha)
-    w = math.sqrt(alpha + 1) - math.sqrt(alpha)
-    expt = lambda x: sum(x ** k / math.factorial(k) for k in range(4))
-    return (1 - 4 * w) * expt(p) + 2 * expt(q) - 3

@@ -19,6 +19,7 @@ from itertools import accumulate
 from typing import Union
 
 from . import gamma_prob
+from .optimize import _lin_grid, _log_grid
 from .specfun import Probability, log_std_normal_sf, std_normal_band, std_normal_cdf
 
 __all__ = [
@@ -38,6 +39,8 @@ __all__ = [
 ]
 
 _VIOLATION_SLACK = 1e-9
+# largest mean whose window pmf a band builds; its lists grow like sqrt(mean)
+_MAX_WINDOW_MEAN = 1e7
 _LOG_MIN_NORMAL = math.log(sys.float_info.min)
 
 NEGBINOMIAL_CONVENTION = "negative binomial counts failures before the r-th success"
@@ -91,7 +94,10 @@ class Poisson:
 
     def band(self):
         """The window pmf summed over the band, within ~2e-16 of 40-digit mpmath
-        up to lam = 1e6. The band holds 0 below lam = 1 and is >= 2 wide above."""
+        up to lam = 1e6. The band holds 0 below lam = 1 and is >= 2 wide above.
+        lam above 1e7 is refused (memory ~ sqrt(lam))."""
+        if self.lam > _MAX_WINDOW_MEAN:
+            raise ValueError(f"Poisson band needs lam <= 1e7, got {self.lam!r}")
         mean, variance = self.moments()
         sd = math.sqrt(variance)
         lo, hi = _integer_band(mean, sd)
@@ -194,7 +200,7 @@ class CompoundPoissonExp:
         rates are refused (memory ~ sqrt(rate)).
         """
         rate = self.rate
-        if rate > 1e7:
+        if rate > _MAX_WINDOW_MEAN:
             raise ValueError(f"compound Poisson band needs rate <= 1e7, got {rate!r}")
         sd = math.sqrt(2.0 * rate)
         lower, upper = rate - sd, rate + sd
@@ -258,17 +264,6 @@ def band_prob(spec):
     return spec.band()
 
 
-def _log_grid(lo, hi, n):
-    log_lo = math.log(lo)
-    step = (math.log(hi) - log_lo) / (n - 1)
-    return [math.exp(log_lo + i * step) if i < n - 1 else hi for i in range(n)]
-
-
-def _lin_grid(lo, hi, n):
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step if i < n - 1 else hi for i in range(n)]
-
-
 def default_grid(family):
     """The stock parameter grid for a family (desk-scale runtimes)."""
     if family == "gamma":
@@ -298,18 +293,16 @@ def default_grid(family):
 FAMILIES = ("gamma", "poisson", "negbinomial", "invgaussian", "compound_poisson_exp", "normal")
 
 
-def conjecture_scan(family, grid=None, threshold=None):
+def conjecture_scan(family, grid=None):
     """Sweep band_prob over a grid, recording the minimum and any entries
-    strictly below threshold - 1e-9 (slack keeps rounding error in the
-    band values from reading as a violation)."""
+    strictly below the standard normal band less 1e-9 (slack keeps rounding
+    error in the band values from reading as a violation)."""
     if grid is None:
         grid = default_grid(family)
     grid = tuple(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
-    if threshold is None:
-        threshold = std_normal_band(1.0)
-    threshold = float(threshold)
+    threshold = float(std_normal_band(1.0))
 
     min_band = None
     argmin = None

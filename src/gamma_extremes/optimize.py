@@ -52,6 +52,19 @@ class MaxEvaluations(Exception):
     """The minimizer exceeded its evaluation budget."""
 
 
+def _log_grid(lo, hi, n):
+    """n log-spaced points from lo to hi, the last one exactly hi."""
+    log_lo = math.log(lo)
+    step = (math.log(hi) - log_lo) / (n - 1)
+    return [math.exp(log_lo + i * step) if i < n - 1 else hi for i in range(n)]
+
+
+def _lin_grid(lo, hi, n):
+    """n evenly spaced points from lo to hi, the last one exactly hi."""
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step if i < n - 1 else hi for i in range(n)]
+
+
 @dataclass(frozen=True)
 class OptimizationResult:
     argmin: float
@@ -72,9 +85,7 @@ def bracket_minimum(f, lo, hi, grid_n):
         raise ValueError(f"need lo < hi, got {lo}, {hi}")
     if grid_n < 3:
         raise ValueError(f"need grid_n >= 3, got {grid_n}")
-    step = (hi - lo) / (grid_n - 1)
-    xs = [lo + i * step for i in range(grid_n)]
-    xs[-1] = hi
+    xs = _lin_grid(lo, hi, grid_n)
     fs = [f(x) for x in xs]
     for i in range(1, grid_n - 1):
         if fs[i] < fs[i - 1] and fs[i] < fs[i + 1]:
@@ -189,10 +200,4 @@ def scan(kappa, alpha_lo, alpha_hi, n):
         raise ValueError(f"need 0 < alpha_lo < alpha_hi, got {alpha_lo}, {alpha_hi}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    log_lo = math.log(alpha_lo)
-    step = (math.log(alpha_hi) - log_lo) / (n - 1)
-    rows = []
-    for i in range(n):
-        alpha = math.exp(log_lo + i * step) if i < n - 1 else alpha_hi
-        rows.append((alpha, h(kappa, alpha)))
-    return rows
+    return [(alpha, h(kappa, alpha)) for alpha in _log_grid(alpha_lo, alpha_hi, n)]

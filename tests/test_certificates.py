@@ -53,6 +53,10 @@ def _even_coeffs(report):
     return [int(c) for c in report.coefficients[::2]]
 
 
+def _exp_trunc(x, order):
+    return sum(x ** k / math.factorial(k) for k in range(order + 1))
+
+
 def _direct_p_q(side, w):
     """Independent big-rational evaluation of the defining formulas."""
     alpha = (1 - w ** 2) ** 2 / (4 * w ** 2)
@@ -124,7 +128,7 @@ class TestChains:
         for report in (*C.verify_chain_plus(), *C.verify_chain_minus()):
             for check in report.spot_checks:
                 assert 0 <= check.index <= report.degree
-                assert check.matched
+                assert check.actual == check.expected == report.coefficients[check.index]
 
     def test_sign_verdict_recomputable(self):
         for report in (*C.verify_chain_plus(), *C.verify_chain_minus()):
@@ -156,7 +160,20 @@ class TestCase2:
     def test_report(self):
         report = C.verify_case2_J()
         assert report.name == "case2J"
+        assert report.sign_verdict == "mixed"
+        assert [(s.index, s.actual) for s in report.spot_checks] == [(0, -1)]
         assert "Sturm count 0" in report.detail
+
+    def test_constant_term_is_checked(self, monkeypatch):
+        # still positive on (1/4, 1/3) with the same value at 1/4, so only
+        # the q^0 spot check can catch the changed constant term
+        patched = C.CASE2_NUMERATOR + RationalPoly([-1, 4])
+        assert verify_sign_on_interval(patched, Fraction(1, 4), Fraction(1, 3), "positive")
+        assert patched.evaluate(Fraction(1, 4)) == C.CASE2_NUMERATOR.evaluate(Fraction(1, 4))
+        monkeypatch.setattr(C, "CASE2_NUMERATOR", patched)
+        with pytest.raises(C.CertificateMismatch) as info:
+            C.verify_case2_J()
+        assert (info.value.index, info.value.expected, info.value.actual) == (0, -1, -2)
 
     def test_numerator_negative_at_zero(self):
         assert C.CASE2_NUMERATOR.evaluate(0) == -1
@@ -174,7 +191,6 @@ class TestCase1:
         assert report.derivative_bound == pytest.approx(1.746594, abs=1e-5)
         assert report.value_at_endpoint == pytest.approx(0.003095392, abs=1e-8)
         assert report.samples_checked == 1000
-        assert report.all_samples_positive
         # the rational enclosures round to the doubles of 50-digit mpmath
         with mpmath.workdps(50):
             xi = 1 / (mpmath.sqrt(2) + mpmath.sqrt(3))
@@ -219,14 +235,19 @@ class TestScaleFactors:
         assert minus_quad.evaluate(Fraction(1, 4)) > 0
 
 
-class TestFloatCrossValidation:
+class TestDirectRSigns:
     def test_r_signs_match_exact_conclusions(self):
+        # R+- = (1 +- 4w) expT(P) + 2 expT(Q) - 3 from the defining formulas,
+        # in exact rationals; w in [0.05, 0.414] is alpha in (1, 100), and
+        # w <= 1/4 is alpha >= (15/8)^2
         rng = random.Random(20240820)
-        for _ in range(20):
-            alpha = rng.uniform(1.0 + 1e-6, 100.0)
-            assert C.r_plus_float(alpha) < 0.0, alpha
-            if alpha >= (15.0 / 8.0) ** 2:
-                assert C.r_minus_float(alpha) > 0.0, alpha
+        ws = [Fraction(rng.randint(50_000, 414_000), 1_000_000) for _ in range(20)]
+        for w in ws + [Fraction(1, 4)]:
+            p, q = _direct_p_q("plus", w)
+            assert (1 + 4 * w) * _exp_trunc(p, 4) + 2 * _exp_trunc(q, 4) - 3 < 0, w
+            if w <= Fraction(1, 4):
+                p, q = _direct_p_q("minus", w)
+                assert (1 - 4 * w) * _exp_trunc(p, 3) + 2 * _exp_trunc(q, 3) - 3 > 0, w
 
 
 class TestReporting:
@@ -235,11 +256,13 @@ class TestReporting:
         assert [r.name for r in reports] == [
             "smallalpha", "G+", "I+", "V+", "G-", "I-", "V-", "case2J",
         ]
-        text = C.format_text(reports, case1)
-        assert "V+: degree 124" in text
-        assert "case1: derivative bound 1.746594" in text
-        records = C.format_records(reports, case1)
-        for line in records.splitlines():
+        records = C.format_records(reports, case1).splitlines()
+        assert "name=V+;verdict=all_positive;detail=degree 124; q^0=ok,q^2=ok,q^124=ok" in records
+        assert "name=case2J;verdict=mixed;detail=degree 6; q^0=ok" in records
+        assert records[-1] == (
+            "name=case1;verdict=pass;detail=derivative=1.746594 value=0.003095392 samples=1000"
+        )
+        for line in records:
             assert line.startswith("name=") and ";verdict=" in line and ";detail=" in line
 
     def test_verify_all_subset(self):

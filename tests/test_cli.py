@@ -7,13 +7,18 @@ import os
 
 import pytest
 
-from gamma_extremes import cli
+from gamma_extremes import certificates, cli
 from gamma_extremes.cli import counterexample_table, run
+from gamma_extremes.exact_poly import RationalPoly
 from gamma_extremes.gamma_prob import QuadratureError
 from gamma_extremes.iddist import FAMILIES
 from gamma_extremes.specfun import ConvergenceError
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+GOLDEN_VERIFY = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks", "golden", "verify_full_compare.txt",
+)
 
 
 def invoke(*argv):
@@ -120,8 +125,20 @@ class TestVerify:
         assert "case1" not in text
 
     def test_full_compare(self):
-        code, _ = invoke("verify", "--full-compare")
+        code, text = invoke("verify", "--full-compare")
         assert code == 0
+        with open(GOLDEN_VERIFY, encoding="utf-8", newline="") as fh:
+            assert text == fh.read()
+
+    def test_failed_check_exits_one(self, monkeypatch):
+        # constant term -2 in place of the printed -1
+        patched = certificates.CASE2_NUMERATOR + RationalPoly([-1, 4])
+        monkeypatch.setattr(certificates, "CASE2_NUMERATOR", patched)
+        code, text = invoke("verify", "--only", "case2")
+        assert code == 1
+        assert text == (
+            "name=verify;verdict=fail;detail=case2J: coefficient of q^0 is -2, expected -1\n"
+        )
 
 
 class TestCounterexamples:

@@ -104,6 +104,12 @@ class TestBandProb:
         # band [0, 2]: e^{-1}(1 + 1 + 1/2)
         assert band_prob(Poisson(1.0)) == pytest.approx(2.5 * math.exp(-1.0), abs=1e-14)
 
+    def test_poisson_refuses_lam_above_1e7(self):
+        # the window pmf is held in memory and grows like sqrt(lam)
+        assert 0.68 < band_prob(Poisson(1e7)) < 0.69
+        with pytest.raises(ValueError):
+            band_prob(Poisson(1e8))
+
     def test_gamma_exponential(self):
         assert band_prob(GammaDist(1.0)) == pytest.approx(1.0 - math.exp(-2.0), abs=1e-13)
 
