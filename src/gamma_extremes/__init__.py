@@ -15,97 +15,22 @@ A library and CLI that
   the conjectured band inequality (``iddist``).
 """
 
-from .certificates import (
-    Case1Report,
-    CertificateMismatch,
-    CertificateReport,
-    NumericMismatch,
-    SignViolation,
-    SpotCheck,
-    build_P_Q,
-    verify_all,
-    verify_case1_transcendental,
-    verify_case2_J,
-    verify_chain_minus,
-    verify_chain_plus,
-    verify_small_alpha_certificate,
-)
-from .exact_poly import (
-    EndpointRoot,
-    RationalPoly,
-    sturm_roots_in_interval,
-    sturm_sequence,
-    verify_sign_on_interval,
-)
-from .gamma_prob import (
-    GammaParams,
-    Kappa,
-    QuadratureError,
-    band,
-    h,
-    step_monotone_integral,
-    t,
-)
-from .iddist import (
-    CompoundPoissonExp,
-    DistributionSpec,
-    GammaDist,
-    InverseGaussian,
-    NegativeBinomial,
-    NormalBaseline,
-    Poisson,
-    ScanReport,
-    band_prob,
-    conjecture_scan,
-    default_grid,
-    moments,
-)
-from .optimize import (
-    MaxEvaluations,
-    NoInteriorMinimum,
-    OptimizationResult,
-    bracket_minimum,
-    brent_min,
-    min_h,
-    scan,
-)
-from .specfun import (
-    ConvergenceError,
-    LogProbability,
-    Probability,
-    ln_gamma,
-    log_std_normal_sf,
-    lower_series,
-    reg_lower_gamma,
-    std_normal_band,
-    std_normal_cdf,
-    upper_continued_fraction,
-)
+from . import certificates, exact_poly, gamma_prob, iddist, optimize, specfun
+from .certificates import *
+from .exact_poly import *
+from .gamma_prob import *
+from .iddist import *
+from .optimize import *
+from .specfun import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # specfun
-    "Probability", "LogProbability", "ConvergenceError", "ln_gamma", "reg_lower_gamma",
-    "lower_series", "upper_continued_fraction", "std_normal_band",
-    "std_normal_cdf", "log_std_normal_sf",
-    # gamma_prob
-    "GammaParams", "Kappa", "QuadratureError", "h", "t", "band",
-    "step_monotone_integral",
-    # optimize
-    "OptimizationResult", "NoInteriorMinimum", "MaxEvaluations",
-    "bracket_minimum", "brent_min", "min_h", "scan",
-    # exact_poly
-    "RationalPoly", "EndpointRoot", "sturm_sequence", "sturm_roots_in_interval",
-    "verify_sign_on_interval",
-    # certificates
-    "CertificateReport", "SpotCheck", "Case1Report", "CertificateMismatch",
-    "SignViolation", "NumericMismatch", "build_P_Q", "verify_chain_plus",
-    "verify_chain_minus", "verify_small_alpha_certificate", "verify_case2_J",
-    "verify_case1_transcendental", "verify_all",
-    # iddist
-    "Poisson", "NegativeBinomial", "InverseGaussian", "CompoundPoissonExp",
-    "GammaDist", "NormalBaseline", "DistributionSpec", "ScanReport",
-    "moments", "band_prob", "conjecture_scan", "default_grid",
+    *specfun.__all__,
+    *gamma_prob.__all__,
+    *optimize.__all__,
+    *exact_poly.__all__,
+    *certificates.__all__,
+    *iddist.__all__,
 ]

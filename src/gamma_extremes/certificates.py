@@ -6,9 +6,13 @@ truncated log terms, the w-parametrized shape variable, the clearing
 factors and the final rational substitution in q), never transcribed from
 the printed expansions. The printed values enter only as spot-check
 expectations: constant term, q^2 term, and top term by default, the full
-coefficient lists behind the full_compare flag. Every report, case 2's
-included, is built by `_make_report`, which raises on a missed spot check
-or sign verdict, so a report that exists has passed all of its checks.
+coefficient lists behind the full_compare flag. Whatever differs between
+the plus and minus chains G -> I -> V sits in one per-side table, `_SIDES`,
+and one loop builds and checks the three steps of either side. Every
+report, case 2's included, is built by `_make_report`, which raises on a
+missed spot check or sign verdict, so a report that exists has passed all
+of its checks and records only the indices it compared. Reports carry no
+clock readings; a caller that wants them measures the `verify_*` call.
 
 The one transcendental step, case 1 of the sharp lower bound, is proved on
 the same ring: a Taylor sum bounds the exponential from below, which turns
@@ -17,7 +21,6 @@ enter as rational enclosures from `math.isqrt`.
 """
 
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +29,6 @@ from .reference_data import V_MINUS_EVEN_COEFFS, V_PLUS_EVEN_COEFFS
 
 __all__ = [
     "CertificateReport",
-    "SpotCheck",
     "Case1Report",
     "CertificateMismatch",
     "SignViolation",
@@ -46,11 +48,82 @@ _ONE_MINUS_W = RationalPoly([1, -1])
 _ONE_MINUS_W2 = RationalPoly([1, 0, -1])
 _ONE_PLUS_Q2 = RationalPoly([1, 0, 1])
 
-# per side: the quadratic 1 +- 2w - w^2 in tau's denominator, the log and
-# exp truncation orders, and the linear factor 1 +- 4w of R
+
+@dataclass(frozen=True)
+class _Step:
+    """One certificate of a chain: outer (1+q^2)^power scale N / w^w_power at
+    w = 1/(sub_den (1+q^2)), N the side's cleared P, Q or R numerator, checked
+    against printed (index, coefficient) spots and, under full_compare, the
+    printed even coefficients in reference."""
+
+    name: str
+    scale: Fraction
+    w_power: int
+    power: int
+    outer: int
+    sign: str
+    spots: tuple
+    detail: str
+    reference: list = None
+
+
+@dataclass(frozen=True)
+class _Side:
+    """Everything that differs between the plus and minus chains."""
+
+    quad: RationalPoly  # 1 +- 2w - w^2 in tau's denominator
+    log_order: int
+    exp_order: int
+    linear: RationalPoly  # 1 +- 4w of R
+    sub_den: int  # w = 1/(sub_den (1+q^2))
+    steps: tuple  # G, I, V over the P, Q and R numerators
+
+
+_G_PLUS_DETAIL = "all coefficients negative, so the order-5 log truncation exponent is negative"
+_G_MINUS_DETAIL = "all coefficients positive, so the order-4 log truncation exponent is positive"
+
+# G = outer (1+q^2)^power F/(2w) with F = 15 D P (plus) or 3 D P (minus);
+# I = outer (1+q^2)^power H/w with H = 30 D Q or 6 D Q; V = outer
+# (1+q^2)^power L with L = scale R numerator / w^3, because the clearing
+# factor (1-w^2)^a quad^b of L equals D^exp_order exactly
 _SIDES = {
-    "plus": (RationalPoly([1, 2, -1]), 5, 4, RationalPoly([1, 4])),
-    "minus": (RationalPoly([1, -2, -1]), 4, 3, RationalPoly([1, -4])),
+    "plus": _Side(
+        RationalPoly([1, 2, -1]), 5, 4, RationalPoly([1, 4]), 2, (
+            _Step("G+", Fraction(15, 2), 1, 14, 16384, "all_negative",
+                  ((0, -1140603), (2, -17129046), (28, -245760)), _G_PLUS_DETAIL),
+            _Step("I+", 30, 1, 14, 8192, "all_negative",
+                  ((0, -1083048), (2, -16069911), (28, -245760)), _G_PLUS_DETAIL),
+            _Step("V+", 9720000, 3, 62, -(2 ** 54), "all_positive", (
+                (0, 23565171557938261664962395),
+                (2, 1985238765536369188253388462),
+                (124, 116733302341443256320000),
+            ), (
+                "V+ all_positive forces R+ < 0 on 0 < w < 1/2: "
+                "V+ = -(2^54) (1+q^2)^62 L+ with (1+q^2)^62 > 0, so L+ < 0; "
+                "L+ = 9720000 (1-w^2)^12 (1+2w-w^2)^20 w^-3 R+ with a strictly "
+                "positive scale there, so R+ < 0."
+            ), V_PLUS_EVEN_COEFFS),
+        ),
+    ),
+    "minus": _Side(
+        RationalPoly([1, -2, -1]), 4, 3, RationalPoly([1, -4]), 4, (
+            _Step("G-", Fraction(3, 2), 1, 10, 1048576, "all_positive",
+                  ((0, 128409), (2, 2102668), (20, 3145728)), _G_MINUS_DETAIL),
+            _Step("I-", 6, 1, 10, 524288, "all_positive",
+                  ((0, 175743), (2, 2666962), (20, 3145728)), _G_MINUS_DETAIL),
+            _Step("V-", -648, 3, 34, -(2 ** 63), "all_positive", (
+                (0, 1058023271132626023),
+                (2, 51541890229923566472),
+                (68, 3984496719921263149056),
+            ), (
+                "V- all_positive forces R- > 0 on 0 < w <= 1/4: "
+                "V- = -(2^63) (1+q^2)^34 L- with (1+q^2)^34 > 0, so L- < 0; "
+                "L- = -648 (1-w^2)^6 (1-2w-w^2)^12 w^-3 R- with a strictly "
+                "negative total scale there, so R- > 0. "
+                "Assumes the tau^3 term of the minus-side exponent is in tau_minus."
+            ), V_MINUS_EVEN_COEFFS),
+        ),
+    ),
 }
 
 
@@ -76,21 +149,13 @@ class NumericMismatch(Exception):
 
 
 @dataclass(frozen=True)
-class SpotCheck:
-    index: int
-    expected: Fraction
-    actual: Fraction
-
-
-@dataclass(frozen=True)
 class CertificateReport:
     name: str
     degree: int
     coefficients: tuple
     sign_verdict: str
-    spot_checks: tuple
-    elapsed: float
-    detail: str = ""
+    spot_checks: tuple  # the compared coefficient indices
+    detail: str
 
 
 @dataclass(frozen=True)
@@ -98,7 +163,6 @@ class Case1Report:
     derivative_bound: float
     value_at_endpoint: float
     samples_checked: int
-    elapsed: float
 
 
 def build_P_Q(side):
@@ -117,7 +181,7 @@ def build_P_Q(side):
     """
     if side not in _SIDES:
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
-    quad, order, _, _ = _SIDES[side]
+    quad, order = _SIDES[side].quad, _SIDES[side].log_order
     d = _ONE_MINUS_W2 ** (order - 2) * quad ** order
     n_p = -d
     n_q = d * Fraction(-1, 2)
@@ -147,19 +211,18 @@ def _exp_taylor_cleared(numer, denom, order):
     return acc
 
 
-def _r_numerator(side, n_p, n_q, d):
+def _r_numerator(spec, n_p, n_q, d):
     """Numerator of the exp-truncated combination over D^exp_order.
 
     R = (1 +- 4w) expT(P) + 2 expT(Q) - 3 with exp truncation order 4 on
     the plus side and 3 on the minus side; R vanishes to third order at
-    w = 0, so the numerator is divisible by w^3. (n_p, n_q, d) are the
-    side's `build_P_Q`.
+    w = 0, so the numerator is divisible by w^3. spec is the side's
+    `_SIDES` entry and (n_p, n_q, d) its `build_P_Q`.
     """
-    _, _, exp_order, linear = _SIDES[side]
     return (
-        linear * _exp_taylor_cleared(n_p, d, exp_order)
-        + 2 * _exp_taylor_cleared(n_q, d, exp_order)
-        - 3 * d ** exp_order
+        spec.linear * _exp_taylor_cleared(n_p, d, spec.exp_order)
+        + 2 * _exp_taylor_cleared(n_q, d, spec.exp_order)
+        - 3 * d ** spec.exp_order
     )
 
 
@@ -194,16 +257,14 @@ def _sign_verdict(coeffs):
     return "mixed"
 
 
-def _make_report(name, poly, expected_verdict, expected_spots, start, detail="",
+def _make_report(name, poly, expected_verdict, expected_spots, detail,
                  full_compare_coeffs=None):
     coeffs = poly.coeffs
     verdict = _sign_verdict(coeffs)
-    spots = []
     for index, expected in expected_spots:
         actual = coeffs[index] if index <= poly.degree else Fraction(0)
         if actual != expected:
             raise CertificateMismatch(name, index, expected, actual)
-        spots.append(SpotCheck(index, Fraction(expected), actual))
     if full_compare_coeffs is not None:
         expected_full = [Fraction(0)] * (poly.degree + 1)
         for i, c in enumerate(full_compare_coeffs):
@@ -218,98 +279,23 @@ def _make_report(name, poly, expected_verdict, expected_spots, start, detail="",
         degree=poly.degree,
         coefficients=coeffs,
         sign_verdict=verdict,
-        spot_checks=tuple(spots),
-        elapsed=time.perf_counter() - start,
+        spot_checks=tuple(index for index, _ in expected_spots),
         detail=detail,
     )
 
 
 def _verify_chain(side, full_compare):
-    if side == "plus":
-        f_scale = 15
-        h_scale = 30
-        g_const, g_power = 16384, 14
-        i_const, i_power = 8192, 14
-        l_const = 9720000
-        v_const = -(2 ** 54)
-        v_power = 62
-        sub_den = 2  # w = 1/(2(1+q^2))
-        sign = "all_negative"
-        v_sign = "all_positive"
-        spots = {
-            "G+": [(0, -1140603), (2, -17129046), (28, -245760)],
-            "I+": [(0, -1083048), (2, -16069911), (28, -245760)],
-            "V+": [
-                (0, 23565171557938261664962395),
-                (2, 1985238765536369188253388462),
-                (124, 116733302341443256320000),
-            ],
-        }
-        names = ("G+", "I+", "V+")
-        v_reference = V_PLUS_EVEN_COEFFS
-        implication = (
-            "V+ all_positive forces R+ < 0 on 0 < w < 1/2: "
-            "V+ = -(2^54) (1+q^2)^62 L+ with (1+q^2)^62 > 0, so L+ < 0; "
-            "L+ = 9720000 (1-w^2)^12 (1+2w-w^2)^20 w^-3 R+ with a strictly "
-            "positive scale there, so R+ < 0."
-        )
-        detail_g = "all coefficients negative, so the order-5 log truncation exponent is negative"
-    else:
-        f_scale = 3
-        h_scale = 6
-        g_const, g_power = 1048576, 10
-        i_const, i_power = 524288, 10
-        l_const = -648
-        v_const = -(2 ** 63)
-        v_power = 34
-        sub_den = 4  # w = 1/(4(1+q^2))
-        sign = "all_positive"
-        v_sign = "all_positive"
-        spots = {
-            "G-": [(0, 128409), (2, 2102668), (20, 3145728)],
-            "I-": [(0, 175743), (2, 2666962), (20, 3145728)],
-            "V-": [
-                (0, 1058023271132626023),
-                (2, 51541890229923566472),
-                (68, 3984496719921263149056),
-            ],
-        }
-        names = ("G-", "I-", "V-")
-        v_reference = V_MINUS_EVEN_COEFFS
-        implication = (
-            "V- all_positive forces R- > 0 on 0 < w <= 1/4: "
-            "V- = -(2^63) (1+q^2)^34 L- with (1+q^2)^34 > 0, so L- < 0; "
-            "L- = -648 (1-w^2)^6 (1-2w-w^2)^12 w^-3 R- with a strictly "
-            "negative total scale there, so R- > 0. "
-            "Assumes the tau^3 term of the minus-side exponent is in tau_minus."
-        )
-        detail_g = "all coefficients positive, so the order-4 log truncation exponent is positive"
-
-    reports = []
     n_p, n_q, d = build_P_Q(side)
-
-    start = time.perf_counter()
-    f_poly = f_scale * n_p  # F = scale * D * P with the D already cleared
-    g_core = f_poly.shift_down(1) * Fraction(1, 2)  # F / (2w)
-    g_poly = _q_expansion(g_core, g_power, g_const, sub_den)
-    reports.append(_make_report(names[0], g_poly, sign, spots[names[0]], start, detail_g))
-
-    start = time.perf_counter()
-    h_poly = h_scale * n_q
-    i_core = h_poly.shift_down(1)  # H / w
-    i_poly = _q_expansion(i_core, i_power, i_const, sub_den)
-    reports.append(_make_report(names[1], i_poly, sign, spots[names[1]], start, detail_g))
-
-    start = time.perf_counter()
-    r_num = _r_numerator(side, n_p, n_q, d)
-    # the clearing factor (1-w^2)^a quad^b of L equals D^exp_order exactly,
-    # so L reduces to l_const * (R numerator) / w^3
-    l_poly = (l_const * r_num).shift_down(3)
-    v_poly = _q_expansion(l_poly, v_power, v_const, sub_den)
-    reports.append(_make_report(
-        names[2], v_poly, v_sign, spots[names[2]], start, implication,
-        full_compare_coeffs=v_reference if full_compare else None,
-    ))
+    spec = _SIDES[side]
+    numerators = (n_p, n_q, _r_numerator(spec, n_p, n_q, d))
+    reports = []
+    for step, numerator in zip(spec.steps, numerators):
+        core = (numerator * step.scale).shift_down(step.w_power)
+        poly = _q_expansion(core, step.power, step.outer, spec.sub_den)
+        reports.append(_make_report(
+            step.name, poly, step.sign, step.spots, step.detail,
+            full_compare_coeffs=step.reference if full_compare else None,
+        ))
     return reports
 
 
@@ -330,12 +316,11 @@ _SMALL_ALPHA_EXPECTED = [240, 416, 152, 8, 92, 58, 3]
 
 def verify_small_alpha_certificate():
     """(1+q^2)^6 * I under w = 1/(1+q^2): all seven even coefficients."""
-    start = time.perf_counter()
     poly = _q_expansion(SMALL_ALPHA_POLY, 6, 1, 1)
     spots = [(2 * i, c) for i, c in enumerate(_SMALL_ALPHA_EXPECTED)]
     return _make_report(
-        "smallalpha", poly, "all_positive", spots, start,
-        detail="positivity of the degree-6 band comparison polynomial on 0 < w < 1",
+        "smallalpha", poly, "all_positive", spots,
+        "positivity of the degree-6 band comparison polynomial on 0 < w < 1",
     )
 
 
@@ -363,7 +348,6 @@ def _xi_bounds():
 
 def verify_case2_J():
     """Positivity of the J numerator on the rational superinterval (1/4, 1/3)."""
-    start = time.perf_counter()
     lo, hi = Fraction(1, 4), Fraction(1, 3)
     if not _xi_bounds()[1] < hi:
         raise SignViolation("rational superinterval does not enclose sqrt(3)-sqrt(2)")
@@ -375,8 +359,8 @@ def verify_case2_J():
             f"J numerator at w=1/4 is {at_quarter}, below {_CASE2_FLOAT_BOUND}"
         )
     return _make_report(
-        "case2J", CASE2_NUMERATOR, "mixed", [(0, -1)], start,
-        detail=(
+        "case2J", CASE2_NUMERATOR, "mixed", [(0, -1)],
+        (
             "Sturm count 0 on (1/4, 1/3) which encloses (1/4, sqrt(3)-sqrt(2)); "
             f"value at w=1/4 is {at_quarter:.7f} >= {_CASE2_FLOAT_BOUND}"
         ),
@@ -440,7 +424,6 @@ def verify_case1_transcendental():
     phi in floats at 1000 points: a disagreement raises NumericMismatch, but
     the positivity rests on the proof alone.
     """
-    start = time.perf_counter()
     xi_lo, xi_hi = _xi_bounds()
     hi = _sqrt_bounds(2)[1] - 1  # above sqrt(2) - 1 = 1/(1 + sqrt(2))
     certificate = _case1_certificate()
@@ -462,7 +445,6 @@ def verify_case1_transcendental():
         derivative_bound=derivative,
         value_at_endpoint=value,
         samples_checked=_CASE1_SAMPLES,
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -487,7 +469,7 @@ def verify_all(full_compare=False, only=None):
 def format_records(reports, case1=None):
     lines = []
     for r in reports:
-        spot = ",".join(f"q^{s.index}=ok" for s in r.spot_checks)
+        spot = ",".join(f"q^{index}=ok" for index in r.spot_checks)
         lines.append(f"name={r.name};verdict={r.sign_verdict};detail=degree {r.degree}; {spot}")
     if case1 is not None:
         lines.append(

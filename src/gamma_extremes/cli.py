@@ -110,13 +110,11 @@ def _sink(path, default):
 def _cmd_eval(args, out):
     if args.function == "t":
         value = t(args.alpha)
+    elif args.kappa is None:
+        raise ValueError(f"eval --function {args.function} requires --kappa")
     elif args.function == "h":
-        if args.kappa is None:
-            raise ValueError("eval --function h requires --kappa")
         value = h(args.kappa, args.alpha)
     else:
-        if args.kappa is None:
-            raise ValueError("eval --function band requires --kappa")
         value = band(GammaParams(args.alpha, args.beta), args.kappa)
     print(format(float(value), _SIG), file=out)
     return 0

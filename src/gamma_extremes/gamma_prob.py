@@ -9,7 +9,7 @@ to the regularized incomplete gamma and are scale-free in beta.
 import math
 from dataclasses import dataclass
 
-from .specfun import Probability, reg_lower_gamma
+from .specfun import Probability, _check_positive, reg_lower_gamma
 
 __all__ = [
     "GammaParams",
@@ -34,9 +34,8 @@ class GammaParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        _check_positive("alpha", self.alpha)
+        _check_positive("beta", self.beta)
 
     @property
     def mean(self):
@@ -51,10 +50,7 @@ class Kappa(float):
     """A positive finite multiplier of the mean or standard deviation."""
 
     def __new__(cls, value):
-        value = float(value)
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValueError(f"kappa must be finite and positive, got {value!r}")
-        return super().__new__(cls, value)
+        return super().__new__(cls, _check_positive("kappa", value))
 
 
 def h(kappa, alpha):
@@ -152,9 +148,7 @@ def step_monotone_integral(kappa, alpha):
     kappa up to 1e4.
     """
     kappa = Kappa(kappa)
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
+    alpha = _check_positive("alpha", alpha)
     log_kappa = math.log(kappa)
 
     def integrand(w):

@@ -20,7 +20,13 @@ from typing import Union
 
 from . import gamma_prob
 from .optimize import _lin_grid, _log_grid
-from .specfun import Probability, log_std_normal_sf, std_normal_band, std_normal_cdf
+from .specfun import (
+    Probability,
+    _check_positive,
+    log_std_normal_sf,
+    std_normal_band,
+    std_normal_cdf,
+)
 
 __all__ = [
     "Poisson",
@@ -48,11 +54,6 @@ EVIDENCE_NOTE = (
     "evidence only: the band inequality is an open question — "
     "a clean scan is not a proof and a violation would be a disproof candidate"
 )
-
-
-def _check_positive(name, value):
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _integer_band(mean, sd):

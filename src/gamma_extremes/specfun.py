@@ -149,6 +149,13 @@ class Probability(float):
         return super().__new__(cls, min(1.0, max(0.0, value)))
 
 
+def _check_positive(name, value):
+    """value as a float, once it is an int or float that is finite and positive."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return float(value)
+
+
 def _by_log(op):
     """A comparison of a LogProbability with another number through logs."""
 
@@ -222,9 +229,7 @@ def ln_gamma(a):
     Stirling's series with argument shifting below a = 10; relative error
     is well under 1e-13 across [1e-6, 1e8].
     """
-    if not (isinstance(a, (int, float)) and math.isfinite(a)) or a <= 0.0:
-        raise ValueError(f"ln_gamma requires a finite positive argument, got {a!r}")
-    a = float(a)
+    a = _check_positive("ln_gamma argument", a)
     shift = 0.0
     while a < 10.0:
         shift += math.log(a)
@@ -442,9 +447,7 @@ def reg_lower_gamma(a, x):
 
 def std_normal_band(kappa):
     """P{|Z| <= kappa} = erf(kappa / sqrt 2) for a standard normal Z."""
-    if not (isinstance(kappa, (int, float)) and math.isfinite(kappa)) or kappa <= 0.0:
-        raise ValueError(f"kappa must be finite and positive, got {kappa!r}")
-    return Probability(math.erf(float(kappa) / _SQRT2))
+    return Probability(math.erf(_check_positive("kappa", kappa) / _SQRT2))
 
 
 def std_normal_cdf(z):

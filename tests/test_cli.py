@@ -20,6 +20,15 @@ GOLDEN_VERIFY = os.path.join(
     "benchmarks", "golden", "verify_full_compare.txt",
 )
 
+# the golden verify records each --only choice prints
+ONLY_RECORDS = {
+    "smallalpha": ["smallalpha"],
+    "chain_plus": ["G+", "I+", "V+"],
+    "chain_minus": ["G-", "I-", "V-"],
+    "case2": ["case2J"],
+    "case1": ["case1"],
+}
+
 
 def invoke(*argv):
     out = io.StringIO()
@@ -129,6 +138,19 @@ class TestVerify:
         assert code == 0
         with open(GOLDEN_VERIFY, encoding="utf-8", newline="") as fh:
             assert text == fh.read()
+
+    @pytest.mark.parametrize("flags", [[], ["--full-compare"]], ids=["spot", "full"])
+    @pytest.mark.parametrize("only", ONLY_RECORDS)
+    def test_only_matches_golden_lines(self, only, flags):
+        with open(GOLDEN_VERIFY, encoding="utf-8", newline="") as fh:
+            golden = fh.read().splitlines(keepends=True)
+        expected = "".join(
+            line for name in ONLY_RECORDS[only] for line in golden
+            if line.startswith(f"name={name};")
+        )
+        code, text = invoke("verify", *flags, "--only", only)
+        assert code == 0
+        assert text == expected
 
     def test_failed_check_exits_one(self, monkeypatch):
         # constant term -2 in place of the printed -1

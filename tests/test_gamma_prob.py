@@ -62,7 +62,7 @@ class TestGammaParams:
                 GammaParams(alpha, beta)
 
     def test_kappa_validation(self):
-        for bad in (0.0, -2.0, float("inf")):
+        for bad in (0.0, -2.0, float("inf"), "2"):
             with pytest.raises(ValueError):
                 Kappa(bad)
 

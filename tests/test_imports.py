@@ -1,7 +1,11 @@
-"""Import hygiene: every exported name resolves; importing the package and
+"""Import hygiene: every exported name resolves and the package exports
+exactly its modules' names; no module of the package imports a name it does
+not use or defines a private name nothing reads; importing the package and
 its CLI, and running the case-1 proof, loads no heavy numeric library; the
 full certificate suite runs where mpmath cannot be imported at all."""
 
+import ast
+import glob
 import importlib
 import json
 import os
@@ -12,8 +16,10 @@ import sys
 import pytest
 
 import gamma_extremes
+from gamma_extremes import certificates, exact_poly, gamma_prob, iddist, optimize, specfun
 
-SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(gamma_extremes.__file__)))
+PACKAGE_DIR = os.path.dirname(os.path.abspath(gamma_extremes.__file__))
+SRC_DIR = os.path.dirname(PACKAGE_DIR)
 GOLDEN_VERIFY = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "benchmarks", "golden", "verify_full_compare.txt",
@@ -88,3 +94,81 @@ def test_every_exported_name_resolves():
         missing = [name for name in exported if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
     assert "certificates" in {m.__name__.rsplit(".", 1)[-1] for m in modules}
+    package_all = ["__version__"] + [
+        name
+        for module in (specfun, gamma_prob, optimize, exact_poly, certificates, iddist)
+        for name in module.__all__
+    ]
+    assert gamma_extremes.__all__ == package_all
+    assert len(set(package_all)) == len(package_all)
+
+
+def _module_trees():
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(PACKAGE_DIR, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read(), path)
+    return trees
+
+
+def _read_names(tree):
+    """Names the module reads: loaded identifiers and its __all__ strings."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(
+                elt.value for elt in ast.walk(node.value) if isinstance(elt, ast.Constant)
+            )
+    return names
+
+
+def _imported_bindings(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name
+
+
+def test_no_unused_import_or_private_name():
+    trees = _module_trees()
+    assert "certificates.py" in trees
+    # a private name is used where some module reads it, imports it by
+    # name or reaches it as an attribute
+    used_anywhere = set()
+    for tree in trees.values():
+        used_anywhere |= _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                used_anywhere.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used_anywhere.update(alias.name for alias in node.names)
+    unused = []
+    for filename, tree in trees.items():
+        read = _read_names(tree)
+        unused += [(filename, "import", n) for n in _imported_bindings(tree) if n not in read]
+        unused += [
+            (filename, "private", n) for n in _private_definitions(tree) if n not in used_anywhere
+        ]
+    assert not unused
