@@ -72,7 +72,7 @@ def _band_shape(alpha, kappa):
 
 def t(alpha):
     """One-standard-deviation band probability of Gamma(alpha, 1)."""
-    return _band_shape(float(alpha), 1.0)
+    return _band_shape(_check_positive("alpha", alpha), 1.0)
 
 
 def band(params, kappa):

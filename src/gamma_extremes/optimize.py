@@ -78,16 +78,20 @@ def bracket_minimum(f, lo, hi, grid_n):
     """Bracket a minimum of f on [lo, hi] from a uniform grid.
 
     Returns the first triple (x[i-1], x[i], x[i+1]) scanning left to right
-    with f strictly smaller at the middle point. Raises NoInteriorMinimum
-    when the sampled minimum is at a boundary and no such triple exists.
+    with f strictly smaller at the middle point. The grid is evaluated
+    lazily, left to right, and the scan stops at that triple, so f is
+    called i + 2 times; only when no triple exists are all grid_n points
+    evaluated, and NoInteriorMinimum is raised for the sampled minimum at
+    a boundary.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo}, {hi}")
     if grid_n < 3:
         raise ValueError(f"need grid_n >= 3, got {grid_n}")
     xs = _lin_grid(lo, hi, grid_n)
-    fs = [f(x) for x in xs]
+    fs = [f(xs[0]), f(xs[1])]
     for i in range(1, grid_n - 1):
+        fs.append(f(xs[i + 1]))
         if fs[i] < fs[i - 1] and fs[i] < fs[i + 1]:
             return (xs[i - 1], xs[i], xs[i + 1])
     if fs[0] <= fs[-1]:

@@ -4,22 +4,36 @@ erfc, with Lentz's fraction in log space where erfc underflows.
 
 The incomplete gamma uses three methods, each where it is accurate:
 
-- the lower power series for P(a, x), Kahan-compensated, below x = a + 1
-  (and at any x while a < TEMME_MIN_SHAPE);
+- the lower power series for P(a, x), Kahan-compensated;
 - Lentz's continued fraction for Q(a, x) at x >= a + 1;
 - Temme's uniform asymptotic expansion (SIAM J. Math. Anal. 1979; the form
-  of Gil, Segura & Temme, SIAM J. Sci. Comput. 2012) for a >= 100 on the
-  side of x = a + 1 where the first two fail or cost O(a): P above it, Q
-  below it, each in O(1).
+  of Gil, Segura & Temme, SIAM J. Sci. Comput. 2012) for a >= 100, in
+  O(1) where the other two cost O(sqrt(a)) terms or more.
 
-Below x = a + 1 at smaller shapes, Q comes from the continued fraction at
-a shape lowered by whole steps to where the fraction converges, plus the
-exact recurrence Q(b + 1, x) = Q(b, x) + x^b e^-x / Gamma(b + 1). So P and
-Q never come from one another: P + Q - 1 checks two methods against each
-other everywhere. The log-prefactor a*ln(x) - x - ln_gamma(a) is evaluated
-in a cancellation-free form; without it, probabilities near a ~ 1e6 carry
-~1e-13 noise, too coarse to resolve strict monotonicity of the one-sigma
-band probability. Results below the normal double range carry their
+reg_lower_gamma is the one point that chooses among them for P, with
+a eta^2 / 2 = -_log_ratio_term(a, x) (see _temme):
+
+    region                             method        relative error
+    a < 100, x < a + 1                 series        ~1e-14
+    a < 100, x >= a + 1                1 - fraction  ~1e-15 absolute
+    a >= 100, x >= a + 1               Temme P       ~2e-16
+    a >= 100, x < a + 1,
+      a eta^2 / 2 <= min(40, 0.08 a)   Temme P       1e-14 + 1e-15 a eta^2/2
+    a >= 100, further below the mean   series        that + ~1e-16 sqrt(a)
+
+The error that grows with a eta^2 / 2 is that of the prefactor's exponent,
+which the series shares. The public lower_series and
+upper_continued_fraction each keep their own side's methods: P from the
+series (Temme above x = a + 1 at a >= 100), Q from the fraction above
+x = a + 1 and below it from Temme's Q form at a >= 100, or at smaller
+shapes from the fraction at a shape lowered by whole steps to where it
+converges, plus the exact recurrence Q(b + 1, x) = Q(b, x) + x^b e^-x /
+Gamma(b + 1). So P and Q never come from one another: P + Q - 1 checks two
+methods against each other everywhere. The log-prefactor
+a*ln(x) - x - ln_gamma(a) is evaluated in a cancellation-free form;
+without it, probabilities near a ~ 1e6 carry ~1e-13 noise, too coarse to
+resolve strict monotonicity of the one-sigma band probability. Results
+below the normal double range carry their
 natural log (LogProbability), so they stay ordered after underflow.
 """
 
@@ -283,17 +297,19 @@ def _log_prefactor(a, x):
     return _log_ratio_term(a, x) - corr
 
 
-def _temme(a, x):
+def _temme(a, x, half_a_eta2):
     """Temme's uniform expansion for a >= TEMME_MIN_SHAPE: (y, R) with
 
         Q(a, x) = erfc(y) / 2 + R,    P(a, x) = erfc(-y) / 2 - R,
 
     y = eta sqrt(a/2), eta^2 / 2 = lambda - 1 - ln lambda, lambda = x/a,
-    sign(eta) = sign(x - a), and R = e^(-y^2) / sqrt(2 pi a) sum_k C_k(eta)
-    a^-k. Both P and Q are then accurate to ~2e-16 relative wherever they
-    are not tiny: P for x >= a, Q for x <= a.
+    sign(eta) = sign(x - a), R = e^(-y^2) / sqrt(2 pi a) sum_k C_k(eta)
+    a^-k, and half_a_eta2 = a eta^2 / 2 = -_log_ratio_term(a, x). Q is then
+    accurate to ~2e-16 relative for x <= a and P for x >= a. P below the
+    mean is accurate while a eta^2 / 2 <= min(_TEMME_EXPONENT_CUTOFF,
+    0.08 a), where eta^2 <= 0.16 and the table gives C_k(eta) in full, to
+    1e-14 plus 1e-15 per unit of a eta^2 / 2, the error of the exponent.
     """
-    half_a_eta2 = -_log_ratio_term(a, x)
     y = math.copysign(math.sqrt(half_a_eta2), x - a)
     if half_a_eta2 > _TEMME_EXPONENT_CUTOFF:
         return y, 0.0
@@ -305,6 +321,12 @@ def _temme(a, x):
             coeff = coeff * eta + d
         series = series / a + coeff
     return y, math.exp(-half_a_eta2) / math.sqrt(2.0 * math.pi * a) * series
+
+
+def _temme_lower(a, x, half_a_eta2):
+    """P(a, x) = erfc(-y) / 2 - R from Temme's expansion (see _temme)."""
+    y, remainder = _temme(a, x, half_a_eta2)
+    return Probability(0.5 * math.erfc(-y) - remainder)
 
 
 def _check_domain(a, x):
@@ -338,8 +360,7 @@ def _lower_series(a, x):
     if x == 0.0:
         return Probability(0.0)
     if a >= TEMME_MIN_SHAPE and x >= a + 1.0:
-        y, remainder = _temme(a, x)
-        return Probability(0.5 * math.erfc(-y) - remainder)
+        return _temme_lower(a, x, -_log_ratio_term(a, x))
     term = 1.0 / a
     total = term
     comp = 0.0
@@ -409,7 +430,7 @@ def _upper_continued_fraction(a, x):
     if x == 0.0:
         return Probability(1.0)
     if a >= TEMME_MIN_SHAPE:
-        y, remainder = _temme(a, x)
+        y, remainder = _temme(a, x, -_log_ratio_term(a, x))
         return Probability(0.5 * math.erfc(y) + remainder)
     if x < UPPER_MIN_X:
         raise ConvergenceError(
@@ -429,20 +450,37 @@ def _upper_continued_fraction(a, x):
 def reg_lower_gamma(a, x):
     """Regularized lower incomplete gamma P(a, x) = gamma(a, x) / Gamma(a).
 
-    lower_series below x = a + 1 and, for a >= TEMME_MIN_SHAPE, above it
-    too, where it runs Temme's expansion: O(1) and smooth to ~2e-16, which
-    the strict monotonicity of the band probability at a ~ 1e6 needs.
-    1 - upper_continued_fraction for x >= a + 1 at smaller shapes. The
-    error is that of lower_series below x = a + 1 and ~1e-15 absolute
-    above it; results below the normal double range are LogProbability
-    values.
+    The one dispatch point among the methods, with a eta^2 / 2 =
+    -_log_ratio_term(a, x):
+
+    - a < TEMME_MIN_SHAPE, x < a + 1: the lower series, ~1e-14 relative;
+    - a < TEMME_MIN_SHAPE, x >= a + 1: 1 - Lentz's fraction, ~1e-15
+      absolute;
+    - a >= TEMME_MIN_SHAPE, x >= a + 1, or 0 < x < a + 1 with
+      a eta^2 / 2 <= min(_TEMME_EXPONENT_CUTOFF, 0.08 a) (eta^2 <= 0.16):
+      Temme's P form erfc(-y) / 2 - R in O(1), ~2e-16 relative above the
+      mean and 1e-14 + 1e-15 a eta^2 / 2 below it, smooth enough for the
+      strict monotonicity of the band probability at a ~ 1e6;
+    - a >= TEMME_MIN_SHAPE, further below the mean: the lower series,
+      whose terms shrink at least by x / a per step there; the same error
+      plus its truncated tail, up to ~1e-16 sqrt(a) relative (3e-13 at
+      a = 1e7 just beyond the band, where P < 1e-18).
+
+    Results below the normal double range come from the series and are
+    LogProbability values.
     """
     _check_domain(a, x)
     a = float(a)
     x = float(x)
-    if x < a + 1.0 or a >= TEMME_MIN_SHAPE:
-        return _lower_series(a, x)
-    return Probability(1.0 - _upper_continued_fraction(a, x))
+    if a < TEMME_MIN_SHAPE:
+        if x < a + 1.0:
+            return _lower_series(a, x)
+        return Probability(1.0 - _upper_continued_fraction(a, x))
+    if x > 0.0:
+        half_a_eta2 = -_log_ratio_term(a, x)
+        if x >= a + 1.0 or half_a_eta2 <= min(_TEMME_EXPONENT_CUTOFF, 0.08 * a):
+            return _temme_lower(a, x, half_a_eta2)
+    return _lower_series(a, x)
 
 
 def std_normal_band(kappa):

@@ -107,6 +107,13 @@ class TestScan:
         assert content.startswith("alpha,value\n")
         assert len(content.splitlines()) == 6
 
+    def test_output_matches_golden_transcript(self):
+        code, text = invoke("scan", "--kappa", "0.999", "--range", "50:1e7", "--n", "400")
+        assert code == 0
+        path = os.path.join(GOLDEN_DIR, "scan_kappa_0.999.txt")
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert text == fh.read()
+
     def test_bad_range_is_usage_error(self):
         code, _ = invoke("scan", "--kappa", "1", "--range", "10:1", "--n", "5")
         assert code == 2

@@ -150,6 +150,14 @@ class TestT:
         for alpha in _log_grid(1e-4, 1e6, 1000):
             assert t(alpha + 1.0) < t(alpha), alpha
 
+    def test_validation(self):
+        # the rule of h, Kappa and GammaParams: a string is not a shape
+        for bad in ("7", 0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                t(bad)
+        with pytest.raises(ValueError):
+            h("1.5", 2.0)
+
 
 class TestBand:
     def test_reference_probabilities(self):

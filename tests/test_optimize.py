@@ -8,10 +8,12 @@ from gamma_extremes.gamma_prob import h
 from gamma_extremes.optimize import (
     DEFAULT_LOG_HI,
     DEFAULT_LOG_LO,
+    DEFAULT_TOL,
     MaxEvaluations,
     NoInteriorMinimum,
     bracket_minimum,
     brent_min,
+    _lin_grid,
     min_h,
     scan,
 )
@@ -28,6 +30,29 @@ REFERENCE_MINIMA = {
 }
 
 
+def full_grid_bracket(f, lo, hi, grid_n):
+    """The first strictly-lower triple, with every grid point evaluated
+    before the scan."""
+    xs = _lin_grid(lo, hi, grid_n)
+    fs = [f(x) for x in xs]
+    for i in range(1, grid_n - 1):
+        if fs[i] < fs[i - 1] and fs[i] < fs[i + 1]:
+            return (xs[i - 1], xs[i], xs[i + 1])
+    raise AssertionError("no interior triple")
+
+
+class Counting:
+    """An objective that counts its calls."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
+
+
 class TestBracketMinimum:
     def test_quadratic(self):
         lo, mid, hi = bracket_minimum(lambda x: (x - 2.0) ** 2, 0.0, 5.0, 11)
@@ -41,6 +66,24 @@ class TestBracketMinimum:
         with pytest.raises(NoInteriorMinimum) as info:
             bracket_minimum(lambda x: -x, 0.0, 1.0, 10)
         assert info.value.boundary == "upper"
+
+    def test_stops_at_the_first_triple(self):
+        # grid 0, 0.5, ..., 5: the first triple is centred on index 4 (x = 2)
+        f = Counting(lambda x: (x - 2.0) ** 2)
+        assert bracket_minimum(f, 0.0, 5.0, 11) == (1.5, 2.0, 2.5)
+        assert f.calls == 4 + 2
+        # two dips: the first one is returned, before the second is seen
+        f = Counting(lambda x: math.cos(x))
+        lo, mid, hi = bracket_minimum(f, 0.0, 20.0, 41)
+        assert lo < math.pi < hi
+        assert f.calls == 6 + 2
+
+    def test_whole_grid_before_no_interior_minimum(self):
+        for f, boundary in ((Counting(lambda x: x), "lower"), (Counting(lambda x: -x), "upper")):
+            with pytest.raises(NoInteriorMinimum) as info:
+                bracket_minimum(f, 0.0, 1.0, 10)
+            assert info.value.boundary == boundary
+            assert f.calls == 10
 
     def test_h_kappa_one_has_no_interior_minimum(self):
         with pytest.raises(NoInteriorMinimum) as info:
@@ -94,6 +137,20 @@ class TestMinH:
             assert result.argmin == pytest.approx(argmin_ref, rel=1e-3), kappa
             assert float(result.min_value) == pytest.approx(value_ref, abs=1e-4), kappa
             assert float(result.min_value) > 0.5, kappa
+
+    @pytest.mark.parametrize("kappa", REFERENCE_MINIMA)
+    def test_same_result_as_the_full_grid(self, kappa):
+        def objective(x):
+            return h(kappa, math.exp(x))
+
+        log_bracket = full_grid_bracket(objective, DEFAULT_LOG_LO, DEFAULT_LOG_HI, 200)
+        expected = brent_min(objective, log_bracket, DEFAULT_TOL)
+        result = min_h(kappa)
+        assert result.bracket == tuple(math.exp(x) for x in log_bracket)
+        assert result.argmin == math.exp(expected.argmin)
+        assert result.min_value == expected.min_value
+        assert result.evaluations == expected.evaluations
+        assert result.converged == expected.converged
 
     def test_kappa_one_boundary_diagnosis(self):
         with pytest.raises(NoInteriorMinimum) as info:

@@ -30,21 +30,27 @@ from gamma_extremes.specfun import (
 )
 
 
+def mp_lower(a, x, dps=40):
+    """P(a, x) for x <= a from the Kummer series x^a e^-x / Gamma(a+1)
+    1F1(1; a+1; x), whose terms only shrink there, with mpmath at dps
+    digits. (mpmath's lower form gammainc(a, 0, x) gives up at a = 1e6.)"""
+    with mpmath.workdps(dps):
+        a, x = mpmath.mpf(a), mpmath.mpf(x)
+        log_pref = a * mpmath.log(x) - x - mpmath.loggamma(a + 1)
+        return mpmath.exp(log_pref) * mpmath.hyp1f1(1, a + 1, x, maxterms=10 ** 6)
+
+
 def mp_upper(a, x):
     """Q(a, x) with mpmath at 30 digits.
 
-    At x >= a, mpmath's upper form gammainc(a, x, inf). Below a, 1 minus the
-    Kummer series x^a e^-x / Gamma(a+1) 1F1(1; a+1; x) of P, whose terms only
-    shrink there: P <= 1/2 then, so Q keeps all its digits. (mpmath's upper
-    form is correct there too but takes ~30 s at a = 1e7, x = 0.9 (a + 1),
-    and its lower form gives up at a = 1e6.)
+    At x >= a, mpmath's upper form gammainc(a, x, inf). Below a, 1 minus
+    mp_lower: P <= 1/2 there, so Q keeps all its digits. (mpmath's upper
+    form is correct there too but takes ~30 s at a = 1e7, x = 0.9 (a + 1).)
     """
     with mpmath.workdps(30):
-        a, x = mpmath.mpf(a), mpmath.mpf(x)
         if x >= a:
             return mpmath.gammainc(a, x, mpmath.inf, regularized=True)
-        log_pref = a * mpmath.log(x) - x - mpmath.loggamma(a + 1)
-        return 1 - mpmath.exp(log_pref) * mpmath.hyp1f1(1, a + 1, x, maxterms=10 ** 6)
+        return 1 - mp_lower(a, x, 30)
 
 
 def temme_coefficients(rows, cols):
@@ -233,6 +239,36 @@ class TestRegLowerGamma:
             else:
                 value, expected = upper_continued_fraction(a, x), q
             assert abs(value - expected) <= 1e-13 * expected, (a, x)
+
+    @pytest.mark.parametrize("a", (100.0, 300.0, 1e3, 1e4, 1e5, 1e6, 1e7))
+    def test_below_the_mean_matches_kummer_series(self, a):
+        """P below x = a from reg_lower_gamma: Temme's P form where
+        a eta^2 / 2 <= min(40, 0.08 a), the lower series beyond, both at
+        z = (x - a) / sqrt(a) in [-8, 0] and at the two doubles around the
+        edge of that band. Each is within 1e-14 relative plus 1e-15 per
+        unit of a eta^2 / 2, the absolute error of the exponent of the
+        prefactor e^(-a eta^2 / 2) that both methods share; beyond the band
+        the series adds its truncated tail, up to 1e-16 sqrt(a)."""
+        cutoff = min(specfun._TEMME_EXPONENT_CUTOFF, 0.08 * a)
+        outside, inside = 0.5 * a, a
+        while True:
+            mid = 0.5 * (outside + inside)
+            if mid in (outside, inside):
+                break
+            if -specfun._log_ratio_term(a, mid) > cutoff:
+                outside = mid
+            else:
+                inside = mid
+        assert -specfun._log_ratio_term(a, outside) > cutoff
+        assert reg_lower_gamma(a, outside) == lower_series(a, outside)
+        points = [a + 0.5 * k * math.sqrt(a) for k in range(-16, 1)] + [outside, inside]
+        for x in points:
+            half_a_eta2 = -specfun._log_ratio_term(a, x)
+            tol = 1e-14 + 1e-15 * half_a_eta2
+            if half_a_eta2 > cutoff:
+                tol += 1e-16 * math.sqrt(a)
+            expected = mp_lower(a, x)
+            assert abs(reg_lower_gamma(a, x) - expected) <= tol * expected, (a, x)
 
     def test_monotone_in_x(self):
         for a in (1e-4, 0.3, 1.0, 7.0, 250.0):
