@@ -11,6 +11,7 @@ is byte-stable.
 
 import argparse
 import contextlib
+import math
 import sys
 
 from . import certificates, iddist, optimize
@@ -124,6 +125,18 @@ def _cmd_minimize(args, out):
     try:
         result = optimize.min_h(args.kappa, tol=args.tol)
     except NoInteriorMinimum as diag:
+        if args.kappa > 1.0:
+            # h(kappa, .) tends to 1 at both ends, so the minimum is beyond the grid edge
+            lo, hi = math.exp(optimize.DEFAULT_LOG_LO), math.exp(optimize.DEFAULT_LOG_HI)
+            alpha_star = optimize.edgeworth_argmin(args.kappa)
+            print(
+                f"no interior minimum for kappa={format(args.kappa, _SIG)} in the search range "
+                f"[{lo:.6g}, {hi:.6g}]: the minimum lies outside it, beyond the grid edge "
+                f"alpha={math.exp(diag.abscissa):.6g} where h={format(diag.value, _SIG)}; "
+                f"Edgeworth estimate alpha*={format(alpha_star, _SIG)}",
+                file=out,
+            )
+            return 0
         boundary = "alpha->infinity" if diag.boundary == "upper" else "alpha->0"
         print(
             f"no interior minimum for kappa={format(args.kappa, _SIG)}: "

@@ -1,9 +1,14 @@
 """One-dimensional minimization of h(kappa, .) over the shape parameter.
 
-Optimization runs in log-alpha so the full feature range (argmins from
-~0.14 to ~33.5, infima at the 0 and infinity boundaries) brackets
-uniformly. brent_min is a classic golden-section / parabolic-interpolation
-minimizer (Numerical Recipes style) with an evaluation budget.
+Optimization runs in log-alpha on one evenly spaced grid over [1e-4, 1e6],
+which covers the full feature range (argmins from ~0.14 to ~33.5, infima at
+the 0 and infinity boundaries). For kappa > 1 the bracket search starts at
+the grid point nearest the Edgeworth estimate of the argmin and walks
+downhill on that grid; it falls back to the left-to-right scan of
+bracket_minimum at a tie or a grid end. h(kappa, .) is unimodal for
+kappa > 1, so both find the same grid triple. brent_min is a classic
+golden-section / parabolic-interpolation minimizer (Numerical Recipes
+style) with an evaluation budget.
 """
 
 import math
@@ -19,6 +24,7 @@ __all__ = [
     "bracket_minimum",
     "brent_min",
     "min_h",
+    "edgeworth_argmin",
     "scan",
     "DEFAULT_LOG_LO",
     "DEFAULT_LOG_HI",
@@ -35,7 +41,9 @@ class NoInteriorMinimum(Exception):
     """The sampled minimum sits on a boundary of the search interval.
 
     For kappa <= 1 this is the expected diagnosis: the infimum of
-    h(kappa, .) is a limit, not an attained minimum.
+    h(kappa, .) is a limit, not an attained minimum. For kappa > 1, where
+    h(kappa, .) tends to 1 at both ends, it means the minimum lies outside
+    the search interval.
     """
 
     def __init__(self, boundary, abscissa, value):
@@ -83,6 +91,9 @@ def bracket_minimum(f, lo, hi, grid_n):
     called i + 2 times; only when no triple exists are all grid_n points
     evaluated, and NoInteriorMinimum is raised for the sampled minimum at
     a boundary.
+
+    min_h calls it only when its downhill walk from the Edgeworth seed
+    meets a tie or a grid end, and always for kappa <= 1.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo}, {hi}")
@@ -175,18 +186,74 @@ def brent_min(f, bracket, tol, max_evaluations=200):
     )
 
 
+def _descend_to_triple(f, xs, x0):
+    """Walk downhill on the grid xs from the point nearest x0.
+
+    Returns the first triple (xs[i-1], xs[i], xs[i+1]) with f strictly
+    smaller at the middle point that the walk meets, or None where it meets
+    a tie (or a NaN) or reaches a grid end. f is called three times plus
+    once per step.
+    """
+    last = len(xs) - 1
+    i = min(max(round((x0 - xs[0]) / (xs[1] - xs[0])), 1), last - 1)
+    below, here, above = f(xs[i - 1]), f(xs[i]), f(xs[i + 1])
+    if here < below and here < above:
+        return (xs[i - 1], xs[i], xs[i + 1])
+    if above < here < below:
+        step, ahead = 1, above
+    elif below < here < above:
+        step, ahead = -1, below
+    else:
+        return None
+    while ahead < here:
+        i += step
+        if not 0 < i < last:
+            return None
+        here, ahead = ahead, f(xs[i + step])
+    if ahead > here:
+        return (xs[i - 1], xs[i], xs[i + 1])
+    return None
+
+
+def edgeworth_argmin(kappa):
+    """The Edgeworth estimate 1 / (3 (kappa - 1)) of the argmin of h(kappa, .).
+
+    Gamma(alpha)'s skewness 2 / sqrt(alpha) puts the minimum there for
+    kappa > 1: the argmin is 1.0005 times the estimate at kappa = 1.001
+    and 1.25 times it at kappa = 4.
+    """
+    kappa = Kappa(kappa)
+    if not kappa > 1.0:
+        raise ValueError(f"need kappa > 1, got {kappa}")
+    return 1.0 / (3.0 * (kappa - 1.0))
+
+
 def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
     """Minimize h(kappa, .) over alpha in [1e-4, 1e6], in log coordinates.
 
-    Raises NoInteriorMinimum for kappa <= 1, where the infimum sits at the
-    alpha -> infinity boundary; the exception carries the boundary value.
+    For kappa > 1 the bracket is found by walking downhill on the grid of
+    bracket_minimum from the point nearest ln edgeworth_argmin(kappa); the
+    walk meets the same first triple as the full scan because h(kappa, .)
+    is unimodal there, in 3-5 calls of h rather than up to ~110. Where the
+    walk meets a tie or a grid end, and for kappa <= 1, bracket_minimum
+    scans the grid instead.
+
+    Raises NoInteriorMinimum (from bracket_minimum, in log-alpha) when the
+    grid minimum is at a boundary: for kappa <= 1, where the infimum sits
+    at the alpha -> infinity boundary, and for kappa > 1 whose minimum lies
+    outside the search range; the exception carries the boundary value.
     """
     kappa = Kappa(kappa)
 
     def objective(x):
         return h(kappa, math.exp(x))
 
-    log_bracket = bracket_minimum(objective, DEFAULT_LOG_LO, DEFAULT_LOG_HI, grid_n)
+    log_bracket = None
+    if kappa > 1.0 and grid_n >= 3:
+        xs = _lin_grid(DEFAULT_LOG_LO, DEFAULT_LOG_HI, grid_n)
+        log_bracket = _descend_to_triple(objective, xs, math.log(edgeworth_argmin(kappa)))
+    if log_bracket is None:
+        log_bracket = bracket_minimum(objective, DEFAULT_LOG_LO, DEFAULT_LOG_HI, grid_n)
     result = brent_min(objective, log_bracket, tol)
     return OptimizationResult(
         argmin=math.exp(result.argmin),

@@ -81,6 +81,34 @@ class TestMinimize:
         value = float(text.split("infimum ~ ")[1].split(" ")[0])
         assert value == pytest.approx(0.5, abs=1e-3)
 
+    @pytest.mark.parametrize(
+        "kappa", ["1.01", "1.1", "1.2", "1.5", "2", "3", "4", "1.001", "1", "0.8", "0.5"]
+    )
+    def test_output_matches_golden_transcript(self, kappa):
+        code, text = invoke("minimize", "--kappa", kappa)
+        assert code == 0
+        path = os.path.join(GOLDEN_DIR, f"minimize_kappa_{kappa}.txt")
+        with open(path, encoding="utf-8", newline="") as fh:
+            assert text == fh.read()
+
+    @pytest.mark.parametrize(
+        "kappa, edge, value, alpha_star",
+        [
+            ("5000", "0.0001", "0.999944019707", "6.66800026672e-05"),
+            ("1.0000001", "1e+06", "0.500172874984", "3333333.33139"),
+        ],
+    )
+    def test_minimum_outside_the_search_range(self, kappa, edge, value, alpha_star):
+        # h(kappa, .) -> 1 at both ends for kappa > 1: no infimum at a boundary
+        code, text = invoke("minimize", "--kappa", kappa)
+        assert code == 0
+        assert text == (
+            f"no interior minimum for kappa={kappa} in the search range [0.0001, 1e+06]: "
+            f"the minimum lies outside it, beyond the grid edge alpha={edge} where h={value}; "
+            f"Edgeworth estimate alpha*={alpha_star}\n"
+        )
+        assert "infimum" not in text
+
 
 class TestScan:
     def test_csv_format_and_byte_stability(self, tmp_path):

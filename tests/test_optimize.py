@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from gamma_extremes import optimize
 from gamma_extremes.gamma_prob import h
 from gamma_extremes.optimize import (
     DEFAULT_LOG_HI,
@@ -13,6 +14,7 @@ from gamma_extremes.optimize import (
     NoInteriorMinimum,
     bracket_minimum,
     brent_min,
+    edgeworth_argmin,
     _lin_grid,
     min_h,
     scan,
@@ -28,6 +30,10 @@ REFERENCE_MINIMA = {
     3.0: (0.205464, 0.899108),
     4.0: (0.13917, 0.925864),
 }
+
+# a dense sweep of kappa > 1, and kappas whose minimum lies outside the grid
+DENSE_KAPPAS = [1.0 + i / 50 for i in range(1, 401)] + [1.0001, 1.001, 1000.0, 3000.0]
+OUTSIDE_GRID_KAPPAS = (5000.0, 1e4, 1.0000001)
 
 
 def full_grid_bracket(f, lo, hi, grid_n):
@@ -48,9 +54,9 @@ class Counting:
         self.f = f
         self.calls = 0
 
-    def __call__(self, x):
+    def __call__(self, *args):
         self.calls += 1
-        return self.f(x)
+        return self.f(*args)
 
 
 class TestBracketMinimum:
@@ -151,6 +157,47 @@ class TestMinH:
         assert result.min_value == expected.min_value
         assert result.evaluations == expected.evaluations
         assert result.converged == expected.converged
+
+    def test_seeded_bracket_matches_the_full_grid_on_a_dense_sweep(self):
+        for kappa in DENSE_KAPPAS:
+            def objective(x):
+                return h(kappa, math.exp(x))
+
+            log_bracket = full_grid_bracket(objective, DEFAULT_LOG_LO, DEFAULT_LOG_HI, 200)
+            expected = brent_min(objective, log_bracket, DEFAULT_TOL)
+            result = min_h(kappa)
+            assert result.bracket == tuple(math.exp(x) for x in log_bracket), kappa
+            assert result.argmin == math.exp(expected.argmin), kappa
+            assert result.min_value == expected.min_value, kappa
+            assert result.evaluations == expected.evaluations, kappa
+            assert result.converged == expected.converged, kappa
+
+    @pytest.mark.parametrize("kappa", OUTSIDE_GRID_KAPPAS)
+    def test_minimum_outside_the_grid_same_diagnosis_as_the_scan(self, kappa):
+        with pytest.raises(NoInteriorMinimum) as expected:
+            bracket_minimum(lambda x: h(kappa, math.exp(x)), DEFAULT_LOG_LO, DEFAULT_LOG_HI, 200)
+        with pytest.raises(NoInteriorMinimum) as info:
+            min_h(kappa)
+        assert info.value.boundary == expected.value.boundary
+        assert info.value.abscissa == expected.value.abscissa
+        assert info.value.value == expected.value.value
+
+    @pytest.mark.parametrize("kappa", REFERENCE_MINIMA)
+    def test_bracket_call_budget(self, kappa, monkeypatch):
+        counted = Counting(h)
+        monkeypatch.setattr(optimize, "h", counted)
+        result = min_h(kappa)
+        # the seeded walk measured 3-5 calls; the full scan took 65-112
+        assert counted.calls - result.evaluations <= 6, kappa
+
+    def test_edgeworth_argmin(self):
+        assert edgeworth_argmin(1.5) == pytest.approx(2.0 / 3.0)
+        # the argmin is 1.005 to 1.25 times the estimate over the table
+        for kappa, (argmin, _) in REFERENCE_MINIMA.items():
+            assert 1.0 <= argmin / edgeworth_argmin(kappa) <= 1.3, kappa
+        for kappa in (1.0, 0.5):
+            with pytest.raises(ValueError):
+                edgeworth_argmin(kappa)
 
     def test_kappa_one_boundary_diagnosis(self):
         with pytest.raises(NoInteriorMinimum) as info:
