@@ -132,7 +132,7 @@ def _cmd_minimize(args, out):
             print(
                 f"no interior minimum for kappa={format(args.kappa, _SIG)} in the search range "
                 f"[{lo:.6g}, {hi:.6g}]: the minimum lies outside it, beyond the grid edge "
-                f"alpha={math.exp(diag.abscissa):.6g} where h={format(diag.value, _SIG)}; "
+                f"alpha={diag.abscissa:.6g} where h={format(diag.value, _SIG)}; "
                 f"Edgeworth estimate alpha*={format(alpha_star, _SIG)}",
                 file=out,
             )

@@ -2,20 +2,22 @@
 
 Optimization runs in log-alpha on one evenly spaced grid over [1e-4, 1e6],
 which covers the full feature range (argmins from ~0.14 to ~33.5, infima at
-the 0 and infinity boundaries). For kappa > 1 the bracket search starts at
-the grid point nearest the Edgeworth estimate of the argmin and walks
-downhill on that grid; it falls back to the left-to-right scan of
-bracket_minimum at a tie or a grid end. h(kappa, .) is unimodal for
-kappa > 1, so both find the same grid triple. brent_min is a classic
-golden-section / parabolic-interpolation minimizer (Numerical Recipes
-style) with an evaluation budget.
+the 0 and infinity boundaries). For kappa <= 1, h(kappa, .) is strictly
+decreasing (the paper's monotonicity theorem), so min_h reports the
+infimum at the upper grid end after one call of h. For kappa > 1 the
+bracket search starts at the grid point nearest the Edgeworth estimate of
+the argmin and walks downhill on that grid; it falls back to the
+left-to-right scan of bracket_minimum at a tie or a grid end. h(kappa, .)
+is unimodal for kappa > 1, so both find the same grid triple. brent_min is
+a classic golden-section / parabolic-interpolation minimizer (Numerical
+Recipes style) with an evaluation budget.
 """
 
 import math
 from dataclasses import dataclass
 
 from .gamma_prob import Kappa, h
-from .specfun import Probability
+from .specfun import Probability, _check_positive
 
 __all__ = [
     "OptimizationResult",
@@ -43,7 +45,8 @@ class NoInteriorMinimum(Exception):
     For kappa <= 1 this is the expected diagnosis: the infimum of
     h(kappa, .) is a limit, not an attained minimum. For kappa > 1, where
     h(kappa, .) tends to 1 at both ends, it means the minimum lies outside
-    the search interval.
+    the search interval. abscissa is the boundary point in the caller's
+    coordinate: bracket_minimum reports its own x, min_h the shape alpha.
     """
 
     def __init__(self, boundary, abscissa, value):
@@ -92,8 +95,8 @@ def bracket_minimum(f, lo, hi, grid_n):
     evaluated, and NoInteriorMinimum is raised for the sampled minimum at
     a boundary.
 
-    min_h calls it only when its downhill walk from the Edgeworth seed
-    meets a tie or a grid end, and always for kappa <= 1.
+    min_h calls it only for kappa > 1, when its downhill walk from the
+    Edgeworth seed meets a tie or a grid end.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo}, {hi}")
@@ -115,8 +118,7 @@ def brent_min(f, bracket, tol, max_evaluations=200):
     lo, mid, hi = bracket
     if not (lo < mid < hi):
         raise ValueError(f"invalid bracket {bracket}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    tol = _check_positive("tol", tol)
 
     evaluations = 0
 
@@ -231,29 +233,38 @@ def edgeworth_argmin(kappa):
 def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
     """Minimize h(kappa, .) over alpha in [1e-4, 1e6], in log coordinates.
 
-    For kappa > 1 the bracket is found by walking downhill on the grid of
-    bracket_minimum from the point nearest ln edgeworth_argmin(kappa); the
-    walk meets the same first triple as the full scan because h(kappa, .)
-    is unimodal there, in 3-5 calls of h rather than up to ~110. Where the
-    walk meets a tie or a grid end, and for kappa <= 1, bracket_minimum
-    scans the grid instead.
+    For kappa <= 1, h(kappa, .) is strictly decreasing, so the infimum is
+    the alpha -> infinity limit and NoInteriorMinimum is raised at the
+    upper grid end after one call of h; the full scan of bracket_minimum
+    would reach the same boundary, abscissa and value. For kappa > 1 the
+    bracket is found by walking downhill on the grid of bracket_minimum
+    from the point nearest ln edgeworth_argmin(kappa); the walk meets the
+    same first triple as the full scan because h(kappa, .) is unimodal
+    there, in 3-5 calls of h rather than up to ~110. Where the walk meets
+    a tie or a grid end, bracket_minimum scans the grid instead.
 
-    Raises NoInteriorMinimum (from bracket_minimum, in log-alpha) when the
-    grid minimum is at a boundary: for kappa <= 1, where the infimum sits
-    at the alpha -> infinity boundary, and for kappa > 1 whose minimum lies
-    outside the search range; the exception carries the boundary value.
+    tol and grid_n are checked first, for every kappa. NoInteriorMinimum
+    carries the boundary, its alpha and h there; for kappa > 1 it means the
+    minimum lies outside the search range.
     """
     kappa = Kappa(kappa)
+    tol = _check_positive("tol", tol)
+    if grid_n < 3:
+        raise ValueError(f"need grid_n >= 3, got {grid_n}")
 
     def objective(x):
         return h(kappa, math.exp(x))
 
-    log_bracket = None
-    if kappa > 1.0 and grid_n >= 3:
-        xs = _lin_grid(DEFAULT_LOG_LO, DEFAULT_LOG_HI, grid_n)
-        log_bracket = _descend_to_triple(objective, xs, math.log(edgeworth_argmin(kappa)))
+    if kappa <= 1.0:
+        # the paper: h(kappa, .) is strictly decreasing in alpha for kappa <= 1
+        raise NoInteriorMinimum("upper", math.exp(DEFAULT_LOG_HI), objective(DEFAULT_LOG_HI))
+    xs = _lin_grid(DEFAULT_LOG_LO, DEFAULT_LOG_HI, grid_n)
+    log_bracket = _descend_to_triple(objective, xs, math.log(edgeworth_argmin(kappa)))
     if log_bracket is None:
-        log_bracket = bracket_minimum(objective, DEFAULT_LOG_LO, DEFAULT_LOG_HI, grid_n)
+        try:
+            log_bracket = bracket_minimum(objective, DEFAULT_LOG_LO, DEFAULT_LOG_HI, grid_n)
+        except NoInteriorMinimum as diag:
+            raise NoInteriorMinimum(diag.boundary, math.exp(diag.abscissa), diag.value) from None
     result = brent_min(objective, log_bracket, tol)
     return OptimizationResult(
         argmin=math.exp(result.argmin),

@@ -82,7 +82,9 @@ class TestMinimize:
         assert value == pytest.approx(0.5, abs=1e-3)
 
     @pytest.mark.parametrize(
-        "kappa", ["1.01", "1.1", "1.2", "1.5", "2", "3", "4", "1.001", "1", "0.8", "0.5"]
+        "kappa",
+        ["1.01", "1.1", "1.2", "1.5", "2", "3", "4", "1.001", "1", "0.8", "0.5",
+         "0.2", "0.95", "0.999", "0.9999999"],
     )
     def test_output_matches_golden_transcript(self, kappa):
         code, text = invoke("minimize", "--kappa", kappa)
@@ -108,6 +110,13 @@ class TestMinimize:
             f"Edgeworth estimate alpha*={alpha_star}\n"
         )
         assert "infimum" not in text
+
+    @pytest.mark.parametrize("kappa, tol", [("0.5", "-1"), ("1.5", "nan")])
+    def test_invalid_tol_is_usage_error(self, kappa, tol, capsys):
+        code, text = invoke("minimize", "--kappa", kappa, "--tol", tol)
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: tol must be finite and positive")
 
 
 class TestScan:

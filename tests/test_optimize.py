@@ -34,6 +34,10 @@ REFERENCE_MINIMA = {
 # a dense sweep of kappa > 1, and kappas whose minimum lies outside the grid
 DENSE_KAPPAS = [1.0 + i / 50 for i in range(1, 401)] + [1.0001, 1.001, 1000.0, 3000.0]
 OUTSIDE_GRID_KAPPAS = (5000.0, 1e4, 1.0000001)
+# kappa <= 1, where h(kappa, .) is decreasing: a dense sweep and its edges
+DECREASING_KAPPAS = [i / 200 for i in range(1, 201)] + [
+    1e-6, 1e-3, 0.9999999, math.nextafter(1.0, 0.0)
+]
 
 
 def full_grid_bracket(f, lo, hi, grid_n):
@@ -135,6 +139,11 @@ class TestBrentMin:
         with pytest.raises(ValueError):
             brent_min(lambda x: x * x, (0.0, 1.0, 2.0), 0.0)
 
+    @pytest.mark.parametrize("tol", (-1.0, 0.0, math.nan, math.inf))
+    def test_invalid_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            brent_min(lambda x: x * x, (0.0, 1.0, 2.0), tol)
+
 
 class TestMinH:
     def test_reference_table(self):
@@ -179,8 +188,32 @@ class TestMinH:
         with pytest.raises(NoInteriorMinimum) as info:
             min_h(kappa)
         assert info.value.boundary == expected.value.boundary
-        assert info.value.abscissa == expected.value.abscissa
+        assert info.value.abscissa == math.exp(expected.value.abscissa)
         assert info.value.value == expected.value.value
+
+    def test_decreasing_kappas_same_diagnosis_as_the_scan(self):
+        xs = _lin_grid(DEFAULT_LOG_LO, DEFAULT_LOG_HI, 200)
+        for kappa in DECREASING_KAPPAS:
+            values = {x: h(kappa, math.exp(x)) for x in xs}
+            fs = list(values.values())
+            assert all(u >= v for u, v in zip(fs, fs[1:])), kappa
+            with pytest.raises(NoInteriorMinimum) as expected:
+                bracket_minimum(values.__getitem__, DEFAULT_LOG_LO, DEFAULT_LOG_HI, 200)
+            with pytest.raises(NoInteriorMinimum) as info:
+                min_h(kappa)
+            assert info.value.boundary == expected.value.boundary == "upper", kappa
+            assert info.value.abscissa == math.exp(expected.value.abscissa), kappa
+            assert float(info.value.value).hex() == float(expected.value.value).hex(), kappa
+            assert type(info.value.value) is type(expected.value.value), kappa
+
+    @pytest.mark.parametrize("kappa", (0.2, 0.5, 0.8, 1.0))
+    def test_decreasing_kappa_call_budget(self, kappa, monkeypatch):
+        counted = Counting(h)
+        monkeypatch.setattr(optimize, "h", counted)
+        with pytest.raises(NoInteriorMinimum):
+            min_h(kappa)
+        # one call, at the upper grid end; the full scan took 200
+        assert counted.calls == 1
 
     @pytest.mark.parametrize("kappa", REFERENCE_MINIMA)
     def test_bracket_call_budget(self, kappa, monkeypatch):
@@ -208,6 +241,16 @@ class TestMinH:
     def test_kappa_below_one_boundary_diagnosis(self):
         with pytest.raises(NoInteriorMinimum):
             min_h(0.8)
+
+    @pytest.mark.parametrize("kappa", (0.5, 1.5))
+    @pytest.mark.parametrize("tol", (-1.0, 0.0, math.nan, math.inf))
+    def test_invalid_tol_raises_for_every_kappa(self, kappa, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            min_h(kappa, tol=tol)
+
+    def test_short_grid_raises_before_the_diagnosis(self):
+        with pytest.raises(ValueError, match="grid_n"):
+            min_h(0.8, grid_n=2)
 
     def test_restart_robustness(self):
         # tol must sit above the double-precision flatness floor near the
