@@ -85,6 +85,11 @@ class OptimizationResult:
     converged: bool
 
 
+def _check_grid_n(grid_n):
+    if isinstance(grid_n, bool) or not isinstance(grid_n, int) or grid_n < 3:
+        raise ValueError(f"need an int grid_n >= 3, got {grid_n!r}")
+
+
 def bracket_minimum(f, lo, hi, grid_n):
     """Bracket a minimum of f on [lo, hi] from a uniform grid.
 
@@ -100,8 +105,7 @@ def bracket_minimum(f, lo, hi, grid_n):
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo}, {hi}")
-    if grid_n < 3:
-        raise ValueError(f"need grid_n >= 3, got {grid_n}")
+    _check_grid_n(grid_n)
     xs = _lin_grid(lo, hi, grid_n)
     fs = [f(xs[0]), f(xs[1])]
     for i in range(1, grid_n - 1):
@@ -249,8 +253,7 @@ def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
     """
     kappa = Kappa(kappa)
     tol = _check_positive("tol", tol)
-    if grid_n < 3:
-        raise ValueError(f"need grid_n >= 3, got {grid_n}")
+    _check_grid_n(grid_n)
 
     def objective(x):
         return h(kappa, math.exp(x))

@@ -25,6 +25,43 @@ from gamma_extremes.iddist import (
 from gamma_extremes.specfun import reg_lower_gamma, std_normal_band
 
 
+def _negbinomial_band_mpmath(r, p):
+    """40-digit band mass of NegativeBinomial(r, p), summed over the band of
+    the double moments from pmf(lo) by the exact ratio recursion."""
+    mean, variance = moments(NegativeBinomial(r, p))
+    sd = math.sqrt(variance)
+    lo, hi = max(0, math.ceil(mean - sd)), math.floor(mean + sd)
+    with mpmath.workdps(40):
+        r40, p40 = mpmath.mpf(r), mpmath.mpf(p)
+        q40 = 1 - p40
+        pmf = mpmath.exp(
+            mpmath.loggamma(lo + r40) - mpmath.loggamma(r40) - mpmath.loggamma(lo + 1)
+            + r40 * mpmath.log(p40) + lo * mpmath.log(q40)
+        )
+        total = mpmath.mpf(0)
+        for k in range(lo, hi + 1):
+            total += pmf
+            pmf *= (k + r40) * q40 / (k + 1)
+        return total
+
+
+def _inverse_gaussian_band_mpmath(mu, shape):
+    """40-digit band mass of InverseGaussian(mu, shape) from its closed-form
+    CDF at the exact band edges mu +- sqrt(mu^3 / shape)."""
+    with mpmath.workdps(40):
+        mu, shape = mpmath.mpf(mu), mpmath.mpf(shape)
+
+        def cdf(x):
+            if x <= 0:
+                return 0
+            root = mpmath.sqrt(shape / x)
+            return (mpmath.ncdf(root * (x / mu - 1))
+                    + mpmath.exp(2 * shape / mu) * mpmath.ncdf(-root * (x / mu + 1)))
+
+        sd = mpmath.sqrt(mu ** 3 / shape)
+        return cdf(mu + sd) - cdf(mu - sd)
+
+
 def _compound_cdf_mpmath(rate, x, start=0):
     """P{S <= x} in jump-scale units as sum_{k >= start} Pois_x(k) F_rate(k),
     F_rate the Poisson(rate) CDF, taking F_rate(start - 1) as 0."""
@@ -105,7 +142,7 @@ class TestBandProb:
         assert band_prob(Poisson(1.0)) == pytest.approx(2.5 * math.exp(-1.0), abs=1e-14)
 
     def test_poisson_refuses_lam_above_1e7(self):
-        # the window pmf is held in memory and grows like sqrt(lam)
+        # the band sums ~2 sqrt(lam) pmf terms, a cost that grows without bound
         assert 0.68 < band_prob(Poisson(1e7)) < 0.69
         with pytest.raises(ValueError):
             band_prob(Poisson(1e8))
@@ -152,28 +189,22 @@ class TestBandProb:
     def test_negbinomial_near_underflow_against_mpmath(self):
         # p^r = 1e-300 is still a normal double
         r, p = 150.0, 0.01
-        mean, variance = moments(NegativeBinomial(r, p))
-        sd = math.sqrt(variance)
-        lo, hi = max(0, math.ceil(mean - sd)), math.floor(mean + sd)
-        with mpmath.workdps(40):
-            r40, p40 = mpmath.mpf(r), mpmath.mpf(p)
-            q40 = 1 - p40
-            pmf = mpmath.exp(
-                mpmath.loggamma(lo + r40) - mpmath.loggamma(r40) - mpmath.loggamma(lo + 1)
-                + r40 * mpmath.log(p40) + lo * mpmath.log(q40)
-            )
-            expected = mpmath.mpf(0)
-            for k in range(lo, hi + 1):
-                expected += pmf
-                pmf *= (k + r40) * q40 / (k + 1)
-        assert abs(band_prob(NegativeBinomial(r, p)) - expected) <= 1e-12
+        assert abs(band_prob(NegativeBinomial(r, p)) - _negbinomial_band_mpmath(r, p)) <= 1e-12
 
-    def test_negbinomial_refuses_underflowed_pmf(self):
-        # p^r = 1e-2000: every recurrence term would underflow to 0.0
-        with pytest.raises(ValueError, match="r=1000, p=0.01"):
-            band_prob(NegativeBinomial(1000, 0.01))
+    def test_negbinomial_against_mpmath(self):
+        # p^r underflows at the first two; the band is [1, 2] at the third
+        points = [(1e3, 0.01), (1e4, 0.01), (1e3, 0.999), (16.0, 0.05)]
+        points += [(s.r, s.p) for s in random.Random(15).sample(default_grid("negbinomial"), 150)]
+        for r, p in points:
+            expected = _negbinomial_band_mpmath(r, p)
+            assert abs(band_prob(NegativeBinomial(r, p)) - expected) <= 1e-14, (r, p)
+
+    def test_negbinomial_below_shape_ten_refuses_underflowed_pmf(self):
+        # below r = 10 the band walks from pmf(0) = p^r, here 1e-350
+        with pytest.raises(ValueError, match="r=5.0, p=1e-70"):
+            band_prob(NegativeBinomial(5.0, 1e-70))
         with pytest.raises(ValueError):
-            conjecture_scan("negbinomial", grid=[NegativeBinomial(1000, 0.01)])
+            conjecture_scan("negbinomial", grid=[NegativeBinomial(5.0, 1e-70)])
 
     def test_negbinomial_against_scipy(self):
         stats = pytest.importorskip("scipy.stats")
@@ -196,6 +227,16 @@ class TestBandProb:
             dist = stats.invgauss(mu / shape, scale=shape)
             expected = dist.cdf(mean + sd) - (dist.cdf(mean - sd) if mean > sd else 0.0)
             assert band_prob(InverseGaussian(mu, shape)) == pytest.approx(expected, abs=1e-9)
+
+    def test_inverse_gaussian_against_mpmath(self):
+        # the closed form at 40 digits and the exact band edges; the worst
+        # point of the whole default grid is 1.8e-14, at mu = 0.01, shape = 83
+        sample = random.Random(16).sample(default_grid("invgaussian"), 300)
+        points = [(s.mu, s.shape) for s in sample]
+        points += [(0.01, 100.0), (100.0, 0.01), (1.0, 1.0)]
+        for mu, shape in points:
+            expected = _inverse_gaussian_band_mpmath(mu, shape)
+            assert abs(band_prob(InverseGaussian(mu, shape)) - expected) <= 2e-14, (mu, shape)
 
     def test_compound_poisson_against_high_precision_series(self):
         mpmath = pytest.importorskip("mpmath")

@@ -113,6 +113,11 @@ class TestBracketMinimum:
         with pytest.raises(ValueError):
             bracket_minimum(lambda x: x * x, 0.0, 1.0, 2)
 
+    @pytest.mark.parametrize("grid_n", (2, 3.5, "200", True))
+    def test_rejects_invalid_grid_n(self, grid_n):
+        with pytest.raises(ValueError, match="int grid_n >= 3"):
+            bracket_minimum(lambda x: x * x, -1.0, 1.0, grid_n)
+
 
 class TestBrentMin:
     def test_quadratic(self):
@@ -251,6 +256,12 @@ class TestMinH:
     def test_short_grid_raises_before_the_diagnosis(self):
         with pytest.raises(ValueError, match="grid_n"):
             min_h(0.8, grid_n=2)
+
+    @pytest.mark.parametrize("kappa", (0.5, 1.5))
+    @pytest.mark.parametrize("grid_n", (2, 3.5, "200", True))
+    def test_invalid_grid_n_raises_for_every_kappa(self, kappa, grid_n):
+        with pytest.raises(ValueError, match="int grid_n >= 3"):
+            min_h(kappa, grid_n=grid_n)
 
     def test_restart_robustness(self):
         # tol must sit above the double-precision flatness floor near the

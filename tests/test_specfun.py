@@ -114,6 +114,30 @@ class TestProbability:
 
 
 class TestLnGamma:
+    def test_stirlerr_against_mpmath(self):
+        # Loader's stirlerr(x) = ln Gamma(x + 1) - (x + 1/2) ln x + x - ln(2 pi) / 2:
+        # the table at 1..9 is correctly rounded; Stirling's series from 10 up
+        xs = list(range(1, 10)) + [10, 10.5, 11, 15.25, 30, 49.41713361323832, 1e3, 1e6]
+        with mpmath.workdps(40):
+            for x in xs:
+                mx = mpmath.mpf(x)
+                expected = (mpmath.loggamma(mx + 1) - (mx + 0.5) * mpmath.log(mx) + mx
+                            - mpmath.log(2 * mpmath.pi) / 2)
+                if x < 10:
+                    assert specfun._stirlerr(x) == float(expected), x
+                else:
+                    assert abs(specfun._stirlerr(x) - expected) <= 4e-16 * expected, x
+
+    def test_bd0_against_mpmath(self):
+        # x ln(x/m) + m - x, on both sides of the series' |x - m| < 0.1 (x + m)
+        rng = random.Random(24)
+        with mpmath.workdps(40):
+            for _ in range(300):
+                m = 10.0 ** rng.uniform(-2.0, 7.0)
+                x = float(max(1, round(m * rng.uniform(0.5, 1.5))))
+                expected = x * mpmath.log(mpmath.mpf(x) / m) + m - x
+                assert abs(specfun._bd0(x, m) - expected) <= 1e-14 * expected + 1e-300, (x, m)
+
     def test_known_values(self):
         assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
         assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
@@ -356,3 +380,15 @@ class TestStdNormal:
             for z in zs:
                 expected = mpmath.log(mpmath.ncdf(-z))
                 assert abs(log_std_normal_sf(z) - expected) <= 1e-15, z
+
+    def test_log_sf_against_mpmath_beyond_two(self):
+        # erfc up to z ~ 37.5, where erfc(z / sqrt 2) / 2 leaves the normal
+        # doubles, Lentz's fraction beyond: both are off by the rounding of
+        # z / sqrt 2 times the slope ~z of the log (measured <= 2.3e-16 z^2)
+        rng = random.Random(23)
+        zs = [rng.uniform(2.0, 37.0) for _ in range(300)]
+        zs += [rng.uniform(37.0, 1e3) for _ in range(100)] + [2.0, 37.0, 37.5, 38.0]
+        with mpmath.workdps(40):
+            for z in zs:
+                expected = mpmath.log(mpmath.ncdf(-z))
+                assert abs(log_std_normal_sf(z) - expected) <= 2.5e-16 * z * z, z
