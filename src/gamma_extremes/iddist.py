@@ -25,7 +25,6 @@ from typing import Union
 from . import gamma_prob
 from .optimize import _lin_grid, _log_grid
 from .specfun import (
-    _MIN_NORMAL,
     Probability,
     _bd0,
     _check_positive,
@@ -57,6 +56,8 @@ _MAX_WINDOW_MEAN = 1e7
 # below this r the negative binomial walks from pmf(0) = p^r: stirlerr(r)
 # has a cheap accurate form only from 10 up
 _STIRLERR_MIN_SHAPE = 10.0
+# most pmf terms a negative binomial band sums; its time is linear in them
+_MAX_BAND_TERMS = 10 ** 6
 
 NEGBINOMIAL_CONVENTION = "negative binomial counts failures before the r-th success"
 EVIDENCE_NOTE = (
@@ -159,18 +160,25 @@ class NegativeBinomial:
           default grid and at (1e3, 0.01) and (1e4, 0.01).
         - r < 10: walked from pmf(0) = p^r, as stirlerr of a non-integer
           r < 10 has no cheap accurate form; at most ~2 band widths, since
-          mean / sd = sqrt(r q) < 3.2. Within 6e-15 on the default grid. A
-          p^r below the normal doubles is refused: the terms would
-          underflow and the band read as ~0.
+          mean / sd = sqrt(r q) < 3.2. Within 6e-15 on the default grid.
+
+        A sum of more than 1e6 terms (hi + 1 for the walk, hi - lo + 1 for
+        the band) is refused, as its time has no other bound. That refuses
+        every p^r below the normal doubles at r < 10 too (the mean exceeds
+        5e31 there), whose terms would underflow and read as ~0.
         """
         r, p = self.r, self.p
         q = 1.0 - p
         mean, _ = self.moments()
         lo, hi = _integer_band(mean, math.sqrt(r * q) / p)
+        first = 0 if r < _STIRLERR_MIN_SHAPE else lo
+        if hi - first >= _MAX_BAND_TERMS:
+            raise ValueError(
+                f"negative binomial band: {hi - first + 1} terms exceed {_MAX_BAND_TERMS} "
+                f"at r={r!r}, p={p!r}"
+            )
         if r < _STIRLERR_MIN_SHAPE:
             pmf = math.exp(r * math.log(p))
-            if pmf < _MIN_NORMAL:
-                raise ValueError(f"negative binomial band: p^r underflows at r={r!r}, p={p!r}")
             total = pmf if lo == 0 else 0.0
             for k in range(hi):
                 kr = k + r

@@ -30,8 +30,10 @@ shapes from the fraction at a shape lowered by whole steps to where it
 converges, plus the exact recurrence Q(b + 1, x) = Q(b, x) + x^b e^-x /
 Gamma(b + 1). So P and Q never come from one another: P + Q - 1 checks two
 methods against each other everywhere. The log-prefactor
-a*ln(x) - x - ln_gamma(a) is evaluated in a cancellation-free form;
-without it, probabilities near a ~ 1e6 carry ~1e-13 noise, too coarse to
+a*ln(x) - x - ln_gamma(a) is evaluated in a cancellation-free form: from
+a = 30 up, through d = x - a, z = d / a and the exact remainder d - z a,
+recovered in plain doubles by Dekker's TwoProduct (see _log_ratio_term).
+Without it, probabilities near a ~ 1e6 carry ~1e-13 noise, too coarse to
 resolve strict monotonicity of the one-sigma band probability. Results
 below the normal double range carry their
 natural log (LogProbability), so they stay ordered after underflow.
@@ -40,7 +42,6 @@ natural log (LogProbability), so they stay ordered after underflow.
 import math
 import operator
 import sys
-from fractions import Fraction
 
 __all__ = [
     "Probability",
@@ -66,6 +67,8 @@ TINY = 1e-300
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
+# Veltkamp's splitter: c u - (c u - u) is u rounded to its top 26 bits
+_SPLITTER = 2.0 ** 27 + 1.0
 
 # Stirling series coefficients B_{2n} / (2n (2n-1)), n = 1..8.
 _STIRLING = (
@@ -310,12 +313,29 @@ def _log1p_minus(z):
             return total
 
 
+def _two_product_error(u, v, p):
+    """u v - p exactly, for p = fl(u v): Dekker's TwoProduct with Veltkamp's
+    split of each factor into halves whose products are exact doubles.
+    Exact while no partial product underflows or overflows."""
+    t = _SPLITTER * u
+    u_hi = t - (t - u)
+    u_lo = u - u_hi
+    t = _SPLITTER * v
+    v_hi = t - (t - v)
+    v_lo = v - v_hi
+    return u_lo * v_lo - (((p - u_hi * v_hi) - u_lo * v_hi) - u_hi * v_lo)
+
+
 def _log_ratio_term(a, x):
     """a ln(x/a) - (x - a) = -a eta^2 / 2, to full relative accuracy near x = a.
 
     For large a the direct form loses ~a*eps absolute accuracy to
     cancellation; rewriting through d = x - a keeps every intermediate small.
-    The division remainder is recovered exactly with rational arithmetic.
+    The division remainder r = d - z a of z = fl(d / a) is a double, and it
+    is recovered exactly: p = fl(z a) lies within 2 ulp of d, so d - p is
+    exact (Sterbenz), and z a - p is exact by TwoProduct while its partial
+    products do not underflow: their lowest bits sit near a |z| 2^-104,
+    above 2^-180 for a >= MIN_SHAPE since |z| > 2^-54 unless z = 0.
     """
     if not (0.5 * a <= x <= 2.0 * a):
         ratio = x / a
@@ -324,7 +344,8 @@ def _log_ratio_term(a, x):
         return a * math.log(ratio) - (x - a)
     d = x - a  # exact: x within a factor of 2 of a
     z = d / a
-    r = float(Fraction(d) - Fraction(z) * Fraction(a))
+    p = z * a
+    r = (d - p) - _two_product_error(z, a, p)
     # a*log1p(d/a) - d == a*(log1p(z) - z) - r*z/(1+z) + O(r^2/a)
     return a * _log1p_minus(z) - r * z / (1.0 + z)
 
@@ -412,7 +433,7 @@ def _lower_series(a, x):
         t = total + y
         comp = (t - total) - y
         total = t
-        if abs(term) < abs(total) * REL_TOL:
+        if term < total * REL_TOL:  # both positive
             return _from_log_parts(total, _log_prefactor(a, x))
     raise ConvergenceError(f"lower series did not converge for a={a}, x={x}")
 

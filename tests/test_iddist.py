@@ -206,6 +206,20 @@ class TestBandProb:
         with pytest.raises(ValueError):
             conjecture_scan("negbinomial", grid=[NegativeBinomial(5.0, 1e-70)])
 
+    def test_negbinomial_admits_bands_up_to_a_million_terms(self):
+        # (1e5, 0.001) sums ~6.3e5 terms; the default grid, at most ~400,
+        # runs whole in the conjecture golden transcript of test_cli.py
+        for r, p in ((1e3, 0.01), (1e4, 0.01), (1e5, 0.001)):
+            assert abs(band_prob(NegativeBinomial(r, p)) - 0.6827) < 1e-3, (r, p)
+
+    def test_negbinomial_refuses_more_than_a_million_terms(self):
+        # a walk of ~5e9 terms from 0 below r = 10, a band of ~6.3e8 above it
+        for r, p in ((5.0, 1e-9), (1e3, 1e-7)):
+            with pytest.raises(ValueError, match=f"r={r!r}, p={p!r}"):
+                band_prob(NegativeBinomial(r, p))
+        with pytest.raises(ValueError, match="terms exceed"):
+            conjecture_scan("negbinomial", grid=[NegativeBinomial(5.0, 1e-70)])
+
     def test_negbinomial_against_scipy(self):
         stats = pytest.importorskip("scipy.stats")
         rng = random.Random(12)

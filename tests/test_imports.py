@@ -1,6 +1,7 @@
 """Import hygiene: every exported name resolves and the package exports
 exactly its modules' names; no module of the package imports a name it does
-not use or defines a private name nothing reads; importing the package and
+not use or defines a private name nothing reads; no float-path module
+imports exact arithmetic; importing the package and
 its CLI, and running the case-1 proof, loads no heavy numeric library; the
 full certificate suite runs where mpmath cannot be imported at all."""
 
@@ -149,6 +150,25 @@ def _private_definitions(tree):
         for name in names:
             if name.startswith("_") and not name.startswith("__"):
                 yield name
+
+
+def _imported_modules(tree):
+    """Top-level names of every module the tree imports, at any nesting."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_float_modules_import_no_exact_arithmetic():
+    """Exact rationals stay in exact_poly and certificates, off the float
+    hot path that runs from specfun up to the CLI."""
+    trees = _module_trees()
+    exact = {"fractions", "decimal"}
+    assert exact & set(_imported_modules(trees["exact_poly.py"]))
+    for filename in ("specfun.py", "gamma_prob.py", "optimize.py", "iddist.py", "cli.py"):
+        assert not exact & set(_imported_modules(trees[filename])), filename
 
 
 def test_no_unused_import_or_private_name():

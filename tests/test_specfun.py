@@ -2,6 +2,7 @@
 gamma, and the standard normal band."""
 
 import math
+import os
 import pickle
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamma_extremes import specfun
+from gamma_extremes.gamma_prob import GammaParams, band, h, t
 from gamma_extremes.specfun import (
     MAX_SHAPE,
     MIN_SHAPE,
@@ -319,6 +321,100 @@ class TestRegLowerGamma:
     def test_result_is_probability(self, a, x):
         value = reg_lower_gamma(a, x)
         assert 0.0 <= value <= 1.0
+
+
+class TestLogRatioTerm:
+    @staticmethod
+    def _check(a, x):
+        """The division remainder d - z a of _log_ratio_term in doubles, and
+        the function's result, each bit for bit against exact rationals."""
+        d = x - a
+        z = d / a
+        p = z * a
+        residual = (d - p) - specfun._two_product_error(z, a, p)
+        exact = float(Fraction(d) - Fraction(z) * Fraction(a))
+        assert residual.hex() == exact.hex(), (a, x)
+        expected = a * specfun._log1p_minus(z) - exact * z / (1.0 + z)
+        assert specfun._log_ratio_term(a, x).hex() == expected.hex(), (a, x)
+
+    def test_remainder_is_exact_on_a_seeded_sample(self):
+        rng = random.Random(1971)
+        for _ in range(3000):
+            a = 10.0 ** rng.uniform(-6.0, 7.0)
+            self._check(a, a * 2.0 ** rng.uniform(-1.0, 1.0))
+
+    @pytest.mark.parametrize("a", (1e-6, 0.7, 30.0, 100.0, 1e3, 12345.678, 1e6, 1e7))
+    def test_remainder_is_exact_next_to_the_mean(self, a):
+        for direction in (-math.inf, math.inf):
+            x = a
+            for _ in range(200):
+                x = math.nextafter(x, direction)
+                self._check(a, x)
+
+    def test_remainder_is_zero_at_the_mean(self):
+        for a in (MIN_SHAPE, 0.7, 100.0, 12345.678, MAX_SHAPE):
+            self._check(a, a)
+            assert specfun._log_ratio_term(a, a) == 0.0
+
+
+KERNEL_BITS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "specfun_bits.txt")
+
+# (a, x) on every row of reg_lower_gamma's dispatch table, then points whose
+# results fall below the normal doubles (LogProbability)
+KERNEL_POINTS = (
+    # a < 100, x < a + 1: the series
+    (1e-6, 1e-3), (0.5, 0.3), (7.0, 3.0), (50.0, 45.0), (99.5, 99.0),
+    # a < 100, x >= a + 1: 1 - the fraction
+    (0.5, 2.0), (7.0, 12.0), (50.0, 60.0), (99.0, 120.0),
+    # a >= 100, x >= a + 1: Temme's P
+    (100.0, 101.0), (1e3, 1050.0), (1e6, 1001000.0), (1e7, 10003000.0),
+    # a >= 100, in the band below the mean: Temme's P
+    (100.0, 95.0), (1e3, 980.0), (12345.678, 12300.0), (1e6, 999000.0), (1e7, 9997000.0),
+    # a >= 100, further below the mean: the series
+    (100.0, 50.0), (1e3, 700.0), (1e6, 990000.0), (1e7, 9900000.0),
+    # below the normal doubles
+    (1e3, 100.0), (100.0, 1e-5), (0.5, 709.0), (1.0, 709.5),
+)
+KERNEL_SHAPES = (1e-6, 0.3, 1.0, 7.0, 99.0, 150.0, 1e3, 12345.678, 1e5, 1e6, 1e7)
+
+
+def _bits(call, *args):
+    """float.hex of call(*args), with the log of a LogProbability, or the
+    name of the error it raises."""
+    try:
+        value = call(*args)
+    except ArithmeticError as exc:
+        return type(exc).__name__
+    bits = float(value).hex()
+    if isinstance(value, LogProbability):
+        bits += f" log={value.log.hex()}"
+    return bits
+
+
+def kernel_bit_lines():
+    """One line per kernel call: its arguments and its result's bits."""
+    lines = []
+    for a, x in KERNEL_POINTS:
+        for call in (reg_lower_gamma, lower_series, upper_continued_fraction):
+            lines.append(f"{call.__name__}({a!r}, {x!r}) {_bits(call, a, x)}")
+    for kappa in (0.5, 0.9, 1.0, 1.01, 1.5, 3.0):
+        for alpha in KERNEL_SHAPES:
+            lines.append(f"h({kappa!r}, {alpha!r}) {_bits(h, kappa, alpha)}")
+    for alpha in KERNEL_SHAPES:
+        lines.append(f"t({alpha!r}) {_bits(t, alpha)}")
+        for kappa in (0.5, 2.0):
+            params = GammaParams(alpha, 3.0)
+            lines.append(f"band({params!r}, {kappa!r}) {_bits(band, params, kappa)}")
+    return lines
+
+
+def test_kernel_bits_match_golden():
+    """Every output bit of the incomplete gamma and of h, t and band at
+    fixed points, in float.hex, against a transcript of the same calls.
+    A change that moves any of these bits must say so."""
+    with open(KERNEL_BITS, encoding="utf-8") as fh:
+        golden = fh.read().splitlines()
+    assert kernel_bit_lines() == golden
 
 
 class TestStdNormal:
