@@ -14,6 +14,13 @@ missed spot check or sign verdict, so a report that exists has passed all
 of its checks and records only the indices it compared. Reports carry no
 clock readings; a caller that wants them measures the `verify_*` call.
 
+Both substitutions are integer Taylor shifts p(x) -> p(x+1)
+(`_taylor_shift`), not ring products. In u = 1+q^2 the rational
+substitution w = 1/(s u) turns a certificate's coefficient list around:
+u^P p(1/(s u)) has coefficient c_j s^(n-j) / s^n at u^(P-j), and a shift
+in u gives it in q^2 = u - 1. The Taylor sum of e^(1-w) is likewise the
+integer polynomial sum_k (N!/k!) x^k shifted by one, with x = -w.
+
 The one transcendental step, case 1 of the sharp lower bound, is proved on
 the same ring: a Taylor sum bounds the exponential from below, which turns
 it into a polynomial sign certificate, and the square roots at its ends
@@ -44,9 +51,7 @@ __all__ = [
 ]
 
 _W = RationalPoly([0, 1])
-_ONE_MINUS_W = RationalPoly([1, -1])
 _ONE_MINUS_W2 = RationalPoly([1, 0, -1])
-_ONE_PLUS_Q2 = RationalPoly([1, 0, 1])
 
 
 @dataclass(frozen=True)
@@ -226,26 +231,43 @@ def _r_numerator(spec, n_p, n_q, d):
     )
 
 
+def _taylor_shift(nums):
+    """The integer numerators of p(x + 1) from those of p(x), index = degree.
+
+    The classical O(n^2) loop of integer additions (J. von zur Gathen and
+    J. Gerhard, Fast algorithms for Taylor shifts and certain difference
+    equations, ISSAC 1997): pass i is one synthetic division by x - 1 of the
+    coefficients from i up.
+    """
+    u = list(nums)
+    m = len(u) - 1
+    for i in range(m):
+        for k in range(m - 1, i - 1, -1):
+            u[k] += u[k + 1]
+    return u
+
+
 def _q_expansion(poly_w, factor_power, outer_constant, den_constant):
     """outer_constant (1+q^2)^factor_power * poly_w at w = 1/(den_constant (1+q^2)).
 
-    Requires factor_power >= deg(poly_w), so the substituted denominator
-    (den_constant (1+q^2))^deg cancels into the prefactor exactly and the
-    result is a polynomial in q.
+    Requires factor_power >= deg(poly_w) = n, so the substituted denominator
+    (den_constant (1+q^2))^n cancels into the prefactor exactly and the
+    result is a polynomial in q. With s = den_constant, u = 1+q^2 and P =
+    factor_power it is (outer_constant / s^n) sum_j c_j s^(n-j) u^(P-j): in
+    u, the coefficient list of poly_w reversed, scaled by powers of s and
+    padded with P - n zeros below. One integer Taylor shift (`_taylor_shift`)
+    rewrites that in y = u - 1 = q^2, and zeros between its coefficients
+    make it a polynomial in q.
     """
     n = max(poly_w.degree, 0)  # the zero polynomial expands to zero
     if factor_power < n:
         raise ValueError(f"(1+q^2) power {factor_power} below degree {n}")
-    # sum_j c_j base^(n - j), the powers of base kept apart from the
-    # coefficients so that their products stay small-integer
-    base = den_constant * _ONE_PLUS_Q2
-    acc = RationalPoly.zero()
-    den_power = RationalPoly.one()
-    for c in reversed(poly_w.coeffs):
-        acc = acc + den_power * c
-        den_power = den_power * base
-    scale = Fraction(outer_constant, den_constant ** n)
-    return acc * _ONE_PLUS_Q2 ** (factor_power - n) * scale
+    in_u = [0] * (factor_power - n) + [
+        c * den_constant ** i for i, c in enumerate(reversed(poly_w.nums))
+    ]
+    in_q = [0] * (2 * len(in_u) - 1)
+    in_q[::2] = [c * outer_constant for c in _taylor_shift(in_u)]
+    return RationalPoly._from_parts(in_q, poly_w.den * den_constant ** n)
 
 
 def _sign_verdict(coeffs):
@@ -372,13 +394,30 @@ _CASE1_VALUE_BOUND = 0.003095392
 _CASE1_SAMPLES = 1000
 
 
+def _exp_taylor_one_minus_w(order):
+    """sum_(k <= order) (1-w)^k / k!, the order-`order` Taylor sum of e^(1-w),
+    as a polynomial in w.
+
+    order! times it is p(1 - w) for the integer polynomial p(x) = sum_k
+    (order!/k!) x^k: one Taylor shift gives p(1 + y), and y = -w negates its
+    odd coefficients.
+    """
+    nums = [1] * (order + 1)  # nums[k] = order!/k!
+    for k in range(order - 1, -1, -1):
+        nums[k] = nums[k + 1] * (k + 1)
+    shifted = _taylor_shift(nums)
+    return RationalPoly._from_parts(
+        [-c if k % 2 else c for k, c in enumerate(shifted)], nums[0]
+    )
+
+
 def _case1_certificate():
     """(1 - w^2) times a lower bound of phi(w) = e^(1-w) + w - 3 + 2w/(1-w^2),
     with the degree-12 Taylor sum in place of e^(1-w): a degree-14
     polynomial. For 0 <= w < 1 every Taylor term (1-w)^k/k! is positive, so
     the sum lies below e^(1-w), by at most 2 (1-w)^13 / 13!; and 1 - w^2 > 0,
     so the polynomial is positive only where phi is."""
-    taylor = _exp_taylor_cleared(_ONE_MINUS_W, RationalPoly.one(), 12)
+    taylor = _exp_taylor_one_minus_w(12)
     return (taylor + _W - 3) * _ONE_MINUS_W2 + 2 * _W
 
 
@@ -390,7 +429,7 @@ def _case1_endpoint_bounds(xi_lo, xi_hi):
     2w/(1-w^2) of phi and 1 + 2(1+w^2)/(1-w^2)^2 of phi', increase in w, so
     each bound takes each term at the end that makes it smaller or larger.
     """
-    taylor = _exp_taylor_cleared(_ONE_MINUS_W, RationalPoly.one(), 24)
+    taylor = _exp_taylor_one_minus_w(24)
     exp_lo = taylor.evaluate(xi_hi)
     exp_hi = taylor.evaluate(xi_lo) + Fraction(2, math.factorial(25))
 

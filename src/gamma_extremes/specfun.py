@@ -408,7 +408,8 @@ def lower_series(a, x):
       relative there (4e-13 at a = 1e7). It costs O(sqrt(a)) terms near
       x = a and O(x) terms above it. A result below the normal double range
       is a LogProbability whose ``log`` is the log-prefactor plus the log
-      of the series sum.
+      of the series sum. Far above the mean at a < TEMME_MIN_SHAPE the sum
+      overflows (from x ~ 710 at a = 1) and it raises ConvergenceError.
     - x >= a + 1 and a >= TEMME_MIN_SHAPE: Temme's P form
       erfc(-eta sqrt(a/2)) / 2 - R_a(eta) in O(1), to ~2e-16 relative.
     """
@@ -433,7 +434,15 @@ def _lower_series(a, x):
         t = total + y
         comp = (t - total) - y
         total = t
-        if term < total * REL_TOL:  # both positive
+        # term < total * REL_TOL while both are finite; an overflowed sum
+        # stops here too, at once (term finite, total inf) or one step after
+        # both overflow (total nan)
+        if not term >= total * REL_TOL:
+            if not total < math.inf:
+                raise ConvergenceError(
+                    f"lower series overflowed for a={a}, x={x}; "
+                    "reg_lower_gamma takes Q there"
+                )
             return _from_log_parts(total, _log_prefactor(a, x))
     raise ConvergenceError(f"lower series did not converge for a={a}, x={x}")
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gamma_extremes import certificates as C
 from gamma_extremes.exact_poly import (
@@ -142,6 +144,77 @@ class TestChains:
             nonzero = [c for c in report.coefficients if c != 0]
             recomputed = "all_positive" if all(c > 0 for c in nonzero) else "all_negative"
             assert report.sign_verdict == recomputed
+
+
+class TestTaylorShift:
+    @given(
+        nums=st.lists(st.integers(min_value=-10 ** 30, max_value=10 ** 30), max_size=20),
+        x=st.fractions(min_value=-5, max_value=5, max_denominator=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_evaluation_at_x_plus_one(self, nums, x):
+        shifted = C._taylor_shift(nums)
+        assert len(shifted) == len(nums)
+        assert sum(c * x ** k for k, c in enumerate(shifted)) == sum(
+            c * (x + 1) ** k for k, c in enumerate(nums)
+        )
+
+    def test_q_expansion_of_every_certificate_input(self, monkeypatch):
+        """The seven real substitutions (G+-, I+-, V+- and the small-shape
+        sextic) against direct Fraction substitution at deg + 1 distinct
+        rational q: two polynomials of degree <= deg that agree there are
+        equal."""
+        calls = []
+        expand = C._q_expansion
+
+        def recorded(poly_w, factor_power, outer_constant, den_constant):
+            result = expand(poly_w, factor_power, outer_constant, den_constant)
+            calls.append((poly_w, factor_power, outer_constant, den_constant, result))
+            return result
+
+        monkeypatch.setattr(C, "_q_expansion", recorded)
+        C.verify_all(full_compare=True)
+        assert len(calls) == 7
+        for poly_w, power, outer, den, result in calls:
+            assert result.degree == 2 * power
+            for k in range(result.degree + 1):
+                q = Fraction(k, 3)
+                u = 1 + q * q
+                direct = outer * u ** power * poly_w.evaluate(1 / (den * u))
+                assert result.evaluate(q) == direct, (power, k)
+
+    @pytest.mark.parametrize("order", (12, 24))
+    def test_case1_taylor_sum(self, order):
+        """sum_(k <= order) (1-w)^k / k! at order + 1 distinct rational w."""
+        taylor = C._exp_taylor_one_minus_w(order)
+        assert taylor.degree == order
+        for i in range(order + 1):
+            w = Fraction(i, 7)
+            assert taylor.evaluate(w) == sum(
+                Fraction((1 - w) ** k, math.factorial(k)) for k in range(order + 1)
+            )
+
+    def test_verify_ring_product_budget(self, monkeypatch):
+        """verify_all(full_compare=True) makes 139 ring products (5 of them
+        reached as int * poly) and 33 powers; before the substitutions were
+        Taylor shifts it made 582 and 40. A return to ring products fails
+        here without a timing test."""
+        counts = {"mul": 0, "pow": 0}
+        mul, pow_ = RationalPoly.__mul__, RationalPoly.__pow__
+
+        def counted_mul(self, other):
+            counts["mul"] += 1
+            return mul(self, other)
+
+        def counted_pow(self, n):
+            counts["pow"] += 1
+            return pow_(self, n)
+
+        monkeypatch.setattr(RationalPoly, "__mul__", counted_mul)
+        monkeypatch.setattr(RationalPoly, "__rmul__", counted_mul)
+        monkeypatch.setattr(RationalPoly, "__pow__", counted_pow)
+        C.verify_all(full_compare=True)
+        assert counts == {"mul": 139, "pow": 33}
 
 
 class TestSmallAlphaCertificate:

@@ -3,15 +3,18 @@ inequality grid scanner."""
 
 import math
 import random
+import typing
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gamma_extremes import iddist
 from gamma_extremes.gamma_prob import GammaParams, t
 from gamma_extremes.iddist import (
     CompoundPoissonExp,
+    DistributionSpec,
     GammaDist,
     InverseGaussian,
     NegativeBinomial,
@@ -127,6 +130,11 @@ class TestMoments:
             band_prob(42)
         with pytest.raises(TypeError):
             band_prob(GammaParams(2.0))
+
+    def test_spec_check_covers_the_union(self):
+        assert typing.get_origin(DistributionSpec) is typing.Union
+        assert iddist._SPEC_TYPES == typing.get_args(DistributionSpec)
+        assert len(iddist._SPEC_TYPES) == 6
 
     def test_entry_points_call_the_family_methods(self):
         specs = (Poisson(3.5), NegativeBinomial(3.0, 0.25), InverseGaussian(2.0, 4.0),

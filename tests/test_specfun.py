@@ -5,6 +5,7 @@ import math
 import os
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -252,6 +253,17 @@ class TestRegLowerGamma:
                 upper_continued_fraction(a, 0.5 * UPPER_MIN_X)
             assert upper_continued_fraction(a, 0.0) == 1.0
         assert upper_continued_fraction(TEMME_MIN_SHAPE, 1e-3) == 1.0
+
+    @pytest.mark.parametrize("a, x", ((1.0, 720.0), (1.0, 800.0), (50.0, 1000.0), (99.0, 1e5)))
+    def test_lower_series_refuses_an_overflowed_sum(self, a, x, monkeypatch):
+        """Far above the mean below shape 100 the series' sum overflows to
+        inf, or to nan once a term overflows too: a diagnosed error naming
+        a and x, raised where the loop stops and long before the iteration
+        cap, while reg_lower_gamma still gives 1 from Q there."""
+        monkeypatch.setattr(specfun, "MAX_ITERATIONS", 2000)
+        with pytest.raises(ConvergenceError, match=re.escape(f"overflowed for a={a}, x={x};")):
+            lower_series(a, x)
+        assert reg_lower_gamma(a, x) == 1.0
 
     @pytest.mark.parametrize("a", (1e4, 3e4, 1e5, 3e5, 1e6, 3e6, 1e7))
     def test_temme_paths_match_mpmath(self, a):
