@@ -14,12 +14,11 @@ missed spot check or sign verdict, so a report that exists has passed all
 of its checks and records only the indices it compared. Reports carry no
 clock readings; a caller that wants them measures the `verify_*` call.
 
-Both substitutions are integer Taylor shifts p(x) -> p(x+1)
-(`_taylor_shift`), not ring products. In u = 1+q^2 the rational
-substitution w = 1/(s u) turns a certificate's coefficient list around:
-u^P p(1/(s u)) has coefficient c_j s^(n-j) / s^n at u^(P-j), and a shift
-in u gives it in q^2 = u - 1. The Taylor sum of e^(1-w) is likewise the
-integer polynomial sum_k (N!/k!) x^k shifted by one, with x = -w.
+Every sign proof is one integer interval map, `exact_poly._interval_image`;
+none reads a Sturm chain or a float. w = 1/(s(1+q^2)) is that map on
+[0, 1/s] in y = q^2, and cases 2 and 1 call it on their rational intervals
+through `verify_sign_on_interval`. The Taylor sum of e^(1-w) is the integer
+polynomial sum_k (N!/k!) x^k shifted by one (`_taylor_shift`), at x = -w.
 
 The one transcendental step, case 1 of the sharp lower bound, is proved on
 the same ring: a Taylor sum bounds the exponential from below, which turns
@@ -31,7 +30,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_poly import RationalPoly, verify_sign_on_interval
+from .exact_poly import (
+    RationalPoly, _interval_image, _scale, _taylor_shift, verify_sign_on_interval,
+)
 from .reference_data import V_MINUS_EVEN_COEFFS, V_PLUS_EVEN_COEFFS
 
 __all__ = [
@@ -231,42 +232,20 @@ def _r_numerator(spec, n_p, n_q, d):
     )
 
 
-def _taylor_shift(nums):
-    """The integer numerators of p(x + 1) from those of p(x), index = degree.
-
-    The classical O(n^2) loop of integer additions (J. von zur Gathen and
-    J. Gerhard, Fast algorithms for Taylor shifts and certain difference
-    equations, ISSAC 1997): pass i is one synthetic division by x - 1 of the
-    coefficients from i up.
-    """
-    u = list(nums)
-    m = len(u) - 1
-    for i in range(m):
-        for k in range(m - 1, i - 1, -1):
-            u[k] += u[k + 1]
-    return u
-
-
 def _q_expansion(poly_w, factor_power, outer_constant, den_constant):
     """outer_constant (1+q^2)^factor_power * poly_w at w = 1/(den_constant (1+q^2)).
 
     Requires factor_power >= deg(poly_w) = n, so the substituted denominator
-    (den_constant (1+q^2))^n cancels into the prefactor exactly and the
-    result is a polynomial in q. With s = den_constant, u = 1+q^2 and P =
-    factor_power it is (outer_constant / s^n) sum_j c_j s^(n-j) u^(P-j): in
-    u, the coefficient list of poly_w reversed, scaled by powers of s and
-    padded with P - n zeros below. One integer Taylor shift (`_taylor_shift`)
-    rewrites that in y = u - 1 = q^2, and zeros between its coefficients
-    make it a polynomial in q.
+    (den_constant (1+q^2))^n cancels into the prefactor exactly. It is
+    outer_constant / s^n times the interval image of poly_w on [0, 1/s] in
+    y = q^2, s = den_constant; zeros between its terms make it a polynomial in q.
     """
     n = max(poly_w.degree, 0)  # the zero polynomial expands to zero
     if factor_power < n:
         raise ValueError(f"(1+q^2) power {factor_power} below degree {n}")
-    in_u = [0] * (factor_power - n) + [
-        c * den_constant ** i for i, c in enumerate(reversed(poly_w.nums))
-    ]
-    in_q = [0] * (2 * len(in_u) - 1)
-    in_q[::2] = [c * outer_constant for c in _taylor_shift(in_u)]
+    in_y = _interval_image(poly_w.nums, 0, Fraction(1, den_constant), factor_power)
+    in_q = [0] * (2 * len(in_y) - 1)
+    in_q[::2] = [c * outer_constant for c in in_y]
     return RationalPoly._from_parts(in_q, poly_w.den * den_constant ** n)
 
 
@@ -348,8 +327,7 @@ def verify_small_alpha_certificate():
 
 # numerator of the degree-6 comparison quantity J = numerator / (24 w)
 CASE2_NUMERATOR = RationalPoly([-1, 1, 9, 38, -31, 9, -1])
-_CASE2_FLOAT_BOUND = 0.1723633
-
+_CASE2_VALUE_BOUND = Fraction(1723633, 10 ** 7)
 
 _ENCLOSURE_BITS = 80
 
@@ -369,23 +347,23 @@ def _xi_bounds():
 
 
 def verify_case2_J():
-    """Positivity of the J numerator on the rational superinterval (1/4, 1/3)."""
+    """Positivity of the J numerator on the rational superinterval [1/4, 1/3],
+    proved by its interval image, and its exact value at w = 1/4 against the
+    published bound."""
     lo, hi = Fraction(1, 4), Fraction(1, 3)
     if not _xi_bounds()[1] < hi:
         raise SignViolation("rational superinterval does not enclose sqrt(3)-sqrt(2)")
     if not verify_sign_on_interval(CASE2_NUMERATOR, lo, hi, "positive"):
-        raise SignViolation("J numerator is not positive on (1/4, 1/3)")
-    at_quarter = CASE2_NUMERATOR.evaluate_float(0.25)
-    if at_quarter < _CASE2_FLOAT_BOUND - 1e-6:
+        raise SignViolation("J numerator is not positive on [1/4, 1/3]")
+    at_quarter = CASE2_NUMERATOR.evaluate(lo)
+    if at_quarter < _CASE2_VALUE_BOUND:
         raise NumericMismatch(
-            f"J numerator at w=1/4 is {at_quarter}, below {_CASE2_FLOAT_BOUND}"
+            f"J numerator at w=1/4 is {at_quarter}, below {_CASE2_VALUE_BOUND}"
         )
     return _make_report(
         "case2J", CASE2_NUMERATOR, "mixed", [(0, -1)],
-        (
-            "Sturm count 0 on (1/4, 1/3) which encloses (1/4, sqrt(3)-sqrt(2)); "
-            f"value at w=1/4 is {at_quarter:.7f} >= {_CASE2_FLOAT_BOUND}"
-        ),
+        "interval image on [1/4, 1/3], which encloses (1/4, sqrt(3)-sqrt(2)), "
+        f"has no sign variation; value at w=1/4 is {at_quarter} >= {_CASE2_VALUE_BOUND}",
     )
 
 
@@ -399,16 +377,13 @@ def _exp_taylor_one_minus_w(order):
     as a polynomial in w.
 
     order! times it is p(1 - w) for the integer polynomial p(x) = sum_k
-    (order!/k!) x^k: one Taylor shift gives p(1 + y), and y = -w negates its
-    odd coefficients.
+    (order!/k!) x^k: one Taylor shift gives p(1 + y), and scaling by -1 puts
+    y = -w.
     """
     nums = [1] * (order + 1)  # nums[k] = order!/k!
     for k in range(order - 1, -1, -1):
         nums[k] = nums[k + 1] * (k + 1)
-    shifted = _taylor_shift(nums)
-    return RationalPoly._from_parts(
-        [-c if k % 2 else c for k, c in enumerate(shifted)], nums[0]
-    )
+    return RationalPoly._from_parts(_scale(_taylor_shift(nums), Fraction(-1)), nums[0])
 
 
 def _case1_certificate():
@@ -455,13 +430,14 @@ def verify_case1_transcendental():
     """phi(w) = e^(1-w) + w - 3 + 2w/(1-w^2) > 0 on [xi, 1/(1+sqrt(2))], the
     transcendental step of the sharp lower bound for 1 < alpha <= 2.
 
-    The proof is exact: a zero Sturm count and positive endpoint values show
-    that `_case1_certificate` is positive on [xi_lo, sqrt2_hi - 1], a
-    rational interval that contains the case-1 interval. phi(xi) and
-    phi'(xi) come from rational enclosures, checked against the published
-    0.003095392 and 1.746594. The certificate is then cross-checked against
-    phi in floats at 1000 points: a disagreement raises NumericMismatch, but
-    the positivity rests on the proof alone.
+    The proof is exact: the interval image of `_case1_certificate` on
+    [xi_lo, sqrt2_hi - 1], a rational interval that contains the case-1
+    interval, has only positive coefficients (`verify_sign_on_interval`).
+    phi(xi) and phi'(xi) come from rational enclosures, checked against the
+    published 0.003095392 and 1.746594. The certificate is then
+    cross-checked against phi in floats at 1000 points, from float
+    coefficients formed once: a disagreement raises NumericMismatch, but the
+    positivity rests on the proof alone.
     """
     xi_lo, xi_hi = _xi_bounds()
     hi = _sqrt_bounds(2)[1] - 1  # above sqrt(2) - 1 = 1/(1 + sqrt(2))
@@ -474,9 +450,13 @@ def verify_case1_transcendental():
     )
     value = _check_published("value bound", value_bounds, _CASE1_VALUE_BOUND, 1e-8)
     lo_f, hi_f = float(xi_lo), float(hi)
+    den = certificate.den
+    coefficients = [n / den for n in reversed(certificate.nums)]
     for i in range(_CASE1_SAMPLES):
         w = lo_f + (hi_f - lo_f) * i / _CASE1_SAMPLES
-        bound = certificate.evaluate_float(w)
+        bound = 0.0
+        for c in coefficients:
+            bound = bound * w + c
         phi = math.exp(1.0 - w) + w - 3.0 + 2.0 * w / (1.0 - w * w)
         if not 0.0 < bound <= (1.0 - w * w) * phi:
             raise NumericMismatch(f"case-1 certificate and phi disagree in floats at w={w}")

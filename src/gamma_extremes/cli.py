@@ -3,9 +3,10 @@ certificate verification, the reference probability table, and conjecture
 grid scans.
 
 Exit codes: 0 success, 1 a verification check failed or a conjecture
-violation was found, 2 usage error, 3 a numerical method failed
-(ConvergenceError, QuadratureError or another ArithmeticError; the message
-goes to stderr). All output is deterministic for fixed arguments; scan CSV
+violation was found, 2 usage error (a bad argument, or an --out path that
+cannot be opened), 3 a numerical method failed (ConvergenceError,
+QuadratureError or another ArithmeticError); error messages go to
+stderr. All output is deterministic for fixed arguments; scan CSV
 is byte-stable.
 """
 
@@ -99,13 +100,14 @@ def build_parser():
     return parser
 
 
-@contextlib.contextmanager
 def _sink(path, default):
+    """default, or path opened for writing; a failed open is a usage error."""
     if path is None:
-        yield default
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        return contextlib.nullcontext(default)
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {path}: {exc.strerror}") from exc
 
 
 def _cmd_eval(args, out):

@@ -1,5 +1,5 @@
 """Exact univariate polynomial arithmetic over arbitrary-precision
-rationals, with Sturm-sequence root counting.
+rationals, with one interval sign proof and Sturm-sequence root counting.
 
 A `RationalPoly` stores a tuple of integer numerators, index = degree,
 over one positive denominator, in canonical form: no trailing zero
@@ -11,10 +11,9 @@ integer, in slots wide enough for any coefficient of the product, the two
 integers are multiplied (CPython's Karatsuba does the work) and the
 product is unpacked slot by slot. The reduced `fractions.Fraction`
 coefficients are a view, built on first use. Everything here is immutable
-and exact: no floats, no tolerances. `verify_sign_on_interval` turns a
-zero Sturm root count into a proof that a polynomial keeps one sign on a
-closed interval with rational endpoints; every sign certificate in
-`certificates` ends in it or in a coefficient-sign check.
+and exact: no floats, no tolerances. Every sign proof, here and in
+`certificates`, is one integer interval map, `_interval_image`; Sturm
+sequences remain the exact root counter and the tests' oracle for it.
 """
 
 import math
@@ -233,13 +232,6 @@ class RationalPoly:
             acc = acc * p + n * q_power
         return Fraction(acc, self.den * q_power)
 
-    def evaluate_float(self, x):
-        acc = 0.0
-        den = self.den
-        for n in reversed(self.nums):
-            acc = acc * x + n / den
-        return acc
-
     def derivative(self):
         return RationalPoly._from_parts([i * n for i, n in enumerate(self.nums)][1:], self.den)
 
@@ -319,21 +311,48 @@ def sturm_roots_in_interval(p, lo, hi):
     return _sign_variations(seq, lo) - _sign_variations(seq, hi)
 
 
-def verify_sign_on_interval(p, lo, hi, expected):
-    """True iff p keeps the expected strict sign throughout (lo, hi).
+def _taylor_shift(nums):
+    """The integer numerators of p(x + 1) from those of p(x), by the classical
+    O(n^2) loop of additions (von zur Gathen and Gerhard, ISSAC 1997): pass
+    i is one synthetic division by x - 1 of the coefficients from i up."""
+    u = list(nums)
+    m = len(u) - 1
+    for i in range(m):
+        for k in range(m - 1, i - 1, -1):
+            u[k] += u[k + 1]
+    return u
 
-    Certified by a zero Sturm root count plus matching signs at both
-    endpoints and the midpoint.
-    """
+
+def _scale(nums, factor):
+    """Numerators of p(factor x) times den^n > 0, factor = num/den, n = deg p."""
+    num, den, n = factor.numerator, factor.denominator, len(nums) - 1
+    return [c * num ** k * den ** (n - k) for k, c in enumerate(nums)]
+
+
+def _interval_image(nums, lo, hi, power):
+    """Integer numerators in y of (1+y)^power p(lo + (hi-lo)/(1+y)) times a
+    positive constant, for power >= deg p = n and lo < hi: y in [0, inf)
+    covers [lo, hi], so the y^0 and y^power terms have the signs of p(hi)
+    and p(lo) (Vincent's Moebius map; Collins and Akritas, SYMSAC 1976).
+    q(t) = p(lo + (hi-lo) t) is a scaled Taylor shift of p, u^power q(1/u)
+    is q reversed over power - n zeros, and a last shift puts y = u - 1."""
+    if lo:
+        nums = _scale(_taylor_shift(_scale(nums, lo)), (hi - lo) / lo)
+    else:
+        nums = _scale(nums, hi)
+    return _taylor_shift([0] * (power - len(nums) + 1) + nums[::-1])
+
+
+def verify_sign_on_interval(p, lo, hi, expected):
+    """True if every coefficient of p's interval image on [lo, hi] has the
+    expected strict sign, which proves p has it on the closed interval, so a
+    root at lo or hi gives False. Sufficient, not necessary: without
+    subdivision an image with a sign variation gives False where p keeps its sign."""
     if expected not in ("positive", "negative"):
         raise ValueError(f"expected must be 'positive' or 'negative', got {expected!r}")
     lo = _as_fraction(lo)
     hi = _as_fraction(hi)
-    if sturm_roots_in_interval(p, lo, hi) != 0:
-        return False
+    if p.is_zero() or not lo < hi:
+        raise ValueError(f"need a nonzero polynomial and lo < hi, got {p!r}, {lo}, {hi}")
     want = 1 if expected == "positive" else -1
-    for point in (lo, (lo + hi) / 2, hi):
-        v = p.evaluate(point)
-        if v == 0 or (1 if v > 0 else -1) != want:
-            return False
-    return True
+    return all(c * want > 0 for c in _interval_image(p.nums, lo, hi, p.degree))

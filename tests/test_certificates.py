@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamma_extremes import certificates as C
+from gamma_extremes import exact_poly
 from gamma_extremes.exact_poly import (
     RationalPoly,
     sturm_roots_in_interval,
@@ -153,7 +154,7 @@ class TestTaylorShift:
     )
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_evaluation_at_x_plus_one(self, nums, x):
-        shifted = C._taylor_shift(nums)
+        shifted = exact_poly._taylor_shift(nums)
         assert len(shifted) == len(nums)
         assert sum(c * x ** k for k, c in enumerate(shifted)) == sum(
             c * (x + 1) ** k for k, c in enumerate(nums)
@@ -196,11 +197,15 @@ class TestTaylorShift:
 
     def test_verify_ring_product_budget(self, monkeypatch):
         """verify_all(full_compare=True) makes 139 ring products (5 of them
-        reached as int * poly) and 33 powers; before the substitutions were
-        Taylor shifts it made 582 and 40. A return to ring products fails
-        here without a timing test."""
-        counts = {"mul": 0, "pow": 0}
+        reached as int * poly), 33 powers, and no polynomial division or
+        Sturm chain; before the substitutions were Taylor shifts it made 582
+        products and 40 powers, and before the sign proofs were interval
+        images it made 20 divisions for 2 Sturm chains. A return to ring
+        products or Sturm chains on the proof path fails here without a
+        timing test."""
+        counts = {"mul": 0, "pow": 0, "divmod": 0, "sturm_sequence": 0}
         mul, pow_ = RationalPoly.__mul__, RationalPoly.__pow__
+        divmod_, sturm_sequence = RationalPoly.divmod, exact_poly.sturm_sequence
 
         def counted_mul(self, other):
             counts["mul"] += 1
@@ -210,11 +215,21 @@ class TestTaylorShift:
             counts["pow"] += 1
             return pow_(self, n)
 
+        def counted_divmod(self, divisor):
+            counts["divmod"] += 1
+            return divmod_(self, divisor)
+
+        def counted_sturm_sequence(p):
+            counts["sturm_sequence"] += 1
+            return sturm_sequence(p)
+
         monkeypatch.setattr(RationalPoly, "__mul__", counted_mul)
         monkeypatch.setattr(RationalPoly, "__rmul__", counted_mul)
         monkeypatch.setattr(RationalPoly, "__pow__", counted_pow)
+        monkeypatch.setattr(RationalPoly, "divmod", counted_divmod)
+        monkeypatch.setattr(exact_poly, "sturm_sequence", counted_sturm_sequence)
         C.verify_all(full_compare=True)
-        assert counts == {"mul": 139, "pow": 33}
+        assert counts == {"mul": 139, "pow": 33, "divmod": 0, "sturm_sequence": 0}
 
 
 class TestSmallAlphaCertificate:
@@ -243,7 +258,7 @@ class TestCase2:
         assert report.sign_verdict == "mixed"
         assert report.spot_checks == (0,)
         assert report.coefficients == (-1, 1, 9, 38, -31, 9, -1)
-        assert "Sturm count 0" in report.detail
+        assert "has no sign variation" in report.detail
 
     def test_constant_term_is_checked(self, monkeypatch):
         # still positive on (1/4, 1/3) with the same value at 1/4, so only

@@ -252,6 +252,24 @@ class TestConjecture:
         assert code == (1 if family in ("poisson", "negbinomial") else 0)
 
 
+class TestOutPath:
+    @pytest.mark.parametrize("argv", [
+        ("scan", "--kappa", "1", "--range", "1:100", "--n", "5"),
+        ("verify", "--only", "smallalpha"),
+        ("conjecture", "--family", "normal"),
+    ])
+    def test_missing_directory_is_usage_error(self, argv, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.txt"
+        code, text = invoke(*argv, "--out", str(path))
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --out ")
+        assert str(path) in err
+        assert "Traceback" not in err
+        assert not path.parent.exists()
+
+
 class TestUsage:
     def test_no_subcommand(self):
         code, _ = invoke()

@@ -1,5 +1,6 @@
 """Tests for exact rational polynomial arithmetic, the q-substitution of the
-certificate chains, and Sturm root counting."""
+certificate chains, the interval image behind every sign proof, and Sturm
+root counting, which serves as the sign proofs' independent oracle."""
 
 import math
 from fractions import Fraction
@@ -12,6 +13,7 @@ from gamma_extremes.certificates import _q_expansion
 from gamma_extremes.exact_poly import (
     EndpointRoot,
     RationalPoly,
+    _interval_image,
     sturm_roots_in_interval,
     verify_sign_on_interval,
 )
@@ -171,6 +173,75 @@ class TestVerifySign:
     def test_invalid_expected(self):
         with pytest.raises(ValueError):
             verify_sign_on_interval(RationalPoly([1]), 0, 1, "nonnegative")
+
+
+small_rationals = st.fractions(
+    min_value=Fraction(-3), max_value=Fraction(3), max_denominator=12
+)
+widths = st.fractions(
+    min_value=Fraction(1, 12), max_value=Fraction(4), max_denominator=12
+)
+nonzero_polys = polys.filter(lambda p: not p.is_zero())
+
+
+class TestIntervalImage:
+    @given(p=nonzero_polys, lo=small_rationals, width=widths,
+           extra=st.integers(min_value=0, max_value=2))
+    @settings(max_examples=60, deadline=None)
+    def test_is_a_positive_multiple_of_the_moebius_substitution(self, p, lo, width, extra):
+        """image(y) / ((1+y)^P p(lo + (hi-lo)/(1+y))) is one positive
+        constant: both sides are polynomials of degree <= P in y, checked at
+        P + 2 points y >= 0 (where the right side vanishes, so must the left)."""
+        hi = lo + width
+        power = p.degree + extra
+        image = RationalPoly(_interval_image(p.nums, lo, hi, power))
+        ratios = set()
+        for k in range(power + 2):
+            y = Fraction(k, 2)
+            direct = (1 + y) ** power * p.evaluate(lo + width / (1 + y))
+            if direct == 0:
+                assert image.evaluate(y) == 0
+            else:
+                ratios.add(image.evaluate(y) / direct)
+        assert len(ratios) == 1 and ratios.pop() > 0
+
+
+class TestVerifySignSoundness:
+    """The interval-image proof against the Sturm count as an oracle."""
+
+    @given(q=nonzero_polys, lo=small_rationals, width=widths,
+           t=st.fractions(min_value=Fraction(1, 50), max_value=Fraction(49, 50),
+                          max_denominator=50))
+    @settings(max_examples=40, deadline=None)
+    def test_planted_root_is_never_proved(self, q, lo, width, t):
+        hi = lo + width
+        p = q * RationalPoly([-(lo + t * width), 1])  # root strictly inside (lo, hi)
+        for expected in ("positive", "negative"):
+            assert not verify_sign_on_interval(p, lo, hi, expected)
+
+    @given(p=nonzero_polys, lo=small_rationals, width=widths)
+    @settings(max_examples=40, deadline=None)
+    def test_a_proof_agrees_with_sturm_and_the_endpoints(self, p, lo, width):
+        hi = lo + width
+        for expected, sign in (("positive", 1), ("negative", -1)):
+            if verify_sign_on_interval(p, lo, hi, expected):
+                assert sturm_roots_in_interval(p, lo, hi) == 0
+                assert sign * p.evaluate(lo) > 0 and sign * p.evaluate(hi) > 0
+
+    def test_endpoint_root_is_no_strict_sign(self):
+        # x - 1 and x - 2 are positive, resp. negative, inside (1, 2) but
+        # vanish at an end of the closed interval
+        assert not verify_sign_on_interval(RationalPoly([-1, 1]), 1, 2, "positive")
+        assert not verify_sign_on_interval(RationalPoly([-2, 1]), 1, 2, "negative")
+        assert verify_sign_on_interval(RationalPoly([-1, 1]), Fraction(11, 10), 2, "positive")
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            verify_sign_on_interval(RationalPoly.zero(), 0, 1, "positive")
+        with pytest.raises(ValueError):
+            verify_sign_on_interval(RationalPoly([1]), 1, 1, "positive")
+        with pytest.raises(TypeError):
+            verify_sign_on_interval(RationalPoly([1]), 0, 0.5, "positive")
 
 
 # -- the integer-numerator representation against a schoolbook Fraction ring --

@@ -3,18 +3,17 @@ inequality grid scanner."""
 
 import math
 import random
-import typing
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamma_extremes import iddist
 from gamma_extremes.gamma_prob import GammaParams, t
 from gamma_extremes.iddist import (
     CompoundPoissonExp,
     DistributionSpec,
+    FAMILIES,
     GammaDist,
     InverseGaussian,
     NegativeBinomial,
@@ -131,10 +130,16 @@ class TestMoments:
         with pytest.raises(TypeError):
             band_prob(GammaParams(2.0))
 
-    def test_spec_check_covers_the_union(self):
-        assert typing.get_origin(DistributionSpec) is typing.Union
-        assert iddist._SPEC_TYPES == typing.get_args(DistributionSpec)
-        assert len(iddist._SPEC_TYPES) == 6
+    def test_spec_type_is_the_six_family_classes(self):
+        assert type(DistributionSpec) is tuple
+        assert set(DistributionSpec) == {
+            Poisson, NegativeBinomial, InverseGaussian, CompoundPoissonExp, GammaDist,
+            NormalBaseline,
+        }
+        assert len(DistributionSpec) == 6
+        for family in FAMILIES:
+            for spec in default_grid(family):
+                assert isinstance(spec, DistributionSpec), (family, spec)
 
     def test_entry_points_call_the_family_methods(self):
         specs = (Poisson(3.5), NegativeBinomial(3.0, 0.25), InverseGaussian(2.0, 4.0),
