@@ -27,13 +27,13 @@ enter as rational enclosures from `math.isqrt`.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_poly import (
     RationalPoly, _interval_image, _scale, _taylor_shift, verify_sign_on_interval,
 )
 from .reference_data import V_MINUS_EVEN_COEFFS, V_PLUS_EVEN_COEFFS
+from .specfun import _Record
 
 __all__ = [
     "CertificateReport",
@@ -55,34 +55,25 @@ _W = RationalPoly([0, 1])
 _ONE_MINUS_W2 = RationalPoly([1, 0, -1])
 
 
-@dataclass(frozen=True)
-class _Step:
+class _Step(_Record):
     """One certificate of a chain: outer (1+q^2)^power scale N / w^w_power at
     w = 1/(sub_den (1+q^2)), N the side's cleared P, Q or R numerator, checked
     against printed (index, coefficient) spots and, under full_compare, the
     printed even coefficients in reference."""
 
-    name: str
-    scale: Fraction
-    w_power: int
-    power: int
-    outer: int
-    sign: str
-    spots: tuple
-    detail: str
-    reference: list = None
+    _fields = __slots__ = (
+        "name", "scale", "w_power", "power", "outer", "sign", "spots", "detail", "reference"
+    )
+    _defaults = (None,)
 
 
-@dataclass(frozen=True)
-class _Side:
-    """Everything that differs between the plus and minus chains."""
+class _Side(_Record):
+    """Everything that differs between the plus and minus chains: quad, the
+    1 +- 2w - w^2 in tau's denominator; the log and exp truncation orders;
+    linear, the 1 +- 4w of R; sub_den, with w = 1/(sub_den (1+q^2)); and
+    steps, G, I, V over the P, Q and R numerators."""
 
-    quad: RationalPoly  # 1 +- 2w - w^2 in tau's denominator
-    log_order: int
-    exp_order: int
-    linear: RationalPoly  # 1 +- 4w of R
-    sub_den: int  # w = 1/(sub_den (1+q^2))
-    steps: tuple  # G, I, V over the P, Q and R numerators
+    _fields = __slots__ = ("quad", "log_order", "exp_order", "linear", "sub_den", "steps")
 
 
 _G_PLUS_DETAIL = "all coefficients negative, so the order-5 log truncation exponent is negative"
@@ -154,21 +145,15 @@ class NumericMismatch(Exception):
     """A high-precision numeric check missed its published value."""
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    name: str
-    degree: int
-    coefficients: tuple
-    sign_verdict: str
-    spot_checks: tuple  # the compared coefficient indices
-    detail: str
+class CertificateReport(_Record):
+    # spot_checks holds the compared coefficient indices
+    _fields = __slots__ = (
+        "name", "degree", "coefficients", "sign_verdict", "spot_checks", "detail"
+    )
 
 
-@dataclass(frozen=True)
-class Case1Report:
-    derivative_bound: float
-    value_at_endpoint: float
-    samples_checked: int
+class Case1Report(_Record):
+    _fields = __slots__ = ("derivative_bound", "value_at_endpoint", "samples_checked")
 
 
 def build_P_Q(side):
@@ -276,12 +261,7 @@ def _make_report(name, poly, expected_verdict, expected_spots, detail,
     if verdict != expected_verdict:
         raise SignViolation(f"{name}: sign verdict {verdict}, expected {expected_verdict}")
     return CertificateReport(
-        name=name,
-        degree=poly.degree,
-        coefficients=coeffs,
-        sign_verdict=verdict,
-        spot_checks=tuple(index for index, _ in expected_spots),
-        detail=detail,
+        name, poly.degree, coeffs, verdict, tuple(index for index, _ in expected_spots), detail
     )
 
 
@@ -460,11 +440,7 @@ def verify_case1_transcendental():
         phi = math.exp(1.0 - w) + w - 3.0 + 2.0 * w / (1.0 - w * w)
         if not 0.0 < bound <= (1.0 - w * w) * phi:
             raise NumericMismatch(f"case-1 certificate and phi disagree in floats at w={w}")
-    return Case1Report(
-        derivative_bound=derivative,
-        value_at_endpoint=value,
-        samples_checked=_CASE1_SAMPLES,
-    )
+    return Case1Report(derivative, value, _CASE1_SAMPLES)
 
 
 def verify_all(full_compare=False, only=None):

@@ -101,7 +101,8 @@ def build_parser():
 
 
 def _sink(path, default):
-    """default, or path opened for writing; a failed open is a usage error."""
+    """default, or path opened for writing; a failed open is a usage error.
+    scan and conjecture open it before computing, verify after its checks."""
     if path is None:
         return contextlib.nullcontext(default)
     try:
@@ -154,8 +155,8 @@ def _cmd_minimize(args, out):
 
 def _cmd_scan(args, out):
     lo, hi = args.alpha_range
-    rows = optimize.scan(args.kappa, lo, hi, args.n)
     with _sink(args.out, out) as fh:
+        rows = optimize.scan(args.kappa, lo, hi, args.n)
         fh.write("alpha,value\n")
         for alpha, value in rows:
             fh.write(f"{format(alpha, _SIG)},{format(float(value), _SIG)}\n")
@@ -188,11 +189,11 @@ def _cmd_counterexamples(args, out):
 
 
 def _cmd_conjecture(args, out):
-    report = iddist.conjecture_scan(args.family)
-    verdict = "violations_found" if report.violations else "no_violation"
-    argmin = repr(report.argmin_params)
-    notes = " | ".join(report.notes)
     with _sink(args.out, out) as fh:
+        report = iddist.conjecture_scan(args.family)
+        verdict = "violations_found" if report.violations else "no_violation"
+        argmin = repr(report.argmin_params)
+        notes = " | ".join(report.notes)
         fh.write(
             f"name=conjecture_{report.family};verdict={verdict};"
             f"detail=min_band={format(float(report.min_band), _SIG)} argmin={argmin} "

@@ -7,9 +7,8 @@ to the regularized incomplete gamma and are scale-free in beta.
 """
 
 import math
-from dataclasses import dataclass
 
-from .specfun import Probability, _check_positive, reg_lower_gamma
+from .specfun import Probability, _Record, _check_positive, reg_lower_gamma
 
 __all__ = [
     "GammaParams",
@@ -26,14 +25,13 @@ class QuadratureError(ArithmeticError):
     """Quadrature failed to reach the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class GammaParams:
+class GammaParams(_Record):
     """Shape/scale parameter pair of a Gamma distribution."""
 
-    alpha: float
-    beta: float = 1.0
+    _fields = __slots__ = ("alpha", "beta")
+    _defaults = (1.0,)
 
-    def __post_init__(self):
+    def _validate(self):
         _check_positive("alpha", self.alpha)
         _check_positive("beta", self.beta)
 

@@ -2,7 +2,7 @@
 one-standard-deviation band inequality.
 
 Every family here is infinitely divisible (a documented property, not
-machine-checked). Each family is one frozen dataclass with two methods:
+machine-checked). Each family is one immutable record with two methods:
 moments() gives (mean, variance) and band() gives P{|L - E[L]| <= sqrt(Var L)},
 both in closed form; moments(spec) and band_prob(spec) call them. The
 lattice bands (Poisson, negative binomial, compound Poisson) sum pmfs from
@@ -18,13 +18,13 @@ open: scans produce evidence only, and reports say so.
 
 import math
 import operator
-from dataclasses import dataclass
 from itertools import accumulate
 
 from . import gamma_prob
 from .optimize import _lin_grid, _log_grid
 from .specfun import (
     Probability,
+    _Record,
     _bd0,
     _check_positive,
     _stirlerr,
@@ -110,11 +110,10 @@ def _poisson_pmf(mean, lo, hi):
     return _lattice_pmf(anchor, k0, lo, hi, mean, 0.0)
 
 
-@dataclass(frozen=True)
-class Poisson:
-    lam: float
+class Poisson(_Record):
+    _fields = __slots__ = ("lam",)
 
-    def __post_init__(self):
+    def _validate(self):
         _check_positive("lam", self.lam)
 
     def moments(self):
@@ -132,14 +131,12 @@ class Poisson:
         return Probability(math.fsum(_poisson_pmf(mean, lo, hi)))
 
 
-@dataclass(frozen=True)
-class NegativeBinomial:
+class NegativeBinomial(_Record):
     """Number of failures before the r-th success, success probability p."""
 
-    r: float
-    p: float
+    _fields = __slots__ = ("r", "p")
 
-    def __post_init__(self):
+    def _validate(self):
         _check_positive("r", self.r)
         if not (isinstance(self.p, (int, float)) and 0.0 < self.p < 1.0):
             raise ValueError(f"p must lie in (0, 1), got {self.p!r}")
@@ -193,12 +190,10 @@ class NegativeBinomial:
         return Probability(math.fsum(_lattice_pmf(anchor, k0, lo, hi, r * q, q)))
 
 
-@dataclass(frozen=True)
-class InverseGaussian:
-    mu: float
-    shape: float
+class InverseGaussian(_Record):
+    _fields = __slots__ = ("mu", "shape")
 
-    def __post_init__(self):
+    def _validate(self):
         _check_positive("mu", self.mu)
         _check_positive("shape", self.shape)
 
@@ -223,14 +218,12 @@ class InverseGaussian:
         return first + math.exp(log_second)
 
 
-@dataclass(frozen=True)
-class CompoundPoissonExp:
+class CompoundPoissonExp(_Record):
     """Poisson(rate) many i.i.d. Exponential(jump_scale) jumps."""
 
-    rate: float
-    jump_scale: float
+    _fields = __slots__ = ("rate", "jump_scale")
 
-    def __post_init__(self):
+    def _validate(self):
         _check_positive("rate", self.rate)
         _check_positive("jump_scale", self.jump_scale)
 
@@ -265,9 +258,10 @@ class CompoundPoissonExp:
         return Probability(math.fsum(map(operator.mul, pmf, cdf_rate)))
 
 
-@dataclass(frozen=True)
 class GammaDist(gamma_prob.GammaParams):
     """Gamma(alpha, beta) as a member of the catalog."""
+
+    __slots__ = ()
 
     def moments(self):
         return self.mean, self.variance
@@ -276,9 +270,10 @@ class GammaDist(gamma_prob.GammaParams):
         return gamma_prob.band(self, 1.0)
 
 
-@dataclass(frozen=True)
-class NormalBaseline:
+class NormalBaseline(_Record):
     """Standard normal reference point; its band is the conjectured bound."""
+
+    __slots__ = ()
 
     def moments(self):
         return 0.0, 1.0
@@ -293,15 +288,10 @@ DistributionSpec = (
 )
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    family: str
-    grid: tuple
-    min_band: Probability
-    argmin_params: DistributionSpec
-    violations: tuple
-    threshold: float
-    notes: tuple
+class ScanReport(_Record):
+    _fields = __slots__ = (
+        "family", "grid", "min_band", "argmin_params", "violations", "threshold", "notes"
+    )
 
 
 def moments(spec):
@@ -372,11 +362,5 @@ def conjecture_scan(family, grid=None):
     if family == "negbinomial":
         notes.append(NEGBINOMIAL_CONVENTION)
     return ScanReport(
-        family=family,
-        grid=grid,
-        min_band=Probability(min_band),
-        argmin_params=argmin,
-        violations=tuple(violations),
-        threshold=threshold,
-        notes=tuple(notes),
+        family, grid, Probability(min_band), argmin, tuple(violations), threshold, tuple(notes)
     )

@@ -14,10 +14,9 @@ Recipes style) with an evaluation budget.
 """
 
 import math
-from dataclasses import dataclass
 
 from .gamma_prob import Kappa, h
-from .specfun import Probability, _check_positive
+from .specfun import Probability, _Record, _check_positive
 
 __all__ = [
     "OptimizationResult",
@@ -76,13 +75,8 @@ def _lin_grid(lo, hi, n):
     return [lo + i * step if i < n - 1 else hi for i in range(n)]
 
 
-@dataclass(frozen=True)
-class OptimizationResult:
-    argmin: float
-    min_value: float
-    bracket: tuple
-    evaluations: int
-    converged: bool
+class OptimizationResult(_Record):
+    _fields = __slots__ = ("argmin", "min_value", "bracket", "evaluations", "converged")
 
 
 def _check_grid_n(grid_n):
@@ -183,13 +177,7 @@ def brent_min(f, bracket, tol, max_evaluations=200):
             elif fu <= fv or v == x or v == w:
                 v, fv = u, fu
     min_value = eval_f(x)  # re-evaluated, never a stale cache
-    return OptimizationResult(
-        argmin=x,
-        min_value=min_value,
-        bracket=(lo, mid, hi),
-        evaluations=evaluations,
-        converged=converged,
-    )
+    return OptimizationResult(x, min_value, (lo, mid, hi), evaluations, converged)
 
 
 def _descend_to_triple(f, xs, x0):
@@ -269,13 +257,9 @@ def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
         except NoInteriorMinimum as diag:
             raise NoInteriorMinimum(diag.boundary, math.exp(diag.abscissa), diag.value) from None
     result = brent_min(objective, log_bracket, tol)
-    return OptimizationResult(
-        argmin=math.exp(result.argmin),
-        min_value=Probability(result.min_value),
-        bracket=tuple(math.exp(x) for x in result.bracket),
-        evaluations=result.evaluations,
-        converged=result.converged,
-    )
+    bracket = tuple(math.exp(x) for x in result.bracket)
+    return OptimizationResult(math.exp(result.argmin), Probability(result.min_value), bracket,
+                              result.evaluations, result.converged)
 
 
 def scan(kappa, alpha_lo, alpha_hi, n):

@@ -167,10 +167,63 @@ class Probability(float):
 
 
 def _check_positive(name, value):
-    """value as a float, once it is an int or float that is finite and positive."""
-    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+    """value as a float, once it is a float or an int, not a bool, that is
+    finite and positive. (A float, the usual case, costs one isinstance.)"""
+    real = isinstance(value, float) or isinstance(value, int) and not isinstance(value, bool)
+    if not (real and math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
     return float(value)
+
+
+class _Record:
+    """Base of the immutable records: fields named once in ``_fields``, which
+    is also ``__slots__``, trailing defaults in ``_defaults``, checks in
+    ``_validate``. A record takes its fields positionally or by keyword and
+    stores them as passed; records of one class with equal fields are equal
+    and hash alike; pickle and copy rebuild from the fields, and assignment
+    and deletion raise AttributeError."""
+
+    __slots__ = _fields = _defaults = ()
+
+    def __init_subclass__(cls):
+        # a straight-line __init__ per class: Python binds the arguments and
+        # raises its own TypeErrors, and a call costs what a hand-written one
+        # does (a loop over the fields measured ~1.5x that on CPython 3.11)
+        fields, defaults = cls._fields, cls._defaults
+        first = len(fields) - len(defaults)
+        params = ["self", *fields[:first], *(f"{f}=_d[{i}]" for i, f in enumerate(fields[first:]))]
+        body = "".join(f"    _set(self, {f!r}, {f})\n" for f in fields)
+        namespace = {"_set": object.__setattr__, "_d": defaults}
+        exec(f"def __init__({', '.join(params)}):\n{body}    self._validate()\n", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _validate(self):
+        """Raises ValueError for a field value the record refuses."""
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def _by_log(op):
@@ -391,11 +444,14 @@ def _temme_lower(a, x, half_a_eta2):
 
 
 def _check_domain(a, x):
-    if not (isinstance(a, (int, float)) and math.isfinite(a)):
+    """a and x as _check_positive takes them: floats or ints, not bools."""
+    a_real = isinstance(a, float) or isinstance(a, int) and not isinstance(a, bool)
+    if not (a_real and math.isfinite(a)):
         raise ValueError(f"shape parameter must be finite, got {a!r}")
     if not (MIN_SHAPE <= a <= MAX_SHAPE):
         raise ValueError(f"shape parameter {a} outside supported range [{MIN_SHAPE}, {MAX_SHAPE}]")
-    if not (isinstance(x, (int, float)) and math.isfinite(x)) or x < 0.0:
+    x_real = isinstance(x, float) or isinstance(x, int) and not isinstance(x, bool)
+    if not (x_real and math.isfinite(x)) or x < 0.0:
         raise ValueError(f"argument must be finite and nonnegative, got {x!r}")
 
 

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from gamma_extremes import certificates, cli
+from gamma_extremes import certificates, cli, iddist, optimize
 from gamma_extremes.cli import counterexample_table, run
 from gamma_extremes.exact_poly import RationalPoly
 from gamma_extremes.gamma_prob import QuadratureError
@@ -268,6 +268,25 @@ class TestOutPath:
         assert str(path) in err
         assert "Traceback" not in err
         assert not path.parent.exists()
+
+    @pytest.mark.parametrize("argv, module, name", [
+        (("scan", "--kappa", "1.5", "--range", "1e-3:1e6", "--n", "200000"), optimize, "scan"),
+        (("conjecture", "--family", "negbinomial"), iddist, "conjecture_scan"),
+    ], ids=("scan", "conjecture"))
+    def test_unwritable_out_fails_before_computing(self, argv, module, name, monkeypatch,
+                                                   tmp_path, capsys):
+        calls = []
+
+        def compute(*args):
+            calls.append(args)
+            raise RuntimeError("computed before --out was opened")
+
+        monkeypatch.setattr(module, name, compute)
+        code, text = invoke(*argv, "--out", str(tmp_path / "missing" / "out.txt"))
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: cannot write --out ")
+        assert calls == []
 
 
 class TestUsage:

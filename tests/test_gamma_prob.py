@@ -151,12 +151,13 @@ class TestT:
             assert t(alpha + 1.0) < t(alpha), alpha
 
     def test_validation(self):
-        # the rule of h, Kappa and GammaParams: a string is not a shape
-        for bad in ("7", 0.0, -1.0, float("nan"), float("inf")):
+        # the rule of h, Kappa and GammaParams: a string or a bool is not a shape
+        for bad in ("7", True, 0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 t(bad)
-        with pytest.raises(ValueError):
-            h("1.5", 2.0)
+        for kappa, alpha in (("1.5", 2.0), (True, 2.0), (1.5, True)):
+            with pytest.raises(ValueError):
+                h(kappa, alpha)
 
 
 class TestBand:

@@ -97,8 +97,9 @@ def _compound_band_mpmath(rate, scale, window=None):
 
 class TestSpecs:
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            Poisson(0.0)
+        for lam in (0.0, True):
+            with pytest.raises(ValueError):
+                Poisson(lam)
         with pytest.raises(ValueError):
             NegativeBinomial(1.0, 1.0)
         with pytest.raises(ValueError):

@@ -2,8 +2,10 @@
 exactly its modules' names; no module of the package imports a name it does
 not use or defines a private name nothing reads; no float-path module
 imports exact arithmetic; importing the package and
-its CLI, and running the case-1 proof, loads no heavy numeric library; the
-full certificate suite runs where mpmath cannot be imported at all."""
+its CLI, and running the case-1 proof, loads no heavy numeric library;
+importing them loads none of the slow-to-import introspection modules that
+dataclasses brings in; the full certificate suite runs where mpmath cannot
+be imported at all."""
 
 import ast
 import glob
@@ -27,18 +29,24 @@ GOLDEN_VERIFY = os.path.join(
 )
 
 HEAVY = ("scipy", "numpy", "mpmath")
+# dataclasses and what it alone imports: ~27 ms of a cold start under -S
+INTROSPECTION = ("dataclasses", "inspect", "ast", "dis")
 
 _PROBE = f"""
 import json, sys
+
+preloaded = set(sys.modules)  # by site hooks, not by the package
 
 def loaded():
     return sorted({{m.split('.')[0] for m in sys.modules}} & set({HEAVY!r}))
 
 import gamma_extremes, gamma_extremes.cli
 after_import = loaded()
+introspection = [m for m in {INTROSPECTION!r} if m in set(sys.modules) - preloaded]
 report = gamma_extremes.verify_case1_transcendental()
 print(json.dumps({{
     "after_import": after_import,
+    "introspection": introspection,
     "after_case1": loaded(),
     "case1_samples": report.samples_checked,
 }}))
@@ -71,6 +79,10 @@ def probe():
 
 def test_package_and_cli_import_load_no_heavy_library(probe):
     assert probe["after_import"] == []
+
+
+def test_package_and_cli_import_load_no_introspection_module(probe):
+    assert probe["introspection"] == []
 
 
 def test_case1_loads_no_heavy_library_and_passes(probe):

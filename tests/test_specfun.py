@@ -14,7 +14,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamma_extremes import specfun
+from gamma_extremes.certificates import Case1Report, CertificateReport
 from gamma_extremes.gamma_prob import GammaParams, band, h, t
+from gamma_extremes.iddist import (
+    CompoundPoissonExp,
+    GammaDist,
+    InverseGaussian,
+    NegativeBinomial,
+    NormalBaseline,
+    Poisson,
+    ScanReport,
+)
+from gamma_extremes.optimize import OptimizationResult
 from gamma_extremes.specfun import (
     MAX_SHAPE,
     MIN_SHAPE,
@@ -500,3 +511,67 @@ class TestStdNormal:
             for z in zs:
                 expected = mpmath.log(mpmath.ncdf(-z))
                 assert abs(log_std_normal_sf(z) - expected) <= 2.5e-16 * z * z, z
+
+
+# each public record: keyword fields, and its repr as the dataclass-built
+# records printed it (GammaParams and GammaDist show their default beta)
+RECORDS = [
+    (GammaParams, {"alpha": 2}, "GammaParams(alpha=2, beta=1.0)"),
+    (GammaDist, {"alpha": 0.001}, "GammaDist(alpha=0.001, beta=1.0)"),
+    (Poisson, {"lam": 3.5}, "Poisson(lam=3.5)"),
+    (NegativeBinomial, {"r": 2.0, "p": 0.25}, "NegativeBinomial(r=2.0, p=0.25)"),
+    (InverseGaussian, {"mu": 1.5, "shape": 1e-2}, "InverseGaussian(mu=1.5, shape=0.01)"),
+    (CompoundPoissonExp, {"rate": 4.0, "jump_scale": 1.0},
+     "CompoundPoissonExp(rate=4.0, jump_scale=1.0)"),
+    (NormalBaseline, {}, "NormalBaseline()"),
+    (ScanReport, {
+        "family": "gamma", "grid": (GammaDist(2.0),), "min_band": Probability(0.7),
+        "argmin_params": GammaDist(2.0), "violations": (), "threshold": 0.68,
+        "notes": ("evidence only",),
+    }, "ScanReport(family='gamma', grid=(GammaDist(alpha=2.0, beta=1.0),), min_band=0.7, "
+       "argmin_params=GammaDist(alpha=2.0, beta=1.0), violations=(), threshold=0.68, "
+       "notes=('evidence only',))"),
+    (OptimizationResult, {
+        "argmin": 3.47, "min_value": Probability(0.64), "bracket": (1.0, 3.0, 9.0),
+        "evaluations": 12, "converged": True,
+    }, "OptimizationResult(argmin=3.47, min_value=0.64, bracket=(1.0, 3.0, 9.0), "
+       "evaluations=12, converged=True)"),
+    (CertificateReport, {
+        "name": "G+", "degree": 2, "coefficients": (Fraction(-1), Fraction(1, 2)),
+        "sign_verdict": "all_negative", "spot_checks": (0, 2), "detail": "d",
+    }, "CertificateReport(name='G+', degree=2, coefficients=(Fraction(-1, 1), Fraction(1, 2)), "
+       "sign_verdict='all_negative', spot_checks=(0, 2), detail='d')"),
+    (Case1Report, {"derivative_bound": 0.5, "value_at_endpoint": 0.25, "samples_checked": 1000},
+     "Case1Report(derivative_bound=0.5, value_at_endpoint=0.25, samples_checked=1000)"),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+    def test_semantics(self, cls, fields, text):
+        record = cls(**fields)
+        assert repr(record) == text
+        positional = cls(*fields.values())
+        assert positional == record
+        assert hash(positional) == hash(record)
+        assert pickle.loads(pickle.dumps(record)) == record
+        with pytest.raises(TypeError):
+            cls(**fields, unknown=1)
+        names = list(fields)
+        if names:
+            first = names[0]
+            with pytest.raises(TypeError):
+                cls(**{name: fields[name] for name in names[1:]})
+            with pytest.raises(TypeError):
+                cls(fields[first], **fields)
+        else:
+            first = "field"
+        with pytest.raises(AttributeError):
+            setattr(record, first, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, first)
+        assert repr(record) == text
+
+    def test_equal_fields_of_another_class_differ(self):
+        assert GammaDist(2.0) != GammaParams(2.0)
+        assert GammaParams(2.0) != GammaDist(2.0)
