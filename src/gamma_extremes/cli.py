@@ -15,7 +15,9 @@ import contextlib
 import math
 import sys
 
-from . import certificates, iddist, optimize
+# iddist loads here, not on first use: build_parser reads iddist.FAMILIES
+# for the --family choices. certificates loads in _cmd_verify, its one user.
+from . import iddist, optimize
 from .gamma_prob import GammaParams, band, h, t
 from .optimize import NoInteriorMinimum
 from .specfun import std_normal_band
@@ -164,6 +166,8 @@ def _cmd_scan(args, out):
 
 
 def _cmd_verify(args, out):
+    from . import certificates
+
     only = None if not args.only else set(args.only)
     try:
         reports, case1 = certificates.verify_all(full_compare=args.full_compare, only=only)

@@ -84,6 +84,7 @@ _STIRLING = (
 
 _PROBABILITY_SLACK = 1e-12
 _MIN_NORMAL = sys.float_info.min
+_MAX_DOUBLE = sys.float_info.max
 
 # Temme's expansion runs from this shape up. Where a eta^2 / 2 exceeds the
 # cutoff, its remainder R_a(eta) is below e^-40 / sqrt(2 pi a) < 1e-19 and
@@ -169,10 +170,14 @@ class Probability(float):
 def _check_positive(name, value):
     """value as a float, once it is a float or an int, not a bool, that is
     finite and positive. (A float, the usual case, costs one isinstance.)"""
-    real = isinstance(value, float) or isinstance(value, int) and not isinstance(value, bool)
-    if not (real and math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    return float(value)
+    if isinstance(value, float):
+        if math.isfinite(value) and value > 0:
+            return float(value)
+    # an int is finite where a double holds it; math.isfinite would raise
+    # OverflowError beyond that
+    elif isinstance(value, int) and not isinstance(value, bool) and 0 < value <= _MAX_DOUBLE:
+        return float(value)
+    raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 class _Record:
@@ -445,13 +450,15 @@ def _temme_lower(a, x, half_a_eta2):
 
 def _check_domain(a, x):
     """a and x as _check_positive takes them: floats or ints, not bools."""
-    a_real = isinstance(a, float) or isinstance(a, int) and not isinstance(a, bool)
-    if not (a_real and math.isfinite(a)):
+    # an int a needs no finiteness test: the range test bounds it, where
+    # math.isfinite would raise OverflowError beyond the double range
+    if not (isinstance(a, float) and math.isfinite(a)
+            or isinstance(a, int) and not isinstance(a, bool)):
         raise ValueError(f"shape parameter must be finite, got {a!r}")
     if not (MIN_SHAPE <= a <= MAX_SHAPE):
         raise ValueError(f"shape parameter {a} outside supported range [{MIN_SHAPE}, {MAX_SHAPE}]")
-    x_real = isinstance(x, float) or isinstance(x, int) and not isinstance(x, bool)
-    if not (x_real and math.isfinite(x)) or x < 0.0:
+    if not (isinstance(x, float) and math.isfinite(x)
+            or isinstance(x, int) and not isinstance(x, bool) and x <= _MAX_DOUBLE) or x < 0.0:
         raise ValueError(f"argument must be finite and nonnegative, got {x!r}")
 
 

@@ -61,6 +61,13 @@ class TestGammaParams:
             with pytest.raises(ValueError):
                 GammaParams(alpha, beta)
 
+    def test_int_beyond_double_range_is_rejected(self):
+        # math.isfinite raises OverflowError on such an int
+        for alpha, beta in ((10 ** 400, 1.0), (1.0, 10 ** 400)):
+            with pytest.raises(ValueError):
+                GammaParams(alpha, beta)
+        assert GammaParams(int(sys.float_info.max)).alpha == sys.float_info.max
+
     def test_kappa_validation(self):
         for bad in (0.0, -2.0, float("inf"), "2"):
             with pytest.raises(ValueError):
@@ -152,7 +159,7 @@ class TestT:
 
     def test_validation(self):
         # the rule of h, Kappa and GammaParams: a string or a bool is not a shape
-        for bad in ("7", True, 0.0, -1.0, float("nan"), float("inf")):
+        for bad in ("7", True, 0.0, -1.0, float("nan"), float("inf"), 10 ** 400):
             with pytest.raises(ValueError):
                 t(bad)
         for kappa, alpha in (("1.5", 2.0), (True, 2.0), (1.5, True)):

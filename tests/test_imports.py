@@ -4,8 +4,11 @@ not use or defines a private name nothing reads; no float-path module
 imports exact arithmetic; importing the package and
 its CLI, and running the case-1 proof, loads no heavy numeric library;
 importing them loads none of the slow-to-import introspection modules that
-dataclasses brings in; the full certificate suite runs where mpmath cannot
-be imported at all."""
+dataclasses brings in, and not the exact stack, which loads on first
+access to one of its names with the same objects, dir() and star-import a
+plain import gave; the CLI's golden outputs come out of a fresh interpreter
+unchanged; the full certificate suite runs where mpmath cannot be imported
+at all."""
 
 import ast
 import glob
@@ -23,6 +26,7 @@ from gamma_extremes import certificates, exact_poly, gamma_prob, iddist, optimiz
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(gamma_extremes.__file__))
 SRC_DIR = os.path.dirname(PACKAGE_DIR)
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 GOLDEN_VERIFY = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "benchmarks", "golden", "verify_full_compare.txt",
@@ -31,6 +35,9 @@ GOLDEN_VERIFY = os.path.join(
 HEAVY = ("scipy", "numpy", "mpmath")
 # dataclasses and what it alone imports: ~27 ms of a cold start under -S
 INTROSPECTION = ("dataclasses", "inspect", "ast", "dis")
+# the exact stack: every command but verify runs without it
+EXACT_STACK = ("fractions", "decimal", "gamma_extremes.exact_poly", "gamma_extremes.certificates")
+LAZY_MODULES = ("exact_poly", "certificates", "iddist")
 
 _PROBE = f"""
 import json, sys
@@ -43,10 +50,12 @@ def loaded():
 import gamma_extremes, gamma_extremes.cli
 after_import = loaded()
 introspection = [m for m in {INTROSPECTION!r} if m in set(sys.modules) - preloaded]
+exact_stack = [m for m in {EXACT_STACK!r} if m in set(sys.modules) - preloaded]
 report = gamma_extremes.verify_case1_transcendental()
 print(json.dumps({{
     "after_import": after_import,
     "introspection": introspection,
+    "exact_stack": exact_stack,
     "after_case1": loaded(),
     "case1_samples": report.samples_checked,
 }}))
@@ -85,6 +94,10 @@ def test_package_and_cli_import_load_no_introspection_module(probe):
     assert probe["introspection"] == []
 
 
+def test_package_and_cli_import_load_no_exact_stack(probe):
+    assert probe["exact_stack"] == []
+
+
 def test_case1_loads_no_heavy_library_and_passes(probe):
     assert probe["after_case1"] == []
     assert probe["case1_samples"] == 1000
@@ -114,6 +127,63 @@ def test_every_exported_name_resolves():
     ]
     assert gamma_extremes.__all__ == package_all
     assert len(set(package_all)) == len(package_all)
+
+
+def test_lazy_exports_are_their_modules_names():
+    assert list(gamma_extremes._LAZY_EXPORTS) == list(LAZY_MODULES)
+    for name, names in gamma_extremes._LAZY_EXPORTS.items():
+        assert names == tuple(importlib.import_module(f"gamma_extremes.{name}").__all__), name
+
+
+def test_exported_names_are_their_modules_objects():
+    assert gamma_extremes.__version__ == "0.1.0"
+    for module in (specfun, gamma_prob, optimize, exact_poly, certificates, iddist):
+        assert getattr(gamma_extremes, module.__name__.rsplit(".", 1)[-1]) is module
+        for name in module.__all__:
+            assert getattr(gamma_extremes, name) is getattr(module, name), name
+    assert set(dir(gamma_extremes)) >= {*gamma_extremes.__all__, *LAZY_MODULES}
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError) as info:
+        gamma_extremes.x
+    assert str(info.value) == "module 'gamma_extremes' has no attribute 'x'"
+
+
+def test_star_import_binds_every_export_in_a_fresh_interpreter():
+    result = _run_fresh(
+        "import json\n"
+        "from gamma_extremes import *\n"
+        "import gamma_extremes\n"
+        "print(json.dumps([n for n in gamma_extremes.__all__\n"
+        "                  if globals().get(n, n) is not getattr(gamma_extremes, n)]))\n"
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
+
+
+def _golden_lines(path, prefix=b""):
+    with open(path, "rb") as fh:
+        return b"".join(line for line in fh if line.startswith(prefix))
+
+
+@pytest.mark.parametrize("argv, golden, prefix, code", [
+    (("verify",), GOLDEN_VERIFY, b"", 0),
+    (("verify", "--full-compare"), GOLDEN_VERIFY, b"", 0),
+    (("verify", "--only", "case2"), GOLDEN_VERIFY, b"name=case2J;", 0),
+    (("conjecture", "--family", "gamma"), "conjecture_gamma.txt", b"", 0),
+    (("conjecture", "--family", "poisson"), "conjecture_poisson.txt", b"", 1),
+    (("scan", "--kappa", "0.999", "--range", "50:1e7", "--n", "400"),
+     "scan_kappa_0.999.txt", b"", 0),
+], ids=("verify", "verify-full", "verify-only", "conjecture-gamma", "conjecture-poisson",
+        "scan"))
+def test_cli_goldens_from_a_fresh_interpreter(argv, golden, prefix, code):
+    """Each command, with whatever it loads on first use, prints its golden
+    lines and exits with its golden code (the spot-check verify records
+    equal the full-compare ones)."""
+    result = _run_fresh(f"import sys; from gamma_extremes import cli; sys.exit(cli.run({list(argv)!r}))")
+    assert result.returncode == code, result.stderr
+    assert result.stdout == _golden_lines(os.path.join(GOLDEN_DIR, golden), prefix)
 
 
 def _module_trees():
@@ -181,6 +251,29 @@ def test_float_modules_import_no_exact_arithmetic():
     assert exact & set(_imported_modules(trees["exact_poly.py"]))
     for filename in ("specfun.py", "gamma_prob.py", "optimize.py", "iddist.py", "cli.py"):
         assert not exact & set(_imported_modules(trees[filename])), filename
+
+
+def _top_level_imports(tree):
+    """Modules imported in the module body, relative ones by their own name."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_lazy_modules_are_not_imported_at_top_level():
+    """The package body imports only the float stack, and the CLI body not
+    certificates (it needs iddist there for the --family choices)."""
+    trees = _module_trees()
+    init_imports = set(_top_level_imports(trees["__init__.py"]))
+    assert init_imports >= {"specfun", "gamma_prob", "optimize"}
+    assert not init_imports & {*LAZY_MODULES, "fractions", "decimal"}
+    cli_imports = set(_top_level_imports(trees["cli.py"]))
+    assert "iddist" in cli_imports
+    assert not cli_imports & {"exact_poly", "certificates", "fractions", "decimal"}
 
 
 def test_no_unused_import_or_private_name():

@@ -6,6 +6,7 @@ import os
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -203,6 +204,18 @@ class TestRegLowerGamma:
             reg_lower_gamma(1.0, -0.5)
         with pytest.raises(ValueError):
             reg_lower_gamma(1.0, float("inf"))
+
+    @pytest.mark.parametrize("a, x", [(2.0, 10 ** 400), (10 ** 400, 2.0)], ids=("x", "a"))
+    def test_int_beyond_double_range_is_a_domain_error(self, a, x):
+        # math.isfinite raises OverflowError on such an int
+        with pytest.raises(ValueError):
+            reg_lower_gamma(a, x)
+
+    def test_int_at_double_range_edge(self):
+        big = int(sys.float_info.max)
+        assert reg_lower_gamma(2.0, big) == 1.0
+        with pytest.raises(ValueError):
+            reg_lower_gamma(2.0, big + 1)
 
     def test_recurrence_in_log_space(self):
         # P(a+1, x) = P(a, x) - x^a e^{-x} / Gamma(a+1)
