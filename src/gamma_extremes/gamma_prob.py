@@ -112,7 +112,8 @@ def _gauss_legendre(n):
 
 
 # two orders per panel: the higher gives the value, their difference the
-# error estimate
+# error estimate; the lower alone also integrates iddist's compound Poisson
+# band
 _RULE_LOW = _gauss_legendre(12)
 _RULE_HIGH = _gauss_legendre(16)
 

@@ -16,7 +16,7 @@ Recipes style) with an evaluation budget.
 import math
 
 from .gamma_prob import Kappa, h
-from .specfun import Probability, _Record, _check_positive
+from .specfun import Probability, _Record, _check_positive, _describe
 
 __all__ = [
     "OptimizationResult",
@@ -81,7 +81,7 @@ class OptimizationResult(_Record):
 
 def _check_grid_n(grid_n):
     if isinstance(grid_n, bool) or not isinstance(grid_n, int) or grid_n < 3:
-        raise ValueError(f"need an int grid_n >= 3, got {grid_n!r}")
+        raise ValueError(f"need an int grid_n >= 3, got {_describe(grid_n)}")
 
 
 def bracket_minimum(f, lo, hi, grid_n):

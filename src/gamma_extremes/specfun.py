@@ -167,6 +167,16 @@ class Probability(float):
         return super().__new__(cls, min(1.0, max(0.0, value)))
 
 
+def _describe(value):
+    """repr(value) for a message, except that an int too long for the
+    interpreter's int-to-str limit (sys.get_int_max_str_digits), whose repr
+    raises ValueError, is told by its sign and bit length."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
+
+
 def _check_positive(name, value):
     """value as a float, once it is a float or an int, not a bool, that is
     finite and positive. (A float, the usual case, costs one isinstance.)"""
@@ -177,7 +187,7 @@ def _check_positive(name, value):
     # OverflowError beyond that
     elif isinstance(value, int) and not isinstance(value, bool) and 0 < value <= _MAX_DOUBLE:
         return float(value)
-    raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    raise ValueError(f"{name} must be finite and positive, got {_describe(value)}")
 
 
 class _Record:
@@ -454,12 +464,14 @@ def _check_domain(a, x):
     # math.isfinite would raise OverflowError beyond the double range
     if not (isinstance(a, float) and math.isfinite(a)
             or isinstance(a, int) and not isinstance(a, bool)):
-        raise ValueError(f"shape parameter must be finite, got {a!r}")
+        raise ValueError(f"shape parameter must be finite, got {_describe(a)}")
     if not (MIN_SHAPE <= a <= MAX_SHAPE):
-        raise ValueError(f"shape parameter {a} outside supported range [{MIN_SHAPE}, {MAX_SHAPE}]")
+        raise ValueError(
+            f"shape parameter {_describe(a)} outside supported range [{MIN_SHAPE}, {MAX_SHAPE}]"
+        )
     if not (isinstance(x, float) and math.isfinite(x)
             or isinstance(x, int) and not isinstance(x, bool) and x <= _MAX_DOUBLE) or x < 0.0:
-        raise ValueError(f"argument must be finite and nonnegative, got {x!r}")
+        raise ValueError(f"argument must be finite and nonnegative, got {_describe(x)}")
 
 
 def lower_series(a, x):
