@@ -350,14 +350,14 @@ class ScanReport(_Record):
 def moments(spec):
     """Closed-form (mean, variance) of the distribution."""
     if not isinstance(spec, DistributionSpec):
-        raise TypeError(f"not a distribution spec: {spec!r}")
+        raise TypeError(f"not a distribution spec: {_describe(spec)}")
     return spec.moments()
 
 
 def band_prob(spec):
     """P{|L - E[L]| <= sqrt(Var L)} for the given distribution."""
     if not isinstance(spec, DistributionSpec):
-        raise TypeError(f"not a distribution spec: {spec!r}")
+        raise TypeError(f"not a distribution spec: {_describe(spec)}")
     return spec.band()
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamma_extremes import optimize, specfun
+from gamma_extremes import iddist, optimize, specfun
 from gamma_extremes.certificates import Case1Report, CertificateReport
 from gamma_extremes.gamma_prob import GammaParams, band, h, t
 from gamma_extremes.iddist import (
@@ -213,22 +213,26 @@ class TestRegLowerGamma:
 
     @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                         reason="this interpreter converts every int to str")
-    @pytest.mark.parametrize("call, message", [
-        (lambda: t(10 ** 5000), "alpha must be finite and positive, got an int of 16610 bits"),
-        (lambda: reg_lower_gamma(2.0, 10 ** 5000),
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: t(10 ** 5000), ValueError,
+         "alpha must be finite and positive, got an int of 16610 bits"),
+        (lambda: reg_lower_gamma(2.0, 10 ** 5000), ValueError,
          "argument must be finite and nonnegative, got an int of 16610 bits"),
-        (lambda: reg_lower_gamma(2.0, -10 ** 5000),
+        (lambda: reg_lower_gamma(2.0, -10 ** 5000), ValueError,
          "argument must be finite and nonnegative, got a negative int of 16610 bits"),
-        (lambda: reg_lower_gamma(10 ** 5000, 1.0),
+        (lambda: reg_lower_gamma(10 ** 5000, 1.0), ValueError,
          "shape parameter an int of 16610 bits outside supported range [1e-06, 10000000.0]"),
-        (lambda: NegativeBinomial(1.0, 10 ** 5000), "p must lie in (0, 1), got an int of 16610 bits"),
-        (lambda: optimize.bracket_minimum(abs, -1.0, 1.0, -10 ** 5000),
+        (lambda: NegativeBinomial(1.0, 10 ** 5000), ValueError,
+         "p must lie in (0, 1), got an int of 16610 bits"),
+        (lambda: optimize.bracket_minimum(abs, -1.0, 1.0, -10 ** 5000), ValueError,
          "need an int grid_n >= 3, got a negative int of 16610 bits"),
-    ], ids=("t", "x", "negative-x", "a", "negbinomial-p", "grid_n"))
-    def test_int_too_long_for_str_is_told_by_bit_length(self, call, message):
+        (lambda: iddist.band_prob(10 ** 5000), TypeError,
+         "not a distribution spec: an int of 16610 bits"),
+    ], ids=("t", "x", "negative-x", "a", "negbinomial-p", "grid_n", "spec"))
+    def test_int_too_long_for_str_is_told_by_bit_length(self, call, error, message):
         # repr of an int beyond the interpreter's int-to-str limit raises its
-        # own ValueError, which would replace the domain message
-        with pytest.raises(ValueError) as raised:
+        # own ValueError, which would replace the message
+        with pytest.raises(error) as raised:
             call()
         assert str(raised.value) == message
 
