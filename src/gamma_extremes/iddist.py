@@ -12,7 +12,9 @@ clamped into the summed range. That anchor is Loader's saddle-point form
 within a few ulp in O(1), so no band needs a normalising pass, nor a walk
 from k = 0 but the negative binomial's below r = 10. The compound Poisson
 band integrates its Bessel-function density with one fixed Gauss-Legendre
-rule, at the same cost for every rate. conjecture_scan sweeps a parameter
+rule, at the same cost for every rate. The inverse Gaussian band is a
+function of phi = shape/mu alone, in a closed form whose terms neither
+cancel nor overflow, at any phi. conjecture_scan sweeps a parameter
 grid looking for band probabilities below the standard normal band. The
 underlying question is open: scans produce evidence only, and reports say
 so.
@@ -28,11 +30,10 @@ from .specfun import (
     _bd0,
     _check_positive,
     _describe,
+    _scaled_normal_sf,
     _stirlerr,
     _two_product_error,
-    log_std_normal_sf,
     std_normal_band,
-    std_normal_cdf,
 )
 
 __all__ = [
@@ -77,8 +78,8 @@ def _bessel_series_coefficients(n):
     return tuple(coefficients)
 
 
-# the series takes 12 + int(2.5 sqrt(rate s)) <= 61 terms
-_BESSEL_SERIES_COEFFICIENTS = _bessel_series_coefficients(61)
+# the series takes 3 + int(1.5 sqrt(x) + 8 x^(1/6)) <= 54 terms, x = rate s
+_BESSEL_SERIES_COEFFICIENTS = _bessel_series_coefficients(54)
 
 NEGBINOMIAL_CONVENTION = "negative binomial counts failures before the r-th success"
 EVIDENCE_NOTE = (
@@ -124,14 +125,18 @@ def _compound_density(rate, s):
     """Density at s >= 0 of the continuous part of a sum of Poisson(rate) many
     Exponential(1) jumps, e^(-rate - s) sqrt(rate/s) I_1(2 sqrt(rate s)): half
     a noncentral chi-square variable with zero degrees of freedom and
-    noncentrality 2 rate (A. F. Siegel, Biometrika 66, 1979). At most 61
+    noncentrality 2 rate (A. F. Siegel, Biometrika 66, 1979). At most 54
     series terms or 14 Hankel terms, whatever the rate. Within 8.5e-16
     relative of 40-digit mpmath for s within two standard deviations of the
     mean, at rates in [0.01, 1e7] (series branch: 4.5e-16); farther out the
     Hankel branch's error grows with d^2, as d's rounding moves e^(-d^2).
 
     - rate s < 400: the power series rate e^(-rate) e^(-s) sum_k x^k /
-      (k! (k + 1)!), x = rate s (DLMF 10.25.2). Every term is positive and
+      (k! (k + 1)!), x = rate s (DLMF 10.25.2), to the term count
+      3 + int(1.5 sqrt(x) + 8 x^(1/6)): 3 terms at x = 1e-6, 6 at 0.01, 19
+      at 10. That is the fewest terms whose omitted tail is below 2^-56 of
+      the sum, or one more, or two more above x ~ 200 (checked at every
+      x < 400 where the fewest grows). Every term is positive and
       its own power of x, so the terms' rounding errors are independent and
       fsum adds them exactly. Rounding x would still move the sum by up to
       ~sqrt(x) eps / 2, as its log-derivative in log x is about
@@ -143,8 +148,8 @@ def _compound_density(rate, s):
     """
     x = rate * s
     if x < _BESSEL_SERIES_MAX:
-        terms = [x ** k * c for k, c in zip(range(12 + int(2.5 * math.sqrt(x))),
-                                            _BESSEL_SERIES_COEFFICIENTS)]
+        count = 3 + int(1.5 * math.sqrt(x) + 8.0 * x ** (1 / 6))
+        terms = [x ** k * c for k, c in zip(range(count), _BESSEL_SERIES_COEFFICIENTS)]
         correction = _two_product_error(rate, s, x) / (1.0 + math.sqrt(1.0 + x))
         return rate * math.exp(-rate) * math.exp(-s) * math.fsum(terms) * (1.0 + correction)
     z = 2.0 * math.sqrt(x)
@@ -254,21 +259,46 @@ class InverseGaussian(_Record):
         return self.mu, self.mu ** 3 / self.shape
 
     def band(self):
-        mean, variance = self.moments()
-        sd = math.sqrt(variance)
-        return Probability(self._cdf(mean + sd) - self._cdf(mean - sd))
+        """The band mass as a function of phi = shape/mu alone, as X ~ IG(mu,
+        shape) gives t X ~ IG(t mu, t shape); scaling both parameters by a
+        power of two leaves the band bit-identical.
 
-    def _cdf(self, x):
-        """Closed-form CDF through the standard normal CDF, overflow-safe."""
-        if x <= 0.0:
-            return 0.0
-        mu, shape = self.mu, self.shape
-        root = math.sqrt(shape / x)
-        first = std_normal_cdf(root * (x / mu - 1.0))
-        # second term: e^(2 shape/mu) Phi(-root (x/mu + 1)); combine in logs so the
-        # exploding exponential and the vanishing tail cancel before exponentiating
-        log_second = 2.0 * shape / mu + log_std_normal_sf(root * (x / mu + 1.0))
-        return first + math.exp(log_second)
+        The CDF is F(x) = Phi(r (x/mu - 1)) + e^(2 phi) Phi(-r (x/mu + 1)),
+        r = sqrt(shape/x) (Chhikara & Folks, The Inverse Gaussian
+        Distribution, 1989). At the band edges x = mu u, u = 1 +- s,
+        s = 1/sqrt(phi), the first argument is +-1/sqrt(u), and with
+        w = sqrt(phi/u) (2 +- s) the exponent 2 phi - w^2/2 is exactly
+        -1/(2u). So
+
+            F(mu u) = Phi(+-1/sqrt(u)) + e^(-1/(2u)) E(w),
+
+        E(w) = e^(w^2/2) Phi(-w) (specfun._scaled_normal_sf), and the band
+        is F(mu (1 + s)) - [s < 1] F(mu (1 - s)). No term is large, so
+        nothing cancels or overflows whatever phi.
+
+        Within 2.2e-16 of 40-digit mpmath on the default grid and for phi
+        in [1e-8, 1e8]. The two generic CDFs it replaces took e^(2 phi)
+        Phi(-w) in log space, whose error grew with phi: 1.8e-14 on the
+        grid, 6.4e-13 at phi = 6.3e7. It costs two erfc, two exp and two E
+        calls, ~2.2 us on CPython 3.11 (the two CDFs: ~7 us); E runs
+        Lentz's fraction only past w^2/2 = 700, for phi above ~350. A
+        phi = shape/mu that overflows, or underflows to 0, is refused.
+        """
+        phi = self.shape / self.mu
+        if not 0.0 < phi < math.inf:
+            raise ValueError(
+                f"inverse Gaussian band needs shape/mu in (0, inf) as a double, "
+                f"got mu={self.mu!r}, shape={self.shape!r}"
+            )
+        s = 1.0 / math.sqrt(phi)
+        u = 1.0 + s
+        mass = (0.5 * math.erfc(-1.0 / math.sqrt(2.0 * u))
+                + math.exp(-0.5 / u) * _scaled_normal_sf(math.sqrt(phi / u) * (2.0 + s)))
+        if s < 1.0:
+            u = 1.0 - s
+            mass -= (0.5 * math.erfc(1.0 / math.sqrt(2.0 * u))
+                     + math.exp(-0.5 / u) * _scaled_normal_sf(math.sqrt(phi / u) * (2.0 - s)))
+        return Probability(mass)
 
 
 class CompoundPoissonExp(_Record):

@@ -3,13 +3,14 @@ inequality grid scanner."""
 
 import math
 import random
+import sys
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamma_extremes import gamma_prob, iddist
+from gamma_extremes import gamma_prob, iddist, specfun
 from gamma_extremes.gamma_prob import GammaParams, t
 from gamma_extremes.iddist import (
     CompoundPoissonExp,
@@ -26,7 +27,7 @@ from gamma_extremes.iddist import (
     default_grid,
     moments,
 )
-from gamma_extremes.specfun import reg_lower_gamma, std_normal_band
+from gamma_extremes.specfun import _scaled_normal_sf, reg_lower_gamma, std_normal_band
 
 
 def _negbinomial_band_mpmath(r, p):
@@ -127,6 +128,34 @@ class TestCompoundDensity:
         for rate, s in points:
             expected = _compound_density_mpmath(rate, s)
             assert abs(_compound_density(rate, s) - expected) <= 1e-15 * expected, (rate, s)
+
+    def test_series_takes_at_most_two_terms_more_than_needed(self, monkeypatch):
+        # the coefficients the series draws are its terms; the omitted tail
+        # must be below 2^-56 of the sum, and with two terms fewer it must not
+        # be (one term more than the fewest up to rate s ~ 200, two beyond)
+        class Counting:
+            def __iter__(self):
+                for c in iddist._bessel_series_coefficients(80):
+                    self.drawn += 1
+                    yield c
+
+        coefficients = Counting()
+        monkeypatch.setattr(iddist, "_BESSEL_SERIES_COEFFICIENTS", coefficients)
+        xs = [10 ** (e / 10) for e in range(-120, 26)] + [math.nextafter(400.0, 0.0)]
+        counts = []
+        with mpmath.workdps(40):
+            for x in xs:
+                coefficients.drawn = 0
+                _compound_density(1.0, x)
+                count = coefficients.drawn
+                counts.append(count)
+                terms = [mpmath.mpf(x) ** k / (mpmath.factorial(k) * mpmath.factorial(k + 1))
+                         for k in range(count + 60)]
+                bound = mpmath.mpf(2) ** -56 * sum(terms)
+                assert sum(terms[count:]) <= bound, x
+                assert sum(terms[count - 3:]) > bound, x
+        monkeypatch.undo()
+        assert counts[0] == 3 and counts[-1] == len(iddist._BESSEL_SERIES_COEFFICIENTS) == 54
 
     def test_near_zero_is_the_first_series_term(self):
         for rate in (0.01, 0.5, 1.0, 2.0):
@@ -326,13 +355,74 @@ class TestBandProb:
 
     def test_inverse_gaussian_against_mpmath(self):
         # the closed form at 40 digits and the exact band edges; the worst
-        # point of the whole default grid is 1.8e-14, at mu = 0.01, shape = 83
+        # point of the whole default grid is 2.2e-16, at mu = 39, shape = 1.9
         sample = random.Random(16).sample(default_grid("invgaussian"), 300)
         points = [(s.mu, s.shape) for s in sample]
         points += [(0.01, 100.0), (100.0, 0.01), (1.0, 1.0)]
         for mu, shape in points:
             expected = _inverse_gaussian_band_mpmath(mu, shape)
-            assert abs(band_prob(InverseGaussian(mu, shape)) - expected) <= 2e-14, (mu, shape)
+            assert abs(band_prob(InverseGaussian(mu, shape)) - expected) <= 4e-16, (mu, shape)
+
+    def test_inverse_gaussian_against_mpmath_over_phi(self, monkeypatch):
+        # phi = shape/mu over [1e-8, 1e8], densely where the band's E(w)
+        # calls cross E's switch at w^2/2 = 700 (phi near 350) and where the
+        # lower edge reaches 0 (phi = 1); measured: 1.8e-16 at worst (2.1e-16
+        # at 100 points a decade)
+        phis = [10 ** (e / 20) for e in range(-160, 161)]
+        phis += [340.0 + v for v in range(21)] + [1.0 + v for v in (-1e-9, 1e-12, 1e-9, 1e-6)]
+        seen = []
+
+        def recorded(w):
+            seen.append(w * w / 2)
+            return _scaled_normal_sf(w)
+
+        monkeypatch.setattr(iddist, "_scaled_normal_sf", recorded)
+        for phi in phis:
+            expected = _inverse_gaussian_band_mpmath(1.0, phi)
+            assert abs(band_prob(InverseGaussian(1.0, phi)) - expected) <= 4e-16, phi
+        assert min(seen) < 700.0 < max(seen)
+        assert sum(1 for x in seen if 600.0 < x < 800.0) >= 20
+
+    def test_inverse_gaussian_band_depends_on_phi_alone(self):
+        # (mu, shape) and (2^k mu, 2^k shape) have one phi, bit for bit
+        for mu, shape in ((1.0, 2.0), (0.3, 5.0), (0.01, 83.0), (100.0, 0.01), (7.0, 7.0)):
+            reference = band_prob(InverseGaussian(mu, shape)).hex()
+            for k in (-200, -30, -1, 1, 17, 300):
+                scaled = InverseGaussian(math.ldexp(mu, k), math.ldexp(shape, k))
+                assert band_prob(scaled).hex() == reference, (mu, shape, k)
+
+    def test_inverse_gaussian_refuses_a_ratio_beyond_the_doubles(self):
+        for mu, shape in ((1e-300, 1e300), (1e300, 1e-300)):
+            with pytest.raises(ValueError, match="shape/mu"):
+                band_prob(InverseGaussian(mu, shape))
+        assert band_prob(InverseGaussian(1e300, 1e-10)) > band_prob(InverseGaussian(1.0, 1.0))
+        # where w^2/2 overflows, E(w) takes its asymptote; the band is then
+        # the normal one, to O(1/sqrt(phi))
+        for phi in (1e300, 1.7e308):
+            assert band_prob(InverseGaussian(1.0, phi)) == std_normal_band(1.0)
+
+    def test_inverse_gaussian_calls_no_normal_cdf_or_log_tail(self, monkeypatch):
+        # the band uses raw erfc and E(w), not the Probability-wrapped CDF or
+        # the log-space tail: wrap every binding of both in the package
+        calls = []
+
+        def counted(fn):
+            def wrapper(z):
+                calls.append(fn.__name__)
+                return fn(z)
+            return wrapper
+
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "gamma_extremes"]
+        for name in ("std_normal_cdf", "log_std_normal_sf"):
+            original = getattr(specfun, name)
+            for module in modules:
+                if vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, counted(original))
+        specfun.std_normal_cdf(0.0)  # the wrapping counts
+        assert calls == ["std_normal_cdf"]
+        for spec in default_grid("invgaussian")[::25]:
+            band_prob(spec)
+        assert calls == ["std_normal_cdf"]
 
     def test_compound_poisson_against_high_precision_series(self):
         mpmath = pytest.importorskip("mpmath")
