@@ -395,6 +395,7 @@ class TestBandProb:
         for mu, shape in ((1e-300, 1e300), (1e300, 1e-300)):
             with pytest.raises(ValueError, match="shape/mu"):
                 band_prob(InverseGaussian(mu, shape))
+        # a subnormal phi is kept: the band tends to 1 as phi -> 0
         assert band_prob(InverseGaussian(1e300, 1e-10)) > band_prob(InverseGaussian(1.0, 1.0))
         # where w^2/2 overflows, E(w) takes its asymptote; the band is then
         # the normal one, to O(1/sqrt(phi))

@@ -1,6 +1,7 @@
 """Tests for the special-function layer: log-gamma, regularized incomplete
 gamma, and the standard normal band."""
 
+import copy
 import math
 import os
 import pickle
@@ -164,8 +165,6 @@ class TestProbability:
 
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_pickle_and_copy_round_trips(self, protocol):
-        import copy
-
         values = (Probability(0.25), Probability(0.0), LogProbability(0.0, -2000.0),
                   LogProbability(5e-324, math.log(5e-324)))
         for value in values:
