@@ -8,7 +8,7 @@ to the regularized incomplete gamma and are scale-free in beta.
 
 import math
 
-from .specfun import Probability, _Record, _check_positive, reg_lower_gamma
+from .specfun import Probability, _Record, _check_positive, _finite_variance, reg_lower_gamma
 
 __all__ = [
     "GammaParams",
@@ -41,7 +41,7 @@ class GammaParams(_Record):
 
     @property
     def variance(self):
-        return self.alpha * self.beta ** 2
+        return _finite_variance(self.mean * self.beta, self, "alpha beta^2")
 
 
 class Kappa(float):

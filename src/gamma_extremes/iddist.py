@@ -11,13 +11,13 @@ clamped into the summed range. That anchor is Loader's saddle-point form
 (C. Loader, Fast and Accurate Computation of Binomial Probabilities, 2000),
 within a few ulp in O(1), so no band needs a normalising pass, nor a walk
 from k = 0 but the negative binomial's below r = 10. The compound Poisson
-band integrates its Bessel-function density with one fixed Gauss-Legendre
-rule, at the same cost for every rate. The inverse Gaussian band is a
-function of phi = shape/mu alone, in a closed form whose terms neither
-cancel nor overflow, at any phi. conjecture_scan sweeps a parameter
-grid looking for band probabilities below the standard normal band. The
-underlying question is open: scans produce evidence only, and reports say
-so.
+band sums its mixture of Gamma laws term by term below rate ~23.7, and
+above it integrates its Bessel-function density in 12 Gauss-Legendre
+nodes. The inverse Gaussian band is a function of phi = shape/mu alone, in
+a closed form whose terms neither cancel nor overflow, at any phi.
+conjecture_scan sweeps a parameter grid looking for band probabilities
+below the standard normal band. The underlying question is open: scans
+produce evidence only, and reports say so.
 """
 
 import math
@@ -30,6 +30,7 @@ from .specfun import (
     _bd0,
     _check_positive,
     _describe,
+    _finite_variance,
     _scaled_normal_sf,
     _stirlerr,
     _two_product_error,
@@ -55,31 +56,21 @@ __all__ = [
 _VIOLATION_SLACK = 1e-9
 # largest Poisson mean or compound Poisson rate a band takes: the Poisson
 # band's pmf terms grow like sqrt(mean), and rounding the compound Poisson
-# band's edges and nodes to doubles costs it ~1e-13 at 1e7, growing like
-# sqrt(rate)
+# band's Gauss-Legendre nodes to doubles costs it ~2e-14 at 1e7, growing
+# like sqrt(rate)
 _MAX_WINDOW_MEAN = 1e7
 # below this r the negative binomial walks from pmf(0) = p^r: stirlerr(r)
 # has a cheap accurate form only from 10 up
 _STIRLERR_MIN_SHAPE = 10.0
 # most pmf terms a negative binomial band sums; its time is linear in them
 _MAX_BAND_TERMS = 10 ** 6
-# below this rate * s, i.e. Bessel argument z = 2 sqrt(rate s) < 40, the
-# compound Poisson density sums its power series; from it up, Hankel's
-# expansion, whose neglected part is then ~e^(-2z) < 2e-35 relative
-_BESSEL_SERIES_MAX = 400.0
-
-
-def _bessel_series_coefficients(n):
-    """1 / (k! (k + 1)!) for k < n, each correctly rounded."""
-    coefficients, denominator = [], 1
-    for k in range(n):
-        coefficients.append(1 / denominator)
-        denominator *= (k + 1) * (k + 2)
-    return tuple(coefficients)
-
-
-# the series takes 3 + int(1.5 sqrt(x) + 8 x^(1/6)) <= 54 terms, x = rate s
-_BESSEL_SERIES_COEFFICIENTS = _bessel_series_coefficients(54)
+# rate s from which Hankel's expansion at z = 2 sqrt(rate s) >= 40 leaves out
+# ~e^(-2z) < 2e-35; the band sums termwise below rate max(L, 0) = 400
+_HANKEL_MIN = 400.0
+# 1 / k!, correctly rounded: the termwise band takes 62 terms at the switch
+_INVERSE_FACTORIALS = tuple(1 / math.factorial(k) for k in range(100))
+# e^(-1/2) / sqrt(2 pi): sd times a band edge's density, to O(1/sqrt(rate))
+_NORMAL_DENSITY_AT_1 = 0.24197072451914337
 
 NEGBINOMIAL_CONVENTION = "negative binomial counts failures before the r-th success"
 EVIDENCE_NOTE = (
@@ -122,36 +113,17 @@ def _poisson_pmf(mean, lo, hi):
 
 
 def _compound_density(rate, s):
-    """Density at s >= 0 of the continuous part of a sum of Poisson(rate) many
-    Exponential(1) jumps, e^(-rate - s) sqrt(rate/s) I_1(2 sqrt(rate s)): half
-    a noncentral chi-square variable with zero degrees of freedom and
-    noncentrality 2 rate (A. F. Siegel, Biometrika 66, 1979). At most 54
-    series terms or 14 Hankel terms, whatever the rate. Within 8.5e-16
-    relative of 40-digit mpmath for s within two standard deviations of the
-    mean, at rates in [0.01, 1e7] (series branch: 4.5e-16); farther out the
-    Hankel branch's error grows with d^2, as d's rounding moves e^(-d^2).
-
-    - rate s < 400: the power series rate e^(-rate) e^(-s) sum_k x^k /
-      (k! (k + 1)!), x = rate s (DLMF 10.25.2), to the term count
-      3 + int(1.5 sqrt(x) + 8 x^(1/6)): 3 terms at x = 1e-6, 6 at 0.01, 19
-      at 10. That is the fewest terms whose omitted tail is below 2^-56 of
-      the sum, or one more, or two more above x ~ 200 (checked at every
-      x < 400 where the fewest grows). Every term is positive and
-      its own power of x, so the terms' rounding errors are independent and
-      fsum adds them exactly. Rounding x would still move the sum by up to
-      ~sqrt(x) eps / 2, as its log-derivative in log x is about
-      sqrt(1 + x) - 1; x's exact rounding error undoes that to first order.
-    - above: Hankel's expansion of e^(-z) I_1(z), z = 2 sqrt(rate s)
-      (DLMF 10.40.1), times sqrt(rate/s) e^(-d^2) / sqrt(2 pi z) with
-      d = sqrt(s) - sqrt(rate) = (s - rate) / (sqrt(s) + sqrt(rate)):
-      e^(-rate - s + z) without cancellation or overflow.
-    """
+    """Density at rate s >= 400 of the continuous part of a sum of
+    Poisson(rate) many Exponential(1) jumps, e^(-rate - s) sqrt(rate/s)
+    I_1(2 sqrt(rate s)) (A. F. Siegel, Biometrika 66, 1979): Hankel's
+    expansion of e^(-z) I_1(z), z = 2 sqrt(rate s) (DLMF 10.40.1), times
+    sqrt(rate/s) e^(-d^2) / sqrt(2 pi z), d = (s - rate) / (sqrt(s) +
+    sqrt(rate)): e^(-rate - s + z) without cancellation or overflow. Within
+    8.5e-16 relative of 40-digit mpmath within two standard deviations of
+    the mean, rates 16 to 1e7. Below rate s = 400 it is refused."""
     x = rate * s
-    if x < _BESSEL_SERIES_MAX:
-        count = 3 + int(1.5 * math.sqrt(x) + 8.0 * x ** (1 / 6))
-        terms = [x ** k * c for k, c in zip(range(count), _BESSEL_SERIES_COEFFICIENTS)]
-        correction = _two_product_error(rate, s, x) / (1.0 + math.sqrt(1.0 + x))
-        return rate * math.exp(-rate) * math.exp(-s) * math.fsum(terms) * (1.0 + correction)
+    if not x >= _HANKEL_MIN:
+        raise ValueError(f"compound Poisson density needs rate * s >= 400, got {x!r}")
     z = 2.0 * math.sqrt(x)
     # sqrt(2 pi z) e^(-z) I_1(z) ~ sum_k (-1)^k a_k(1) / z^k with a_k(1) /
     # a_(k-1)(1) = (4 - (2k - 1)^2) / (8k): past k = 0 every term is negative,
@@ -166,6 +138,34 @@ def _compound_density(rate, s):
     root_rate, root_s = math.sqrt(rate), math.sqrt(s)
     d = (s - rate) / (root_s + root_rate)
     return root_rate / root_s * math.exp(-d * d) * total / math.sqrt(2.0 * math.pi * z)
+
+
+def _compound_termwise(rate, lower, upper):
+    """sum_(k >= 0) Pois_rate(k + 1) J_k and its term count, J_k = F_lower(k)
+    - F_upper(k) = P{lower < Gamma(k + 1, 1) <= upper}, F_x the Poisson(x)
+    CDF: J_0 = e^-lower (-expm1(lower - upper)) plus the Kahan-summed
+    increments pmf_lower(k) - pmf_upper(k), each e^-x x^k / k! from one pow
+    and the rounded 1/k! (the walk pmf(k - 1) x / k adds two roundings a
+    step: 1.9e-15 relative at rate 18.65, against 3.3e-16). Once pmf_lower(k)
+    <= pmf_upper(k) J falls, and the tail is below term_k rate / (k + 2 -
+    rate); the sum stops when that is at most 2^-56 of it."""
+    exp_lower, exp_upper, exp_rate = math.exp(-lower), math.exp(-upper), math.exp(-rate)
+    window = -exp_lower * math.expm1(lower - upper)
+    terms = [rate * exp_rate * window]
+    total, carry = terms[0], 0.0
+    for k in range(1, len(_INVERSE_FACTORIALS) - 1):
+        inverse = _INVERSE_FACTORIALS[k]
+        pmf_lower = exp_lower * lower ** k * inverse
+        pmf_upper = exp_upper * upper ** k * inverse
+        step = pmf_lower - pmf_upper - carry
+        grown = window + step
+        carry = (grown - window) - step
+        window = grown
+        term = exp_rate * rate ** (k + 1) * _INVERSE_FACTORIALS[k + 1] * window
+        terms.append(term)
+        total += term
+        if pmf_lower <= pmf_upper and term * rate <= 2.0 ** -56 * total * (k + 2 - rate):
+            return math.fsum(terms), k + 1
 
 
 class Poisson(_Record):
@@ -184,9 +184,8 @@ class Poisson(_Record):
         lam above 1e7 is refused (its ~2 sqrt(lam) terms grow without bound)."""
         if self.lam > _MAX_WINDOW_MEAN:
             raise ValueError(f"Poisson band needs lam <= 1e7, got {self.lam!r}")
-        mean, variance = self.moments()
-        lo, hi = _integer_band(mean, math.sqrt(variance))
-        return Probability(math.fsum(_poisson_pmf(mean, lo, hi)))
+        lo, hi = _integer_band(self.lam, math.sqrt(self.lam))
+        return Probability(math.fsum(_poisson_pmf(self.lam, lo, hi)))
 
 
 class NegativeBinomial(_Record):
@@ -200,8 +199,8 @@ class NegativeBinomial(_Record):
             raise ValueError(f"p must lie in (0, 1), got {_describe(self.p)}")
 
     def moments(self):
-        q = 1.0 - self.p
-        return self.r * q / self.p, self.r * q / self.p ** 2
+        mean = self.r * (1.0 - self.p) / self.p
+        return mean, _finite_variance(mean / self.p, self, "r q / p^2")
 
     def band(self):
         """pmf(k + 1) = pmf(k) (k + r) q / (k + 1) summed over the band, which
@@ -216,21 +215,19 @@ class NegativeBinomial(_Record):
           r < 10 has no cheap accurate form; at most ~2 band widths, since
           mean / sd = sqrt(r q) < 3.2. Within 6e-15 on the default grid.
 
-        A sum of more than 1e6 terms (hi + 1 for the walk, hi - lo + 1 for
-        the band) is refused, as its time has no other bound. That refuses
-        every p^r below the normal doubles at r < 10 too (the mean exceeds
-        5e31 there), whose terms would underflow and read as ~0.
+        A band 1e6 wide, or a walk to 1e6, is refused, as its time has no
+        other bound; before the edges round (from r q ~ 1e33 up, to one
+        integer). That refuses every p^r below the normal doubles at r < 10
+        too (the mean exceeds 5e31 there), whose terms would read as ~0.
         """
         r, p = self.r, self.p
         q = 1.0 - p
-        mean, _ = self.moments()
-        lo, hi = _integer_band(mean, math.sqrt(r * q) / p)
-        first = 0 if r < _STIRLERR_MIN_SHAPE else lo
-        if hi - first >= _MAX_BAND_TERMS:
-            raise ValueError(
-                f"negative binomial band: {hi - first + 1} terms exceed {_MAX_BAND_TERMS} "
-                f"at r={r!r}, p={p!r}"
-            )
+        mean, sd = r * q / p, math.sqrt(r * q) / p
+        terms = mean + sd if r < _STIRLERR_MIN_SHAPE else 2.0 * sd
+        if not terms < _MAX_BAND_TERMS:
+            raise ValueError(f"negative binomial band: {terms:.4g} terms exceed "
+                             f"{_MAX_BAND_TERMS} at r={r!r}, p={p!r}")
+        lo, hi = _integer_band(mean, sd)
         if r < _STIRLERR_MIN_SHAPE:
             pmf = math.exp(r * math.log(p))
             total = pmf if lo == 0 else 0.0
@@ -256,7 +253,8 @@ class InverseGaussian(_Record):
         _check_positive("shape", self.shape)
 
     def moments(self):
-        return self.mu, self.mu ** 3 / self.shape
+        mu = self.mu
+        return mu, _finite_variance(mu * (mu / self.shape) * mu, self, "mu^3 / shape")
 
     def band(self):
         """The band mass as a function of phi = shape/mu alone, as X ~ IG(mu,
@@ -286,10 +284,8 @@ class InverseGaussian(_Record):
         """
         phi = self.shape / self.mu
         if not 0.0 < phi < math.inf:
-            raise ValueError(
-                f"inverse Gaussian band needs shape/mu in (0, inf) as a double, "
-                f"got mu={self.mu!r}, shape={self.shape!r}"
-            )
+            raise ValueError(f"inverse Gaussian band needs shape/mu in (0, inf) as a double, "
+                             f"got mu={self.mu!r}, shape={self.shape!r}")
         s = 1.0 / math.sqrt(phi)
         u = 1.0 + s
         mass = (0.5 * math.erfc(-1.0 / math.sqrt(2.0 * u))
@@ -311,33 +307,37 @@ class CompoundPoissonExp(_Record):
         _check_positive("jump_scale", self.jump_scale)
 
     def moments(self):
-        return self.rate * self.jump_scale, 2.0 * self.rate * self.jump_scale ** 2
+        mean = self.rate * self.jump_scale
+        return mean, _finite_variance(mean * self.jump_scale * 2, self, "2 rate scale^2")
 
     def band(self):
         """Band mass of S, a sum of Poisson(rate) many Exponential(1) jumps
         (the band is scale-free): e^-rate, the mass of S = 0, if L <= 0, plus
-        the integral of _compound_density over [max(L, 0), H], for L, H =
-        rate -+ sqrt(2 rate).
+        the mass of S in (max(L, 0), H], for L, H = rate -+ sqrt(2 rate).
 
-        The integral is one 12-point Gauss-Legendre sum (the low-order rule
-        of gamma_prob.step_monotone_integral) over a density that is entire
-        in s. Twelve density calls of bounded cost bound the band's cost
-        whatever the rate: 13-95 us (CPython 3.11), the most near rate 20,
-        where rate s nears 400 and the series is longest.
+        - rate max(L, 0) < 400 (rate < ~23.74): its mixture of Gamma laws,
+          term by term (_compound_termwise), 3-22 us (CPython 3.11).
+        - above: one 12-point Gauss-Legendre sum (gamma_prob's low-order
+          rule) over _compound_density, entire in s; every node has rate s >
+          400, so the 12 calls are Hankel's, of bounded cost: 11-29 us.
 
-        Within 1e-15 of 40-digit mpmath on the default grid (rate <= 1e3),
-        4.2e-15 at rate 1e5, 6.9e-15 at 1e6 and 9.1e-14 at 1e7. The error
-        above rate 1e3 comes from rounding the band's edges and nodes to
-        doubles, ~ulp(rate) times the density, so it grows like sqrt(rate);
-        rates above 1e7 are refused for it.
-        """
+        Within 6.5e-16 relative of 40-digit mpmath up to rate 1e3, 2.5e-14 up
+        to 1e7 (rounding the nodes to doubles); rates above 1e7 are refused."""
         rate = self.rate
         if rate > _MAX_WINDOW_MEAN:
             raise ValueError(f"compound Poisson band needs rate <= 1e7, got {rate!r}")
         sd = math.sqrt(2.0 * rate)
         lower, upper = rate - sd, rate + sd
-        mass = gamma_prob._panel_sum(lambda s: _compound_density(rate, s), max(lower, 0.0),
-                                     upper, gamma_prob._RULE_LOW)
+        if rate * lower >= _HANKEL_MIN:
+            mass = gamma_prob._panel_sum(lambda s: _compound_density(rate, s), lower, upper,
+                                         gamma_prob._RULE_LOW)
+            # plus the mass the rounded edges leave out, to first order: the
+            # exact width 2 sqrt(2 rate) less upper - lower, at each edge's density
+            square = sd * sd
+            width = lower - upper + 2.0 * sd + ((2.0 * rate - square)
+                                                - _two_product_error(sd, sd, square)) / sd
+            return Probability(mass + width * _NORMAL_DENSITY_AT_1 / sd)
+        mass, _ = _compound_termwise(rate, max(lower, 0.0), upper)
         return Probability(mass + math.exp(-rate) if lower <= 0.0 else mass)
 
 

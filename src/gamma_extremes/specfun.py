@@ -204,6 +204,15 @@ def _check_positive(name, value):
     raise ValueError(f"{name} must be finite and positive, got {_describe(value)}")
 
 
+def _finite_variance(variance, record, formula):
+    """variance, once no double exceeds it: computed by products, a variance
+    past the doubles is inf (or, of int fields, an int no double holds),
+    where ** would raise OverflowError."""
+    if variance <= _MAX_DOUBLE:
+        return variance
+    raise ValueError(f"variance {formula} is not a finite double at {record!r}")
+
+
 class _Record:
     """Base of the immutable records: fields named once in ``_fields``, which
     is also ``__slots__``, trailing defaults in ``_defaults``, checks in

@@ -3,6 +3,7 @@ inequality grid scanner."""
 
 import math
 import random
+import re
 import sys
 
 import mpmath
@@ -106,10 +107,36 @@ def _compound_density_mpmath(rate, s):
                      * mpmath.besseli(1, 2 * mpmath.sqrt(rate * s)))
 
 
+def _termwise_terms_mpmath(rate, lower, upper, count):
+    """The first `count` terms Pois_rate(k + 1) (F_lower(k) - F_upper(k)) of
+    _compound_termwise, at 80 digits: tiny windows cancel ~2 digits a term."""
+    with mpmath.workdps(80):
+        rate, lower, upper = mpmath.mpf(rate), mpmath.mpf(lower), mpmath.mpf(upper)
+        pmf_lower, pmf_upper = mpmath.exp(-lower), mpmath.exp(-upper)
+        weight, window = rate * mpmath.exp(-rate), pmf_lower - pmf_upper
+        terms = [weight * window]
+        for k in range(1, count):
+            pmf_lower *= lower / k
+            pmf_upper *= upper / k
+            window += pmf_lower - pmf_upper
+            weight *= rate / (k + 1)
+            terms.append(weight * window)
+        return terms
+
+
+def _band_edges(rate):
+    sd = math.sqrt(2.0 * rate)
+    return max(rate - sd, 0.0), rate + sd
+
+
 class TestCompoundDensity:
-    # 4 rates a decade over [0.01, 1e7], and the rates whose two-sd window
-    # holds the switch from the series to Hankel's expansion at rate s = 400
+    # 4 rates a decade over [0.01, 1e7], and rates whose two-sd window holds
+    # rate s = 400, where the band switches from its termwise sum (below
+    # rate max(L, 0) = 400, i.e. rate ~23.74) to the density's quadrature
     RATES = [10 ** (e / 4) for e in range(-8, 29)] + [16.0, 18.0, 20.0, 22.5, 25.0, 28.0]
+    # rates 16 to 28 in steps of 0.05, across the switch
+    SWEEP = [16.0 + v / 20 for v in range(241)]
+    SWITCH = 23.739854874270414
 
     def _points(self):
         points = []
@@ -118,68 +145,69 @@ class TestCompoundDensity:
             points += [(rate, rate + sd * v / 8) for v in range(-16, 17) if rate + sd * v / 8 > 0]
             if 16.0 <= rate <= 28.0:
                 points += [(rate, 400.0 / rate * (1.0 + v)) for v in (-1e-2, -1e-12, 1e-12, 1e-2)]
-        points += [(rate, s) for rate in (0.01, 0.5, 1.0, 2.0) for s in (1e-300, 1e-12, 1e-4)]
-        return points
+        return [(rate, s) for rate, s in points if rate * s >= 400.0]
 
     def test_against_mpmath_within_two_sd(self):
-        # measured: 8.4e-16 at worst over these points (series branch 4.5e-16)
+        # Hankel's expansion alone, at rate s >= 400: measured 8.4e-16 at worst
         points = self._points()
-        assert {rate * s < 400.0 for rate, s in points} == {True, False}
+        assert min(rate * s for rate, s in points) < 400.0 * (1.0 + 1e-11)
         for rate, s in points:
             expected = _compound_density_mpmath(rate, s)
             assert abs(_compound_density(rate, s) - expected) <= 1e-15 * expected, (rate, s)
+        # below it the expansion diverges before it converges
+        for rate, s in ((1.0, 399.0), (20.0, 19.99), (0.01, 0.0)):
+            with pytest.raises(ValueError, match="rate \\* s >= 400"):
+                _compound_density(rate, s)
 
-    def test_series_takes_at_most_two_terms_more_than_needed(self, monkeypatch):
-        # the coefficients the series draws are its terms; the omitted tail
-        # must be below 2^-56 of the sum, and with two terms fewer it must not
-        # be (one term more than the fewest up to rate s ~ 200, two beyond)
-        class Counting:
-            def __iter__(self):
-                for c in iddist._bessel_series_coefficients(80):
-                    self.drawn += 1
-                    yield c
+    def test_termwise_band_against_mpmath(self):
+        # every RATES value below the switch and the sweep across it, both
+        # methods; measured: 3.3e-16 at worst termwise, 4.9e-16 above
+        rates = [rate for rate in self.RATES if rate < self.SWITCH] + self.SWEEP
+        assert sum(rate < self.SWITCH for rate in rates) > 100
+        for rate in rates:
+            expected = _compound_band_mpmath(rate, 1.0)
+            band = band_prob(CompoundPoissonExp(rate, 1.0))
+            assert abs(band - expected) <= 1e-15 * expected, rate
 
-        coefficients = Counting()
-        monkeypatch.setattr(iddist, "_BESSEL_SERIES_COEFFICIENTS", coefficients)
-        xs = [10 ** (e / 10) for e in range(-120, 26)] + [math.nextafter(400.0, 0.0)]
+    def test_termwise_sum_takes_at_most_two_terms_more_than_needed(self):
+        # the omitted tail is at most 2^-56 of the sum, and would not be
+        # with three terms fewer
+        rates = [10 ** (e / 10) for e in range(-60, 14)] + [math.nextafter(self.SWITCH, 0.0)]
         counts = []
-        with mpmath.workdps(40):
-            for x in xs:
-                coefficients.drawn = 0
-                _compound_density(1.0, x)
-                count = coefficients.drawn
-                counts.append(count)
-                terms = [mpmath.mpf(x) ** k / (mpmath.factorial(k) * mpmath.factorial(k + 1))
-                         for k in range(count + 60)]
-                bound = mpmath.mpf(2) ** -56 * sum(terms)
-                assert sum(terms[count:]) <= bound, x
-                assert sum(terms[count - 3:]) > bound, x
-        monkeypatch.undo()
-        assert counts[0] == 3 and counts[-1] == len(iddist._BESSEL_SERIES_COEFFICIENTS) == 54
+        for rate in rates:
+            lower, upper = _band_edges(rate)
+            _, count = iddist._compound_termwise(rate, lower, upper)
+            counts.append(count)
+            terms = _termwise_terms_mpmath(rate, lower, upper, count + 60)
+            bound = mpmath.mpf(2) ** -56 * sum(terms)
+            assert sum(terms[count:]) <= bound, rate
+            if count > 3:
+                assert sum(terms[count - 3:]) > bound, rate
+        assert counts[0] == 3 and counts[-1] == 62
 
-    def test_near_zero_is_the_first_series_term(self):
-        for rate in (0.01, 0.5, 1.0, 2.0):
-            assert _compound_density(rate, 0.0) == rate * math.exp(-rate)
+    def test_band_at_near_zero_rates_against_mpmath(self):
+        # the atom e^-rate is nearly all of it; the first window is -expm1(-H)
+        for rate in (1e-300, 1e-12, 1e-4, 0.01):
+            expected = _compound_band_mpmath(rate, 1.0)
+            band = band_prob(CompoundPoissonExp(rate, 1.0))
+            assert abs(band - expected) <= 1e-15 * expected, rate
+        assert band_prob(CompoundPoissonExp(1e-300, 1.0)) == 1.0
 
     @pytest.mark.parametrize("switch", [300.0, 500.0])
     def test_band_barely_moves_when_the_switch_moves(self, switch, monkeypatch):
-        # at these rates some nodes lie between rate s = 300 and 500 and
-        # change branch; measured: no band moves by more than 1 ulp
-        nodes, _ = gamma_prob._RULE_LOW
-        for rate in (18.0, 20.0, 23.0):
-            sd = math.sqrt(2.0 * rate)
-            lo, hi = sorted((switch, 400.0))
-            moved = [x for x in nodes if lo <= rate * (rate + sd * x) < hi]
-            assert moved, rate
-            before = band_prob(CompoundPoissonExp(rate, 1.0))
-            with monkeypatch.context() as patch:
-                patch.setattr(iddist, "_BESSEL_SERIES_MAX", switch)
-                after = band_prob(CompoundPoissonExp(rate, 1.0))
-            assert abs(after - before) <= 2 * math.ulp(before), (rate, switch)
+        # rates 20.85 to 26.28 change method; measured: the two methods lie
+        # 0-5 ulp apart there (median 2), and every band within 4.9e-16 of mpmath
+        monkeypatch.setattr(iddist, "_HANKEL_MIN", switch)
+        lo, hi = sorted((switch, 400.0))
+        assert sum(lo <= rate * (rate - math.sqrt(2.0 * rate)) < hi for rate in self.SWEEP) > 40
+        for rate in self.SWEEP:
+            expected = _compound_band_mpmath(rate, 1.0)
+            band = band_prob(CompoundPoissonExp(rate, 1.0))
+            assert abs(band - expected) <= 1e-15 * expected, (rate, switch)
 
-    def test_band_cost_does_not_grow_with_rate(self, monkeypatch):
-        # one fixed Gauss-Legendre rule: a sum over O(sqrt(rate)) pmf terms
-        # would make no density call, and an adaptive rule more at some rates
+    def test_band_cost_is_bounded_on_both_sides_of_the_switch(self, monkeypatch):
+        # above the switch one fixed 12-node rule; below it no density call,
+        # and a sum of at most rate + 8 sqrt(rate) + 6 terms
         calls = []
 
         def counted(rate, s):
@@ -187,9 +215,14 @@ class TestCompoundDensity:
             return _compound_density(rate, s)
 
         monkeypatch.setattr(iddist, "_compound_density", counted)
-        for rate in (0.01, 2.0, 1e3, 1e7):
+        above = (math.nextafter(self.SWITCH, 30.0), 100.0, 1e3, 1e7)
+        below = (1e-300, 0.01, 2.0, math.nextafter(self.SWITCH, 0.0))
+        for rate in above + below:
             band_prob(CompoundPoissonExp(rate, 1.0))
-        assert [calls.count(rate) for rate in (0.01, 2.0, 1e3, 1e7)] == [12] * 4
+        assert [calls.count(rate) for rate in above + below] == [12] * 4 + [0] * 4
+        for rate in [10 ** (e / 20) for e in range(-120, 28)] + self.SWEEP[:155]:
+            _, count = iddist._compound_termwise(rate, *_band_edges(rate))
+            assert count <= rate + 8.0 * math.sqrt(rate) + 6.0, rate
 
 
 class TestSpecs:
@@ -219,6 +252,34 @@ class TestMoments:
         assert mean == pytest.approx(3.0 * 0.75 / 0.25)
         assert variance == pytest.approx(3.0 * 0.75 / 0.25 ** 2)
         assert moments(NormalBaseline()) == (0.0, 1.0)
+
+    def test_moments_are_finite_or_refused(self):
+        # computed by products: a variance past the doubles is a ValueError,
+        # never an OverflowError (from **) or a ZeroDivisionError (from p ** 2)
+        values = (5e-324, 1e-200, 1.0, 5.6e102, 1.3e154, 1e300, 1.7e308, 10 ** 300)
+        probabilities = (1e-300, 1e-200, 1e-162, 0.5, 1.0 - 2.0 ** -53)
+        specs = [Poisson(v) for v in values] + [NormalBaseline()]
+        for a in values:
+            for b in values:
+                specs += [GammaDist(a, b), InverseGaussian(a, b), CompoundPoissonExp(a, b)]
+            specs += [NegativeBinomial(a, p) for p in probabilities]
+        refused = set()
+        for spec in specs:
+            try:
+                mean, variance = moments(spec)
+            except ValueError as error:
+                assert "is not a finite double" in str(error), spec
+                refused.add(type(spec))
+                continue
+            assert math.isfinite(mean) and math.isfinite(variance), spec
+        assert refused == {GammaDist, InverseGaussian, CompoundPoissonExp, NegativeBinomial}
+        for spec in (InverseGaussian(1e103, 1.0), CompoundPoissonExp(1.0, 1.4e154),
+                     GammaDist(1.0, 1.4e154), NegativeBinomial(1.0, 1e-200)):
+            with pytest.raises(ValueError, match="variance"):
+                moments(spec)
+        # the bands of the first three need no variance
+        assert band_prob(InverseGaussian(1e103, 1.0)) == 1.0
+        assert band_prob(CompoundPoissonExp(1.0, 1.4e154)) == band_prob(CompoundPoissonExp(1.0, 1.0))
 
     def test_rejects_non_spec(self):
         with pytest.raises(TypeError):
@@ -330,6 +391,24 @@ class TestBandProb:
                 band_prob(NegativeBinomial(r, p))
         with pytest.raises(ValueError, match="terms exceed"):
             conjecture_scan("negbinomial", grid=[NegativeBinomial(5.0, 1e-70)])
+
+    def test_negbinomial_refuses_a_band_its_edges_cannot_resolve(self):
+        # from r q ~ 1e33 up mean +- sd round to one integer, and the band
+        # read as one pmf value (2.8e-18 at r = 1e34, against ~0.68); its
+        # width of ~1.4e17 terms and more is refused before that rounding
+        for r in (1e34, 1e100):
+            with pytest.raises(ValueError, match=re.escape(f"terms exceed 1000000 at r={r!r}")):
+                band_prob(NegativeBinomial(r, 0.5))
+
+    def test_negbinomial_refuses_p_whose_square_underflows(self):
+        # p ** 2 is 0 below p ~ 1.5e-162; the band is ~2e200 terms wide
+        spec = NegativeBinomial(1.0, 1e-200)
+        with pytest.raises(ValueError, match="variance r q / p\\^2 is not a finite double"):
+            moments(spec)
+        with pytest.raises(ValueError, match="terms exceed"):
+            band_prob(spec)
+        # (r q / p) / p keeps a finite variance where p ** 2 is 0
+        assert moments(NegativeBinomial(1e-200, 1e-163))[1] == pytest.approx(1e126)
 
     def test_negbinomial_against_scipy(self):
         stats = pytest.importorskip("scipy.stats")
@@ -452,6 +531,14 @@ class TestBandProb:
             for scale in (1e-3, 1.0, 1e3):
                 expected = _compound_band_mpmath(rate, scale)
                 assert abs(band_prob(CompoundPoissonExp(rate, scale)) - expected) <= 1e-14
+
+    def test_compound_poisson_default_grid_against_mpmath(self):
+        # 40 rates a decade over [0.01, 1e3], 134 of them summed termwise;
+        # measured: 3.3e-16 at worst below the switch, 4.9e-16 above
+        for spec in default_grid("compound_poisson_exp"):
+            rate = spec.rate
+            expected = _compound_band_mpmath(rate, 1.0, window=None if rate < 200.0 else 10)
+            assert abs(band_prob(spec) - expected) <= 1e-15 * expected, rate
 
     def test_compound_poisson_large_rate(self):
         # 10 standard deviations below L leave out less than e^-50 of each law
