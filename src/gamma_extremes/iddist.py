@@ -334,9 +334,9 @@ class CompoundPoissonExp(_Record):
             # plus the mass the rounded edges leave out, to first order: the
             # exact width 2 sqrt(2 rate) less upper - lower, at each edge's density
             square = sd * sd
-            width = lower - upper + 2.0 * sd + ((2.0 * rate - square)
-                                                - _two_product_error(sd, sd, square)) / sd
-            return Probability(mass + width * _NORMAL_DENSITY_AT_1 / sd)
+            width_error = lower - upper + 2.0 * sd + ((2.0 * rate - square)
+                                                      - _two_product_error(sd, sd, square)) / sd
+            return Probability(mass + width_error * _NORMAL_DENSITY_AT_1 / sd)
         mass, _ = _compound_termwise(rate, max(lower, 0.0), upper)
         return Probability(mass + math.exp(-rate) if lower <= 0.0 else mass)
 
