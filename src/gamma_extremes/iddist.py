@@ -253,8 +253,15 @@ class InverseGaussian(_Record):
         _check_positive("shape", self.shape)
 
     def moments(self):
-        mu = self.mu
-        return mu, _finite_variance(mu * (mu / self.shape) * mu, self, "mu^3 / shape")
+        # mu^3 / shape from mantissas in [1/2, 1) and exponents apart, as
+        # mu / shape overflows at a subnormal shape and mu^2 at mu ~ 1e200;
+        # v 2^g with v in [1/2, 1) is a finite double while g <= 1024
+        m, e = math.frexp(self.mu)
+        s, f = math.frexp(self.shape)
+        v, g = math.frexp(m * m * m / s)
+        g += 3 * e - f
+        return self.mu, _finite_variance(math.ldexp(v, g) if g <= 1024 else math.inf,
+                                         self, "mu^3 / shape")
 
     def band(self):
         """The band mass as a function of phi = shape/mu alone, as X ~ IG(mu,

@@ -235,6 +235,12 @@ def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
     there, in 3-5 calls of h rather than up to ~110. Where the walk meets
     a tie or a grid end, bracket_minimum scans the grid instead.
 
+    Within one call h is evaluated once per point: the objective keeps the
+    value at each log-abscissa, so brent_min's first point (the bracket's
+    middle) and its closing re-evaluation of the argmin cost no call of h.
+    evaluations still counts brent_min's objective calls, those two among
+    them. Nothing is kept between calls.
+
     tol and grid_n are checked first, for every kappa. NoInteriorMinimum
     carries the boundary, its alpha and h there; for kappa > 1 it means the
     minimum lies outside the search range.
@@ -243,8 +249,13 @@ def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
     tol = _check_positive("tol", tol)
     _check_grid_n(grid_n)
 
+    values = {}  # h at each log-abscissa this call has evaluated
+
     def objective(x):
-        return h(kappa, math.exp(x))
+        value = values.get(x)
+        if value is None:
+            value = values[x] = h(kappa, math.exp(x))
+        return value
 
     if kappa <= 1.0:
         # the paper: h(kappa, .) is strictly decreasing in alpha for kappa <= 1

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -272,7 +273,21 @@ class TestMoments:
                 refused.add(type(spec))
                 continue
             assert math.isfinite(mean) and math.isfinite(variance), spec
+            if type(spec) is InverseGaussian:
+                # a few roundings of the exact rational, or one below the normals
+                exact = Fraction(spec.mu) ** 3 / Fraction(spec.shape)
+                error = abs(Fraction(variance) - exact)
+                assert error <= exact * 2 ** -50 + Fraction(2 ** -1074), spec
         assert refused == {GammaDist, InverseGaussian, CompoundPoissonExp, NegativeBinomial}
+        # mu / shape overflows, mu^3 / shape does not
+        variance = moments(InverseGaussian(1e-10, 5e-324))[1]
+        exact = Fraction(1e-10) ** 3 / Fraction(5e-324)
+        assert abs(Fraction(variance) - exact) <= exact * 2 ** -51
+        # mu^2 overflows, and so does mu^3 / shape: refused as before
+        message = ("variance mu^3 / shape is not a finite double at "
+                   "InverseGaussian(mu=1e+200, shape=1.0)")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            moments(InverseGaussian(1e200, 1.0))
         for spec in (InverseGaussian(1e103, 1.0), CompoundPoissonExp(1.0, 1.4e154),
                      GammaDist(1.0, 1.4e154), NegativeBinomial(1.0, 1e-200)):
             with pytest.raises(ValueError, match="variance"):

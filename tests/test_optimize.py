@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from gamma_extremes import optimize
@@ -49,6 +50,34 @@ def full_grid_bracket(f, lo, hi, grid_n):
         if fs[i] < fs[i - 1] and fs[i] < fs[i + 1]:
             return (xs[i - 1], xs[i], xs[i + 1])
     raise AssertionError("no interior triple")
+
+
+def mp_min_h(kappa, lo, hi, steps=80):
+    """(argmin, min) of h(kappa, e^y) = P(alpha, kappa alpha) over y in [lo, hi]
+    by golden-section search at 30 digits: 80 steps shrink the interval to
+    1e-16 of its width, and the minimum to ~1e-30 of h."""
+    with mpmath.workdps(30):
+        kappa = mpmath.mpf(kappa)
+
+        def f(y):
+            alpha = mpmath.exp(y)
+            return mpmath.gammainc(alpha, 0, kappa * alpha, regularized=True)
+
+        ratio = (mpmath.sqrt(5) - 1) / 2
+        a, b = mpmath.mpf(lo), mpmath.mpf(hi)
+        c, d = b - ratio * (b - a), a + ratio * (b - a)
+        fc, fd = f(c), f(d)
+        for _ in range(steps):
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - ratio * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + ratio * (b - a)
+                fd = f(d)
+        y = (a + b) / 2
+        return mpmath.exp(y), f(y)
 
 
 class Counting:
@@ -159,6 +188,17 @@ class TestMinH:
             assert float(result.min_value) > 0.5, kappa
 
     @pytest.mark.parametrize("kappa", REFERENCE_MINIMA)
+    def test_minimum_against_mpmath(self, kappa):
+        # what min_h's digits mean, whatever path Brent takes: the minimum to
+        # 1e-15 (measured <= 5e-16), the argmin to 1e-6 relative, as h is flat
+        # to second order there
+        argmin, value = mp_min_h(kappa, math.log(0.8 * REFERENCE_MINIMA[kappa][0]),
+                                 math.log(1.25 * REFERENCE_MINIMA[kappa][0]))
+        result = min_h(kappa)
+        assert abs(float(result.min_value) - value) <= 1e-15, kappa
+        assert abs(result.argmin / argmin - 1) <= 1e-6, kappa
+
+    @pytest.mark.parametrize("kappa", REFERENCE_MINIMA)
     def test_same_result_as_the_full_grid(self, kappa):
         def objective(x):
             return h(kappa, math.exp(x))
@@ -225,8 +265,9 @@ class TestMinH:
         counted = Counting(h)
         monkeypatch.setattr(optimize, "h", counted)
         result = min_h(kappa)
-        # the seeded walk measured 3-5 calls; the full scan took 65-112
-        assert counted.calls - result.evaluations <= 6, kappa
+        # the seeded walk measured 3-5 calls, of which brent_min reuses the
+        # middle one and its argmin; the full scan took 65-112
+        assert counted.calls - result.evaluations <= 4, kappa
 
     def test_edgeworth_argmin(self):
         assert edgeworth_argmin(1.5) == pytest.approx(2.0 / 3.0)
