@@ -1,8 +1,8 @@
 """Special functions: the regularized incomplete gamma, from scratch, and
 log-gamma from math.lgamma. The standard normal CDF, band and log tail come
-from libm's erf and erfc, with Lentz's fraction in log space where erfc underflows; so does the
-scaled tail e^(w^2/2) P{Z > w} that the inverse Gaussian band uses, with
-the fraction where erfc leaves the normal doubles.
+from libm's erf and erfc, with Lentz's fraction in log space where erfc
+underflows; so does the scaled tail e^(w^2/2) P{Z > w} that the inverse
+Gaussian band uses, with the fraction where erfc leaves the normal doubles.
 
 The incomplete gamma uses three methods, each where it is accurate:
 
