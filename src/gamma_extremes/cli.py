@@ -4,10 +4,9 @@ grid scans.
 
 Exit codes: 0 success, 1 a verification check failed or a conjecture
 violation was found, 2 usage error (a bad argument, or an --out path that
-cannot be opened), 3 a numerical method failed (ConvergenceError,
-QuadratureError or another ArithmeticError); error messages go to
-stderr. All output is deterministic for fixed arguments; scan CSV
-is byte-stable.
+cannot be opened), 3 a numerical method failed (ConvergenceError or
+another ArithmeticError); error messages go to stderr. All output is
+deterministic for fixed arguments; scan CSV is byte-stable.
 """
 
 import argparse

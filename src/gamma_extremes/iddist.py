@@ -112,6 +112,51 @@ def _poisson_pmf(mean, lo, hi):
     return _lattice_pmf(anchor, k0, lo, hi, mean, 0.0)
 
 
+def _legendre(n, x):
+    """(P_n(x), P_n'(x)) from the three-term recurrence, for |x| < 1."""
+    p_prev, p = 1.0, x
+    for k in range(1, n):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    return p, n * (x * p - p_prev) / (x * x - 1.0)
+
+
+def _gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Each node is a root of the Legendre polynomial P_n, found by Newton's
+    method from the estimate cos(pi (i + 3/4) / (n + 1/2)) on the
+    three-term recurrence (whose Jacobi matrix Golub and Welsch, Math.
+    Comp. 1969, diagonalize for the same nodes); its weight is
+    2 / ((1 - x^2) P_n'(x)^2). Nodes are placed in mirrored pairs, so the
+    rule is exactly symmetric.
+    """
+    nodes = [0.0] * n
+    weights = [0.0] * n
+    for i in range((n + 1) // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        step = 1.0
+        while abs(step) > 1e-15:
+            p, dp = _legendre(n, x)
+            step = p / dp
+            x -= step
+        _, dp = _legendre(n, x)
+        nodes[i], nodes[n - 1 - i] = -x, x
+        weights[i] = weights[n - 1 - i] = 2.0 / ((1.0 - x * x) * dp * dp)
+    return nodes, weights
+
+
+# the rule that integrates the compound Poisson band above rate ~23.74
+_GAUSS_LEGENDRE_12 = _gauss_legendre(12)
+
+
+def _panel_sum(f, lo, hi):
+    """integral_lo^hi f by the 12-point Gauss-Legendre rule."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    nodes, weights = _GAUSS_LEGENDRE_12
+    return half * math.fsum(w * f(mid + half * x) for x, w in zip(nodes, weights))
+
+
 def _compound_density(rate, s):
     """Density at rate s >= 400 of the continuous part of a sum of
     Poisson(rate) many Exponential(1) jumps, e^(-rate - s) sqrt(rate/s)
@@ -324,9 +369,9 @@ class CompoundPoissonExp(_Record):
 
         - rate max(L, 0) < 400 (rate < ~23.74): its mixture of Gamma laws,
           term by term (_compound_termwise), 3-22 us (CPython 3.11).
-        - above: one 12-point Gauss-Legendre sum (gamma_prob's low-order
-          rule) over _compound_density, entire in s; every node has rate s >
-          400, so the 12 calls are Hankel's, of bounded cost: 11-29 us.
+        - above: one 12-point Gauss-Legendre sum (_panel_sum) over
+          _compound_density, entire in s; every node has rate s > 400, so
+          the 12 calls are Hankel's, of bounded cost: 11-29 us.
 
         Within 6.5e-16 relative of 40-digit mpmath up to rate 1e3, 2.5e-14 up
         to 1e7 (rounding the nodes to doubles); rates above 1e7 are refused."""
@@ -336,8 +381,7 @@ class CompoundPoissonExp(_Record):
         sd = math.sqrt(2.0 * rate)
         lower, upper = rate - sd, rate + sd
         if rate * lower >= _HANKEL_MIN:
-            mass = gamma_prob._panel_sum(lambda s: _compound_density(rate, s), lower, upper,
-                                         gamma_prob._RULE_LOW)
+            mass = _panel_sum(lambda s: _compound_density(rate, s), lower, upper)
             # plus the mass the rounded edges leave out, to first order: the
             # exact width 2 sqrt(2 rate) less upper - lower, at each edge's density
             square = sd * sd

@@ -2,9 +2,9 @@
 
 Optimization runs in log-alpha on one evenly spaced grid over [1e-4, 1e6],
 which covers the full feature range (argmins from ~0.14 to ~33.5, infima at
-the 0 and infinity boundaries). For kappa <= 1, h(kappa, .) is strictly
-decreasing (the paper's monotonicity theorem), so min_h reports the
-infimum at the upper grid end after one call of h. For kappa > 1 the
+the 0 and infinity boundaries). For kappa <= 1 the infimum is the
+alpha -> infinity limit (a lemma in closed form, see min_h), so min_h
+reports it at the upper grid end after one call of h. For kappa > 1 the
 bracket search starts at the grid point nearest the Edgeworth estimate of
 the argmin and walks downhill on that grid; it falls back to the
 left-to-right scan of bracket_minimum at a tie or a grid end. h(kappa, .)
@@ -225,10 +225,19 @@ def edgeworth_argmin(kappa):
 def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
     """Minimize h(kappa, .) over alpha in [1e-4, 1e6], in log coordinates.
 
-    For kappa <= 1, h(kappa, .) is strictly decreasing, so the infimum is
-    the alpha -> infinity limit and NoInteriorMinimum is raised at the
-    upper grid end after one call of h; the full scan of bracket_minimum
-    would reach the same boundary, abscissa and value. For kappa > 1 the
+    For kappa <= 1 a lemma (the Gamma median lies below the mean; Chen &
+    Rubin, Statist. Probab. Lett. 4, 1986; Choi, Proc. AMS 121, 1994) gives
+    h(kappa, alpha + 1) - h(kappa, alpha) = x^alpha e^-x / Gamma(alpha + 1)
+    (I - 1), x = kappa alpha, I = integral_0^1 kappa (1 + w/alpha)^alpha
+    e^(-kappa w) dw < kappa (e^(1-kappa) - 1) / (1 - kappa) <= 1, as
+    (1 + w/alpha)^alpha < e^w (the bound is 1 at kappa = 1). So h(kappa,
+    alpha) > h(kappa, alpha + n), which tends to 1/2 at kappa = 1 (central
+    limit) and to 0 below: inf h(1, .) = 1/2, not attained, and the
+    infimum is 0 for kappa < 1. The lemma proves unit steps only; the
+    decrease over real alpha is checked on grids, not proved.
+    NoInteriorMinimum is raised at the upper grid end after one call of h;
+    the full scan of bracket_minimum would reach the same boundary,
+    abscissa and value. For kappa > 1 the
     bracket is found by walking downhill on the grid of bracket_minimum
     from the point nearest ln edgeworth_argmin(kappa); the walk meets the
     same first triple as the full scan because h(kappa, .) is unimodal
@@ -258,7 +267,8 @@ def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
         return value
 
     if kappa <= 1.0:
-        # the paper: h(kappa, .) is strictly decreasing in alpha for kappa <= 1
+        # the lemma: h(kappa, alpha + 1) < h(kappa, alpha) for all alpha > 0;
+        # the decrease over real alpha is checked on grids only
         raise NoInteriorMinimum("upper", math.exp(DEFAULT_LOG_HI), objective(DEFAULT_LOG_HI))
     xs = _lin_grid(DEFAULT_LOG_LO, DEFAULT_LOG_HI, grid_n)
     log_bracket = _descend_to_triple(objective, xs, math.log(edgeworth_argmin(kappa)))

@@ -10,7 +10,6 @@ import pytest
 from gamma_extremes import certificates, cli, iddist, optimize
 from gamma_extremes.cli import counterexample_table, run
 from gamma_extremes.exact_poly import RationalPoly
-from gamma_extremes.gamma_prob import QuadratureError
 from gamma_extremes.iddist import FAMILIES
 from gamma_extremes.specfun import ConvergenceError
 
@@ -300,7 +299,7 @@ class TestUsage:
 
 
 class TestNumericalFailure:
-    @pytest.mark.parametrize("error", (ConvergenceError, QuadratureError))
+    @pytest.mark.parametrize("error", (ConvergenceError, ArithmeticError))
     def test_arithmetic_error_is_diagnosed_with_exit_three(self, monkeypatch, capsys, error):
         def fail(alpha):
             raise error(f"no convergence at alpha={alpha}")

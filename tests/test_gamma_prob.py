@@ -1,21 +1,17 @@
-"""Tests for the Gamma probability functions h, t, band, and the
-step-monotonicity integral."""
+"""Tests for the Gamma probability functions h, t and band, for the
+closed-form lemma behind h's one-step decrease, and for the Gauss-Legendre
+rule that iddist's compound Poisson band integrates with."""
 
 import math
 import sys
+from fractions import Fraction
 
 import mpmath
 import pytest
 
-from gamma_extremes.gamma_prob import (
-    GammaParams,
-    Kappa,
-    _gauss_legendre,
-    band,
-    h,
-    step_monotone_integral,
-    t,
-)
+from gamma_extremes import certificates
+from gamma_extremes.gamma_prob import GammaParams, Kappa, band, h, t
+from gamma_extremes.iddist import _gauss_legendre
 from gamma_extremes.specfun import LogProbability, Probability, std_normal_band
 
 
@@ -42,6 +38,30 @@ def mp_step_integral(kappa, alpha):
             edge *= 4
         points.append(mpmath.mpf(1))
         return mpmath.quad(lambda w: k * mpmath.exp(a * mpmath.log1p(w / a) - k * w), points)
+
+
+def mp_step_bound(kappa):
+    """kappa (e^(1-kappa) - 1) / (1 - kappa) at 30 digits, 1 at kappa = 1:
+    the step integral with e^w in place of (1 + w/alpha)^alpha."""
+    with mpmath.workdps(30):
+        k = mpmath.mpf(kappa)
+        return k * mpmath.expm1(1 - k) / (1 - k) if k != 1 else mpmath.mpf(1)
+
+
+def mp_unit_step(kappa, alpha):
+    """(h(kappa, alpha + 1) - h(kappa, alpha), x^alpha e^-x / Gamma(alpha +
+    1)) at 50 digits, x = kappa alpha: the step as a difference of P below
+    kappa = 1 and of Q from 1 up, where P is too close to 1."""
+    with mpmath.workdps(50):
+        k, a = mpmath.mpf(kappa), mpmath.mpf(alpha)
+        x = k * a
+        if kappa < 1.0:
+            step = (mpmath.gammainc(a + 1, 0, k * (a + 1), regularized=True)
+                    - mpmath.gammainc(a, 0, x, regularized=True))
+        else:
+            step = (mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+                    - mpmath.gammainc(a + 1, k * (a + 1), mpmath.inf, regularized=True))
+        return step, mpmath.exp(a * mpmath.log(x) - x - mpmath.loggamma(a + 1))
 
 
 def _log_grid(lo, hi, n):
@@ -188,39 +208,65 @@ class TestBand:
 
 
 class TestStepMonotoneIntegral:
+    """The lemma in optimize.min_h on the step integral I(kappa, alpha) =
+    integral_0^1 kappa (1 + w/alpha)^alpha e^(-kappa w) dw: h(kappa, alpha +
+    1) - h(kappa, alpha) = x^alpha e^-x / Gamma(alpha + 1) (I - 1), x = kappa
+    alpha, and I < kappa (e^(1-kappa) - 1) / (1 - kappa), which is <= 1 for
+    kappa <= 1."""
+
+    def _check_lemma(self, kappa, alpha):
+        step, prefactor = mp_unit_step(kappa, alpha)
+        integral = mp_step_integral(kappa, alpha)
+        with mpmath.workdps(30):
+            assert abs(step - prefactor * (integral - 1)) <= 1e-22 * abs(step), (kappa, alpha)
+            assert integral < mp_step_bound(kappa), (kappa, alpha)
+
     def test_closed_form_kappa_one_alpha_one(self):
         # integral_0^1 (1+w) e^{-w} dw = 2 - 3/e
-        expected = 2.0 - 3.0 * math.exp(-1.0)
-        assert step_monotone_integral(1.0, 1.0) == pytest.approx(expected, abs=1e-10)
+        with mpmath.workdps(30):
+            assert abs(mp_step_integral(1.0, 1.0) - (2 - 3 / mpmath.e)) <= 1e-28
+        assert mp_step_bound(1.0) == 1
+        self._check_lemma(1.0, 1.0)
 
     def test_below_one_for_kappa_at_most_one(self):
         for kappa in (0.2, 0.5, 0.8, 1.0):
+            bound = mp_step_bound(kappa)
+            assert bound <= 1, kappa
             for alpha in _log_grid(1e-4, 1e6, 25):
-                assert step_monotone_integral(kappa, alpha) < 1.0, (kappa, alpha)
+                assert mp_step_integral(kappa, alpha) < bound, (kappa, alpha)
+                # and the float h resolves the decrease the lemma proves
+                assert h(kappa, alpha + 1.0) < h(kappa, alpha), (kappa, alpha)
+
+    def test_bound_at_half_is_below_one_exactly(self):
+        # at kappa = 1/2 the bound is e^(1/2) - 1, and e^(1-w) at w = 1/2 is
+        # at most its degree-24 Taylor sum plus the tail bound 2/25!
+        taylor = certificates._exp_taylor_one_minus_w(24).evaluate(Fraction(1, 2))
+        upper = taylor + Fraction(2, math.factorial(25))
+        assert upper - 1 < 1
+        with mpmath.workdps(40):
+            root_e = mpmath.exp(0.5)
+            assert mpmath.mpf(taylor.numerator) / taylor.denominator < root_e
+            assert root_e < mpmath.mpf(upper.numerator) / upper.denominator
+            assert abs(mp_step_bound(0.5) - (root_e - 1)) <= 1e-28
 
     def test_large_alpha_approaches_one_from_below(self):
-        value = step_monotone_integral(1.0, 1e6)
+        # 1 - I = 1/(6 alpha) + O(alpha^-2), from (1 + w/alpha)^alpha =
+        # e^(w - w^2/(2 alpha) + O(alpha^-2))
+        value = mp_step_integral(1.0, 1e6)
         assert 0.999 < value < 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            step_monotone_integral(1.0, 0.0)
-        with pytest.raises(ValueError):
-            step_monotone_integral(-1.0, 1.0)
+        assert abs((1 - value) * 6e6 - 1) <= 1e-5
 
     @pytest.mark.parametrize("kappa", (0.2, 0.5, 0.8, 1.0, 4.0))
     def test_matches_mpmath(self, kappa):
+        # the identity against mpmath's incomplete gamma; for kappa > 1 the
+        # bound exceeds 1 and a unit step can raise h (kappa = 4: alpha >= 0.01)
         for alpha in (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e6, 1e7):
-            expected = mp_step_integral(kappa, alpha)
-            value = step_monotone_integral(kappa, alpha)
-            assert abs(value - expected) <= 1e-13, (kappa, alpha)
+            self._check_lemma(kappa, alpha)
 
     def test_large_kappa_matches_mpmath(self):
         for kappa in (10.0, 1e2, 1e4):
             for alpha in (1e-6, 1.0, 1e6):
-                expected = mp_step_integral(kappa, alpha)
-                value = step_monotone_integral(kappa, alpha)
-                assert abs(value - expected) <= 1e-13, (kappa, alpha)
+                self._check_lemma(kappa, alpha)
 
 
 class TestGaussLegendre:
