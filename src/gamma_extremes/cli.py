@@ -76,7 +76,7 @@ def build_parser():
 
     p_min = sub.add_parser("minimize", help="locate the interior minimum of h(kappa, .)")
     p_min.add_argument("--kappa", type=float, required=True)
-    p_min.add_argument("--tol", type=float, default=1e-8)
+    p_min.add_argument("--tol", type=float, default=optimize.DEFAULT_TOL)
 
     p_scan = sub.add_parser("scan", help="CSV table of h(kappa, alpha) over a log grid")
     p_scan.add_argument("--kappa", type=float, required=True)

@@ -10,13 +10,7 @@ import math
 
 from .specfun import Probability, _Record, _check_positive, _finite_variance, reg_lower_gamma
 
-__all__ = [
-    "GammaParams",
-    "Kappa",
-    "h",
-    "t",
-    "band",
-]
+__all__ = ["GammaParams", "h", "t", "band"]
 
 
 class GammaParams(_Record):
@@ -38,16 +32,9 @@ class GammaParams(_Record):
         return _finite_variance(self.mean * self.beta, self, "alpha beta^2")
 
 
-class Kappa(float):
-    """A positive finite multiplier of the mean or standard deviation."""
-
-    def __new__(cls, value):
-        return super().__new__(cls, _check_positive("kappa", value))
-
-
 def h(kappa, alpha):
     """P{X <= kappa * E[X]} for X ~ Gamma(alpha, 1)."""
-    kappa = Kappa(kappa)
+    kappa = _check_positive("kappa", kappa)
     return reg_lower_gamma(alpha, kappa * alpha)
 
 
@@ -69,4 +56,4 @@ def t(alpha):
 
 def band(params, kappa):
     """P{|X - E[X]| <= kappa * sqrt(Var X)}; independent of the scale beta."""
-    return _band_shape(params.alpha, float(Kappa(kappa)))
+    return _band_shape(params.alpha, _check_positive("kappa", kappa))

@@ -33,7 +33,6 @@ from .specfun import (
     _finite_variance,
     _scaled_normal_sf,
     _stirlerr,
-    _two_product_error,
     std_normal_band,
 )
 
@@ -55,9 +54,8 @@ __all__ = [
 
 _VIOLATION_SLACK = 1e-9
 # largest Poisson mean or compound Poisson rate a band takes: the Poisson
-# band's pmf terms grow like sqrt(mean), and rounding the compound Poisson
-# band's Gauss-Legendre nodes to doubles costs it ~2e-14 at 1e7, growing
-# like sqrt(rate)
+# band's pmf terms grow like sqrt(mean); the compound Poisson band is
+# checked against mpmath up to 1e7 only
 _MAX_WINDOW_MEAN = 1e7
 # below this r the negative binomial walks from pmf(0) = p^r: stirlerr(r)
 # has a cheap accurate form only from 10 up
@@ -69,8 +67,6 @@ _MAX_BAND_TERMS = 10 ** 6
 _HANKEL_MIN = 400.0
 # 1 / k!, correctly rounded: the termwise band takes 62 terms at the switch
 _INVERSE_FACTORIALS = tuple(1 / math.factorial(k) for k in range(100))
-# e^(-1/2) / sqrt(2 pi): sd times a band edge's density, to O(1/sqrt(rate))
-_NORMAL_DENSITY_AT_1 = 0.24197072451914337
 
 NEGBINOMIAL_CONVENTION = "negative binomial counts failures before the r-th success"
 EVIDENCE_NOTE = (
@@ -149,23 +145,17 @@ def _gauss_legendre(n):
 _GAUSS_LEGENDRE_12 = _gauss_legendre(12)
 
 
-def _panel_sum(f, lo, hi):
-    """integral_lo^hi f by the 12-point Gauss-Legendre rule."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes, weights = _GAUSS_LEGENDRE_12
-    return half * math.fsum(w * f(mid + half * x) for x, w in zip(nodes, weights))
-
-
-def _compound_density(rate, s):
-    """Density at rate s >= 400 of the continuous part of a sum of
-    Poisson(rate) many Exponential(1) jumps, e^(-rate - s) sqrt(rate/s)
-    I_1(2 sqrt(rate s)) (A. F. Siegel, Biometrika 66, 1979): Hankel's
-    expansion of e^(-z) I_1(z), z = 2 sqrt(rate s) (DLMF 10.40.1), times
-    sqrt(rate/s) e^(-d^2) / sqrt(2 pi z), d = (s - rate) / (sqrt(s) +
-    sqrt(rate)): e^(-rate - s + z) without cancellation or overflow. Within
-    8.5e-16 relative of 40-digit mpmath within two standard deviations of
-    the mean, rates 16 to 1e7. Below rate s = 400 it is refused."""
+def _compound_density(rate, offset):
+    """Density at s = rate + offset >= 400 / rate of the continuous part of
+    a sum of Poisson(rate) many Exponential(1) jumps, e^(-rate - s)
+    sqrt(rate/s) I_1(2 sqrt(rate s)) (A. F. Siegel, Biometrika 66, 1979):
+    Hankel's expansion of e^(-z) I_1(z), z = 2 sqrt(rate s) (DLMF 10.40.1),
+    times sqrt(rate/s) e^(-d^2) / sqrt(2 pi z), d^2 = offset^2 / (2 rate +
+    offset + z) = (sqrt(s) - sqrt(rate))^2 from the exact offset, not s
+    rounded. Within 6.6e-16 relative of 40-digit mpmath at the exact s,
+    within two sd of the mean, rates 16 to 1e7. Below rate s = 400 it is
+    refused."""
+    s = rate + offset
     x = rate * s
     if not x >= _HANKEL_MIN:
         raise ValueError(f"compound Poisson density needs rate * s >= 400, got {x!r}")
@@ -180,9 +170,8 @@ def _compound_density(rate, s):
         k += 1
         term *= ((2 * k - 1) ** 2 - 4) / (8.0 * k * z)
         total += term
-    root_rate, root_s = math.sqrt(rate), math.sqrt(s)
-    d = (s - rate) / (root_s + root_rate)
-    return root_rate / root_s * math.exp(-d * d) * total / math.sqrt(2.0 * math.pi * z)
+    square = offset * offset / (2.0 * rate + offset + z)
+    return math.sqrt(rate / s) * math.exp(-square) * total / math.sqrt(2.0 * math.pi * z)
 
 
 def _compound_termwise(rate, lower, upper):
@@ -369,25 +358,21 @@ class CompoundPoissonExp(_Record):
 
         - rate max(L, 0) < 400 (rate < ~23.74): its mixture of Gamma laws,
           term by term (_compound_termwise), 3-22 us (CPython 3.11).
-        - above: one 12-point Gauss-Legendre sum (_panel_sum) over
-          _compound_density, entire in s; every node has rate s > 400, so
-          the 12 calls are Hankel's, of bounded cost: 11-29 us.
+        - above: one 12-point Gauss-Legendre sum of _compound_density,
+          entire in s, over the offset s - rate in exactly [-sd, sd],
+          sd = sqrt(2 rate), so no edge is rounded; every node has rate s >
+          400, so the 12 calls are Hankel's, of bounded cost: 11-29 us.
 
-        Within 6.5e-16 relative of 40-digit mpmath up to rate 1e3, 2.5e-14 up
-        to 1e7 (rounding the nodes to doubles); rates above 1e7 are refused."""
+        Within 6.5e-16 relative of 40-digit mpmath up to rate 1e3, 4.9e-16
+        above the switch up to 1e7; rates above 1e7 are refused."""
         rate = self.rate
         if rate > _MAX_WINDOW_MEAN:
             raise ValueError(f"compound Poisson band needs rate <= 1e7, got {rate!r}")
         sd = math.sqrt(2.0 * rate)
         lower, upper = rate - sd, rate + sd
         if rate * lower >= _HANKEL_MIN:
-            mass = _panel_sum(lambda s: _compound_density(rate, s), lower, upper)
-            # plus the mass the rounded edges leave out, to first order: the
-            # exact width 2 sqrt(2 rate) less upper - lower, at each edge's density
-            square = sd * sd
-            width_error = lower - upper + 2.0 * sd + ((2.0 * rate - square)
-                                                      - _two_product_error(sd, sd, square)) / sd
-            return Probability(mass + width_error * _NORMAL_DENSITY_AT_1 / sd)
+            return Probability(sd * math.fsum(w * _compound_density(rate, sd * x)
+                                              for x, w in zip(*_GAUSS_LEGENDRE_12)))
         mass, _ = _compound_termwise(rate, max(lower, 0.0), upper)
         return Probability(mass + math.exp(-rate) if lower <= 0.0 else mass)
 

@@ -15,7 +15,7 @@ Recipes style) with an evaluation budget.
 
 import math
 
-from .gamma_prob import Kappa, h
+from .gamma_prob import h
 from .specfun import Probability, _Record, _check_positive, _describe
 
 __all__ = [
@@ -79,9 +79,9 @@ class OptimizationResult(_Record):
     _fields = __slots__ = ("argmin", "min_value", "bracket", "evaluations", "converged")
 
 
-def _check_grid_n(grid_n):
-    if isinstance(grid_n, bool) or not isinstance(grid_n, int) or grid_n < 3:
-        raise ValueError(f"need an int grid_n >= 3, got {_describe(grid_n)}")
+def _check_count(name, value, least):
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"need an int {name} >= {least}, got {_describe(value)}")
 
 
 def bracket_minimum(f, lo, hi, grid_n):
@@ -99,7 +99,7 @@ def bracket_minimum(f, lo, hi, grid_n):
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo}, {hi}")
-    _check_grid_n(grid_n)
+    _check_count("grid_n", grid_n, 3)
     xs = _lin_grid(lo, hi, grid_n)
     fs = [f(xs[0]), f(xs[1])]
     for i in range(1, grid_n - 1):
@@ -216,7 +216,7 @@ def edgeworth_argmin(kappa):
     kappa > 1: the argmin is 1.0005 times the estimate at kappa = 1.001
     and 1.25 times it at kappa = 4.
     """
-    kappa = Kappa(kappa)
+    kappa = _check_positive("kappa", kappa)
     if not kappa > 1.0:
         raise ValueError(f"need kappa > 1, got {kappa}")
     return 1.0 / (3.0 * (kappa - 1.0))
@@ -254,9 +254,9 @@ def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
     carries the boundary, its alpha and h there; for kappa > 1 it means the
     minimum lies outside the search range.
     """
-    kappa = Kappa(kappa)
+    kappa = _check_positive("kappa", kappa)
     tol = _check_positive("tol", tol)
-    _check_grid_n(grid_n)
+    _check_count("grid_n", grid_n, 3)
 
     values = {}  # h at each log-abscissa this call has evaluated
 
@@ -284,10 +284,11 @@ def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
 
 
 def scan(kappa, alpha_lo, alpha_hi, n):
-    """Log-spaced table of (alpha, h(kappa, alpha)) rows."""
-    kappa = Kappa(kappa)
-    if not (0.0 < alpha_lo < alpha_hi):
-        raise ValueError(f"need 0 < alpha_lo < alpha_hi, got {alpha_lo}, {alpha_hi}")
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    """Log-spaced table of n >= 2 rows (alpha, h(kappa, alpha)), alpha_lo to alpha_hi."""
+    kappa = _check_positive("kappa", kappa)
+    alpha_lo = _check_positive("alpha_lo", alpha_lo)
+    alpha_hi = _check_positive("alpha_hi", alpha_hi)
+    if not alpha_lo < alpha_hi:
+        raise ValueError(f"need alpha_lo < alpha_hi, got {alpha_lo}, {alpha_hi}")
+    _check_count("n", n, 2)
     return [(alpha, h(kappa, alpha)) for alpha in _log_grid(alpha_lo, alpha_hi, n)]

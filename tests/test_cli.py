@@ -156,6 +156,13 @@ class TestScan:
         code, _ = invoke("scan", "--kappa", "1", "--range", "nonsense", "--n", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("alpha_range", ("1:inf", "1:1e400"))
+    def test_non_finite_range_is_usage_error(self, alpha_range, capsys):
+        code, text = invoke("scan", "--kappa", "1.5", "--range", alpha_range, "--n", "3")
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == "error: alpha_hi must be finite and positive, got inf\n"
+
 
 class TestVerify:
     def test_full_suite_passes(self):

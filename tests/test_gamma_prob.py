@@ -10,8 +10,9 @@ import mpmath
 import pytest
 
 from gamma_extremes import certificates
-from gamma_extremes.gamma_prob import GammaParams, Kappa, band, h, t
+from gamma_extremes.gamma_prob import GammaParams, band, h, t
 from gamma_extremes.iddist import _gauss_legendre
+from gamma_extremes.optimize import edgeworth_argmin, min_h, scan
 from gamma_extremes.specfun import LogProbability, Probability, std_normal_band
 
 
@@ -89,9 +90,18 @@ class TestGammaParams:
         assert GammaParams(int(sys.float_info.max)).alpha == sys.float_info.max
 
     def test_kappa_validation(self):
-        for bad in (0.0, -2.0, float("inf"), "2"):
-            with pytest.raises(ValueError):
-                Kappa(bad)
+        # every function that takes a kappa refuses the same values, alike
+        takes_kappa = (
+            lambda kappa: h(kappa, 2.0),
+            lambda kappa: band(GammaParams(2.0), kappa),
+            min_h,
+            edgeworth_argmin,
+            lambda kappa: scan(kappa, 1.0, 10.0, 3),
+        )
+        for function in takes_kappa:
+            for bad in (0.0, -2.0, float("inf"), "2", True):
+                with pytest.raises(ValueError, match="kappa must be finite and positive"):
+                    function(bad)
 
 
 class TestH:
@@ -112,12 +122,10 @@ class TestH:
         assert 0.0 < h(1.0, 1e7) - 0.5 < 1e-3
 
     def test_one_step_decrease(self):
-        # for kappa < 1 the value e^{-alpha (kappa - 1 - ln kappa)} underflows
-        # to exactly 0.0 at large alpha, where a strict decrease is no longer
-        # representable in doubles; each grid stops below that point
-        ranges = {0.2: 900.0, 0.5: 3.5e3, 0.8: 3e4, 1.0: 1e6}
-        for kappa, hi in ranges.items():
-            for alpha in _log_grid(1e-4, hi, 100):
+        # below the normal doubles h(kappa < 1, .) is a LogProbability, which
+        # orders by its log, so the decrease stays strict on every grid to 1e6
+        for kappa in (0.2, 0.5, 0.8, 1.0):
+            for alpha in _log_grid(1e-4, 1e6, 100):
                 assert h(kappa, alpha + 1.0) < h(kappa, alpha), (kappa, alpha)
 
     def test_carried_log_below_the_normal_range(self):
@@ -178,7 +186,7 @@ class TestT:
             assert t(alpha + 1.0) < t(alpha), alpha
 
     def test_validation(self):
-        # the rule of h, Kappa and GammaParams: a string or a bool is not a shape
+        # the rule of h and GammaParams: a string or a bool is not a shape
         for bad in ("7", True, 0.0, -1.0, float("nan"), float("inf"), 10 ** 400):
             with pytest.raises(ValueError):
                 t(bad)

@@ -100,10 +100,12 @@ def _compound_band_mpmath(rate, scale, window=None):
         return float(total)
 
 
-def _compound_density_mpmath(rate, s):
-    """40-digit e^(-rate - s) sqrt(rate/s) I_1(2 sqrt(rate s))."""
+def _compound_density_mpmath(rate, offset):
+    """40-digit e^(-rate - s) sqrt(rate/s) I_1(2 sqrt(rate s)) at the exact
+    s = rate + offset."""
     with mpmath.workdps(40):
-        rate, s = mpmath.mpf(rate), mpmath.mpf(s)
+        rate = mpmath.mpf(rate)
+        s = rate + mpmath.mpf(offset)
         return float(mpmath.exp(-rate - s) * mpmath.sqrt(rate / s)
                      * mpmath.besseli(1, 2 * mpmath.sqrt(rate * s)))
 
@@ -140,25 +142,29 @@ class TestCompoundDensity:
     SWITCH = 23.739854874270414
 
     def _points(self):
+        """(rate, offset) pairs with rate (rate + offset) >= 400."""
         points = []
         for rate in self.RATES:
             sd = math.sqrt(2.0 * rate)
-            points += [(rate, rate + sd * v / 8) for v in range(-16, 17) if rate + sd * v / 8 > 0]
+            points += [(rate, sd * v / 8) for v in range(-16, 17) if rate + sd * v / 8 > 0]
             if 16.0 <= rate <= 28.0:
-                points += [(rate, 400.0 / rate * (1.0 + v)) for v in (-1e-2, -1e-12, 1e-12, 1e-2)]
-        return [(rate, s) for rate, s in points if rate * s >= 400.0]
+                points += [(rate, 400.0 / rate * (1.0 + v) - rate)
+                           for v in (-1e-2, -1e-12, 1e-12, 1e-2)]
+        return [(rate, offset) for rate, offset in points if rate * (rate + offset) >= 400.0]
 
     def test_against_mpmath_within_two_sd(self):
-        # Hankel's expansion alone, at rate s >= 400: measured 8.4e-16 at worst
+        # Hankel's expansion alone, at rate s >= 400, against mpmath at the
+        # exact s = rate + offset: measured 6.6e-16 at worst
         points = self._points()
-        assert min(rate * s for rate, s in points) < 400.0 * (1.0 + 1e-11)
-        for rate, s in points:
-            expected = _compound_density_mpmath(rate, s)
-            assert abs(_compound_density(rate, s) - expected) <= 1e-15 * expected, (rate, s)
+        assert min(rate * (rate + offset) for rate, offset in points) < 400.0 * (1.0 + 1e-11)
+        for rate, offset in points:
+            expected = _compound_density_mpmath(rate, offset)
+            assert abs(_compound_density(rate, offset) - expected) <= 1e-15 * expected, (
+                rate, offset)
         # below it the expansion diverges before it converges
-        for rate, s in ((1.0, 399.0), (20.0, 19.99), (0.01, 0.0)):
+        for rate, offset in ((1.0, 398.0), (20.0, -0.01), (0.01, -0.01)):
             with pytest.raises(ValueError, match="rate \\* s >= 400"):
-                _compound_density(rate, s)
+                _compound_density(rate, offset)
 
     def test_termwise_band_against_mpmath(self):
         # every RATES value below the switch and the sweep across it, both
@@ -197,7 +203,7 @@ class TestCompoundDensity:
     @pytest.mark.parametrize("switch", [300.0, 500.0])
     def test_band_barely_moves_when_the_switch_moves(self, switch, monkeypatch):
         # rates 20.85 to 26.28 change method; measured: the two methods lie
-        # 0-5 ulp apart there (median 2), and every band within 4.9e-16 of mpmath
+        # 0-4 ulp apart there (median 2), and every band within 4.9e-16 of mpmath
         monkeypatch.setattr(iddist, "_HANKEL_MIN", switch)
         lo, hi = sorted((switch, 400.0))
         assert sum(lo <= rate * (rate - math.sqrt(2.0 * rate)) < hi for rate in self.SWEEP) > 40
@@ -211,9 +217,9 @@ class TestCompoundDensity:
         # and a sum of at most rate + 8 sqrt(rate) + 6 terms
         calls = []
 
-        def counted(rate, s):
+        def counted(rate, offset):
             calls.append(rate)
-            return _compound_density(rate, s)
+            return _compound_density(rate, offset)
 
         monkeypatch.setattr(iddist, "_compound_density", counted)
         above = (math.nextafter(self.SWITCH, 30.0), 100.0, 1e3, 1e7)
@@ -556,9 +562,13 @@ class TestBandProb:
             assert abs(band_prob(spec) - expected) <= 1e-15 * expected, rate
 
     def test_compound_poisson_large_rate(self):
-        # 10 standard deviations below L leave out less than e^-50 of each law
-        expected = _compound_band_mpmath(1e6, 1.0, window=10)
-        assert abs(band_prob(CompoundPoissonExp(1e6, 1.0)) - expected) <= 1e-13
+        # 10 standard deviations below L leave out less than e^-50 of each law;
+        # the quadrature's offsets from the rate are exact, so the error does
+        # not grow with the rate: measured 3.3e-16 at worst
+        for rate in (3e5, 1e6, 3e6):
+            expected = _compound_band_mpmath(rate, 1.0, window=10)
+            band = band_prob(CompoundPoissonExp(rate, 1.0))
+            assert abs(band - expected) <= 1e-15 * expected, rate
 
     def test_compound_poisson_refuses_rate_above_1e7(self):
         assert 0.68 < band_prob(CompoundPoissonExp(1e7, 1.0)) < 0.69

@@ -357,3 +357,20 @@ class TestScan:
             scan(1.0, 10.0, 1.0, 5)
         with pytest.raises(ValueError):
             scan(1.0, 1.0, 10.0, 1)
+
+    @pytest.mark.parametrize("alpha_lo, alpha_hi, name", [
+        (1.0, math.inf, "alpha_hi"),
+        (1.0, math.nan, "alpha_hi"),
+        (-math.inf, 10.0, "alpha_lo"),
+        (math.nan, 10.0, "alpha_lo"),
+        (0.0, 10.0, "alpha_lo"),
+    ])
+    def test_non_finite_range_is_refused_by_name(self, alpha_lo, alpha_hi, name):
+        # the log grid of an infinite range would hand h a nan shape
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            scan(1.5, alpha_lo, alpha_hi, 3)
+
+    @pytest.mark.parametrize("n", (3.0, "3", True, 1, -5))
+    def test_n_must_be_an_int_of_at_least_two(self, n):
+        with pytest.raises(ValueError, match="int n >= 2"):
+            scan(1.5, 1.0, 10.0, n)
