@@ -20,7 +20,7 @@ a eta^2 / 2 = -_log_ratio_term(a, x) (see _temme):
     a < 100, x >= a + 1                1 - fraction  ~1e-15 absolute
     a >= 100, x >= a + 1               Temme P       ~2e-16
     a >= 100, x < a + 1,
-      a eta^2 / 2 <= min(40, 0.08 a)   Temme P       1e-14 + 1e-15 a eta^2/2
+      a eta^2 / 2 <= min(40, 0.08 a)   Temme P       5e-15 + 5e-16 a eta^2/2
     a >= 100, further below the mean   series        that + ~1e-16 sqrt(a)
 
 The error that grows with a eta^2 / 2 is that of the prefactor's exponent,
@@ -33,17 +33,20 @@ converges, plus the exact recurrence Q(b + 1, x) = Q(b, x) + x^b e^-x /
 Gamma(b + 1). So P and Q never come from one another: P + Q - 1 checks two
 methods against each other everywhere. The log-prefactor
 a*ln(x) - x - ln_gamma(a) is evaluated in a cancellation-free form: from
-a = 10 up, through d = x - a, z = d / a and the exact remainder d - z a,
-recovered in plain doubles by Dekker's TwoProduct (see _log_ratio_term).
-Without it, probabilities near a ~ 1e6 carry ~1e-13 noise, too coarse to
-resolve strict monotonicity of the one-sigma band probability. Results
-below the normal double range carry their
-natural log (LogProbability), so they stay ordered after underflow.
+a = 10 up, its a ln(x/a) - (x - a) is the deviance -d v + 2 a v^3 S(v^2)
+in d = x - a and v = d / (x + a), whose leading -d v is formed from exact
+remainders recovered in plain doubles by TwoSum and Dekker's TwoProduct
+(see _log_ratio_term); it is within 2e-16 relative. Without it,
+probabilities near a ~ 1e6 carry ~1e-13 noise, too coarse to resolve
+strict monotonicity of the one-sigma band probability. Results below the
+normal double range carry their natural log (LogProbability), so they
+stay ordered after underflow.
 """
 
 import math
 import operator
 import sys
+from bisect import bisect, bisect_left
 
 __all__ = [
     "Probability",
@@ -75,6 +78,15 @@ _HALF_INV_SQRT_PI = 0.5 / math.sqrt(math.pi)
 _ERFC_MAX_EXPONENT = 700.0
 # Veltkamp's splitter: c u - (c u - u) is u rounded to its top 26 bits
 _SPLITTER = 2.0 ** 27 + 1.0
+
+# S(w) = sum_k w^k / (2k + 3) = 1/3 + w S_1(w), the series of
+# (atanh(v) - v) / v^3 in w = v^2 <= 1/9 (see _log_ratio_term). n terms of
+# S suffice once w^n / (2n + 3), which bounds their tail to within 9/8, is
+# below 2^-58 of S(0) = 1/3: while w <= _DEVIANCE_MAX_W[n - 1]; 18 cover
+# w = 1/9. _DEVIANCE_TERMS[n - 1] holds the first n - 1 coefficients of
+# S_1, 1 / (2k + 5), highest first.
+_DEVIANCE_MAX_W = tuple((2.0 ** -58 * (2 * n + 3) / 3.0) ** (1.0 / n) for n in range(1, 18))
+_DEVIANCE_TERMS = tuple(tuple(1.0 / (2 * k + 5) for k in reversed(range(n))) for n in range(18))
 
 # Stirling series coefficients B_{2n} / (2n (2n-1)), n = 1..8.
 _STIRLING = (
@@ -152,6 +164,46 @@ _TEMME_COEFFS = (
         4.8240967037894184e-08, -1.7989466721743514e-14,
     ),
 )
+
+
+def _temme_tables():
+    """Temme's sum cut to the terms a and eta need: (shapes, etas, terms).
+
+    Row k of _TEMME_COEFFS is kept while a^-k max|C_k| can reach 2^-62 of
+    |C_0(0)| = 1/3, about 1/800 of an ulp of the sum, with max|C_k| the
+    sum of |d[k][n]| |eta|^n at the largest |eta| the expansion meets,
+    sqrt(2 _TEMME_EXPONENT_CUTOFF / TEMME_MIN_SHAPE); column n while
+    |eta|^n max_k |d[k][n]| can. Then terms[bisect_left(shapes, a)]
+    [bisect(etas, |eta|)] holds the kept rows, last first, each cut to the
+    kept columns and highest first, for Horner's scheme. Against the full
+    table, R then moves by at most 2 ulp, and on ~1 in 10^4 points; at
+    2^-58 it moved on ~1 in 400.
+    """
+    tol = 2.0 ** -62 / 3.0
+    eta_max = math.sqrt(2.0 * _TEMME_EXPONENT_CUTOFF / TEMME_MIN_SHAPE)
+    rows, cols = len(_TEMME_COEFFS), len(_TEMME_COEFFS[0])
+    row_shapes = [
+        (sum(abs(d) * eta_max ** n for n, d in enumerate(_TEMME_COEFFS[k])) / tol) ** (1.0 / k)
+        for k in range(1, rows)
+    ]
+    column_etas = [
+        (tol / max(abs(row[n]) for row in _TEMME_COEFFS)) ** (1.0 / n) for n in range(1, cols)
+    ]
+    # row k is kept while a <= row_shapes[k - 1], and with it every row
+    # below k: more than m rows are kept while a <= max(row_shapes[m - 1:])
+    shapes = tuple(sorted(max(row_shapes[m - 1:]) for m in range(1, rows)))
+    etas = tuple(min(column_etas[m - 1:]) for m in range(1, cols))
+    terms = tuple(
+        tuple(
+            tuple(tuple(reversed(row[:m])) for row in reversed(_TEMME_COEFFS[:k]))
+            for m in range(1, cols + 1)
+        )
+        for k in range(rows, 0, -1)
+    )
+    return shapes, etas, terms
+
+
+_TEMME_SHAPES, _TEMME_ETAS, _TEMME_TERMS = _temme_tables()
 
 
 class ConvergenceError(ArithmeticError):
@@ -357,7 +409,13 @@ def _stirlerr(x):
 
 def _bd0(x, m):
     """Loader's deviance term x ln(x/m) + m - x for x, m > 0, without
-    cancellation: the series in v = (x - m)/(x + m) near x = m."""
+    cancellation: the series in v = (x - m)/(x + m) near x = m.
+
+    It equals -_log_ratio_term(x, m), and the tests hold the two to each
+    other. It stays separate for speed: its plain loop stops after a few
+    terms near the mode, where it costs ~0.6 of the compensated kernel,
+    and the negative binomial band calls it twice. The two agree within
+    1e-14 relative, and within 1e-15 on its series branch."""
     if abs(x - m) >= 0.1 * (x + m):
         return x * math.log(x / m) + m - x
     v = (x - m) / (x + m)
@@ -383,25 +441,6 @@ def ln_gamma(a):
     return math.lgamma(_check_positive("ln_gamma argument", a))
 
 
-def _log1p_minus(z):
-    """log1p(z) - z, evaluated without cancellation for |z| <= 1/2."""
-    if abs(z) > 0.5:
-        return math.log1p(z) - z
-    # alternating series -z^2/2 + z^3/3 - ...
-    total = 0.0
-    term = z * z
-    n = 2
-    while True:
-        delta = term / n if n % 2 == 0 else -term / n
-        total -= delta
-        if abs(delta) <= 1e-18 * abs(total) + 1e-320:
-            return total
-        term *= z
-        n += 1
-        if n > 200:
-            return total
-
-
 def _two_product_error(u, v, p):
     """u v - p exactly, for p = fl(u v): Dekker's TwoProduct with Veltkamp's
     split of each factor into halves whose products are exact doubles.
@@ -418,13 +457,26 @@ def _two_product_error(u, v, p):
 def _log_ratio_term(a, x):
     """a ln(x/a) - (x - a) = -a eta^2 / 2, to full relative accuracy near x = a.
 
-    For large a the direct form loses ~a*eps absolute accuracy to
-    cancellation; rewriting through d = x - a keeps every intermediate small.
-    The division remainder r = d - z a of z = fl(d / a) is a double, and it
-    is recovered exactly: p = fl(z a) lies within 2 ulp of d, so d - p is
-    exact (Sterbenz), and z a - p is exact by TwoProduct while its partial
-    products do not underflow: their lowest bits sit near a |z| 2^-104,
-    above 2^-180 for a >= MIN_SHAPE since |z| > 2^-54 unless z = 0.
+    Outside [a/2, 2a], the direct form. Inside, the deviance in the atanh
+    series of ln(x/a) = 2 atanh(v), v = d / (x + a), d = x - a (Loader's
+    bd0, 2000, with the roles of x and a swapped):
+
+        a ln(x/a) - d = -d v + 2 a v^3 S(v^2),   S(w) = sum_k w^k / (2k + 3).
+
+    d is exact (Sterbenz). The leading -d v holds all but ~|v| / 3 <= 1/9
+    of the result, so it is formed from exact parts: the rounding error of
+    s = fl(x + a) by Knuth's TwoSum, the division remainder d - v s of
+    v = fl(d / s) (d - fl(v s) by Sterbenz, v s - fl(v s) by Dekker's
+    TwoProduct), and d v - fl(d v) by TwoProduct. To first order the
+    quotient d / (x + a) is v + (remainder - v (x + a - s)) / s. The
+    series term is (u + 3 u w S_1(w)) / 3 with u = 2 a v w and
+    S(w) = 1/3 + w S_1(w), S_1 a Horner sum over as many coefficients as w
+    needs. Against mpmath the result is within 2e-16 relative (1.96e-16
+    on 100,000 seeded points), less than an ulp off where |v| < 1/10
+    (0.66 ulp; up to 1.2 near |v| = 1/3, where the series term is ~1/8
+    of the result), and exactly 0.0 at x = a. TwoProduct stays exact: for
+    a >= MIN_SHAPE and d != 0, |d v| > 2^-130, so the lowest bits of its
+    partial products sit far above the subnormals, near 2^-240.
     """
     if not (0.5 * a <= x <= 2.0 * a):
         ratio = x / a
@@ -432,11 +484,20 @@ def _log_ratio_term(a, x):
             return a * (math.log(x) - math.log(a)) - (x - a)
         return a * math.log(ratio) - (x - a)
     d = x - a  # exact: x within a factor of 2 of a
-    z = d / a
-    p = z * a
-    r = (d - p) - _two_product_error(z, a, p)
-    # a*log1p(d/a) - d == a*(log1p(z) - z) - r*z/(1+z) + O(r^2/a)
-    return a * _log1p_minus(z) - r * z / (1.0 + z)
+    s = x + a
+    t = s - a
+    s_err = (x - t) + (a - (s - t))
+    v = d / s
+    q = v * s
+    r = (d - q) - _two_product_error(v, s, q)
+    p = d * v
+    w = v * v
+    series = 0.0
+    for c in _DEVIANCE_TERMS[bisect_left(_DEVIANCE_MAX_W, w)]:
+        series = series * w + c
+    u = 2.0 * a * v * w
+    tail = (u + 3.0 * u * w * series) / 3.0  # 1/3 is not a double
+    return (tail - (_two_product_error(d, v, p) + d * ((r - v * s_err) / s))) - p
 
 
 def _log_prefactor(a, x):
@@ -458,16 +519,18 @@ def _temme(a, x, half_a_eta2):
     accurate to ~2e-16 relative for x <= a and P for x >= a. P below the
     mean is accurate while a eta^2 / 2 <= min(_TEMME_EXPONENT_CUTOFF,
     0.08 a), where eta^2 <= 0.16 and the table gives C_k(eta) in full, to
-    1e-14 plus 1e-15 per unit of a eta^2 / 2, the error of the exponent.
+    5e-15 plus 5e-16 per unit of a eta^2 / 2, the error of the exponent
+    (measured: 6.5e-15, and 3.8e-16 per unit). The sum keeps only the
+    rows and columns of the table that a and eta need (see _temme_tables).
     """
     y = math.copysign(math.sqrt(half_a_eta2), x - a)
     if half_a_eta2 > _TEMME_EXPONENT_CUTOFF:
         return y, 0.0
     eta = y * math.sqrt(2.0 / a)
     series = 0.0
-    for row in reversed(_TEMME_COEFFS):
+    for row in _TEMME_TERMS[bisect_left(_TEMME_SHAPES, a)][bisect(_TEMME_ETAS, abs(eta))]:
         coeff = 0.0
-        for d in reversed(row):
+        for d in row:
             coeff = coeff * eta + d
         series = series / a + coeff
     return y, math.exp(-half_a_eta2) / math.sqrt(2.0 * math.pi * a) * series
@@ -652,7 +715,7 @@ def reg_lower_gamma(a, x):
     - a >= TEMME_MIN_SHAPE, x >= a + 1, or 0 < x < a + 1 with
       a eta^2 / 2 <= min(_TEMME_EXPONENT_CUTOFF, 0.08 a) (eta^2 <= 0.16):
       Temme's P form erfc(-y) / 2 - R in O(1), ~2e-16 relative above the
-      mean and 1e-14 + 1e-15 a eta^2 / 2 below it, smooth enough for the
+      mean and 5e-15 + 5e-16 a eta^2 / 2 below it, smooth enough for the
       strict monotonicity of the band probability at a ~ 1e6;
     - a >= TEMME_MIN_SHAPE, further below the mean: the lower series,
       whose terms shrink at least by x / a per step there; the same error
