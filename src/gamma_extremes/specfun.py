@@ -173,11 +173,11 @@ def _temme_tables():
     |C_0(0)| = 1/3, about 1/800 of an ulp of the sum, with max|C_k| the
     sum of |d[k][n]| |eta|^n at the largest |eta| the expansion meets,
     sqrt(2 _TEMME_EXPONENT_CUTOFF / TEMME_MIN_SHAPE); column n while
-    |eta|^n max_k |d[k][n]| can. Then terms[bisect_left(shapes, a)]
-    [bisect(etas, |eta|)] holds the kept rows, last first, each cut to the
-    kept columns and highest first, for Horner's scheme. Against the full
-    table, R then moves by at most 2 ulp, and on ~1 in 10^4 points; at
-    2^-58 it moved on ~1 in 400.
+    |eta|^n max_k |d[k][n]| can. Then terms[i][j], i = bisect_left(shapes,
+    a) and j = bisect(etas, |eta|), holds the kept rows, last first, each
+    cut to the kept columns and highest first, for Horner's scheme.
+    Against the full table, R then moves by at most 2 ulp, and on ~1 in
+    10^4 points; at 2^-58 it moved on ~1 in 400.
     """
     tol = 2.0 ** -62 / 3.0
     eta_max = math.sqrt(2.0 * _TEMME_EXPONENT_CUTOFF / TEMME_MIN_SHAPE)
@@ -189,15 +189,14 @@ def _temme_tables():
     column_etas = [
         (tol / max(abs(row[n]) for row in _TEMME_COEFFS)) ** (1.0 / n) for n in range(1, cols)
     ]
-    # row k is kept while a <= row_shapes[k - 1], and with it every row
-    # below k: more than m rows are kept while a <= max(row_shapes[m - 1:])
+    # a kept row or column keeps all below it: more than m rows are kept
+    # while a <= max(row_shapes[m - 1:]), more than m columns while
+    # |eta| >= min(column_etas[m - 1:])
     shapes = tuple(sorted(max(row_shapes[m - 1:]) for m in range(1, rows)))
     etas = tuple(min(column_etas[m - 1:]) for m in range(1, cols))
+    highest_first = [row[::-1] for row in _TEMME_COEFFS]
     terms = tuple(
-        tuple(
-            tuple(tuple(reversed(row[:m])) for row in reversed(_TEMME_COEFFS[:k]))
-            for m in range(1, cols + 1)
-        )
+        tuple(tuple(row[cols - m:] for row in highest_first[k - 1::-1]) for m in range(1, cols + 1))
         for k in range(rows, 0, -1)
     )
     return shapes, etas, terms
@@ -518,10 +517,11 @@ def _temme(a, x, half_a_eta2):
     a^-k, and half_a_eta2 = a eta^2 / 2 = -_log_ratio_term(a, x). Q is then
     accurate to ~2e-16 relative for x <= a and P for x >= a. P below the
     mean is accurate while a eta^2 / 2 <= min(_TEMME_EXPONENT_CUTOFF,
-    0.08 a), where eta^2 <= 0.16 and the table gives C_k(eta) in full, to
-    5e-15 plus 5e-16 per unit of a eta^2 / 2, the error of the exponent
-    (measured: 6.5e-15, and 3.8e-16 per unit). The sum keeps only the
-    rows and columns of the table that a and eta need (see _temme_tables).
+    0.08 a), where eta^2 <= 0.16 and the table gives C_k(eta) to full
+    precision, to 5e-15 plus 5e-16 per unit of a eta^2 / 2, the error of
+    the exponent (measured: 6.5e-15, and 3.8e-16 per unit). The sum keeps
+    only the rows and columns of the table that a and eta need (see
+    _temme_tables).
     """
     y = math.copysign(math.sqrt(half_a_eta2), x - a)
     if half_a_eta2 > _TEMME_EXPONENT_CUTOFF:

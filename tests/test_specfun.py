@@ -534,7 +534,7 @@ class TestLogRatioTerm:
                 self._check(a, x)
 
     def test_remainder_is_zero_at_the_mean(self):
-        for a in (MIN_SHAPE, 0.7, 100.0, 12345.678, MAX_SHAPE):
+        for a in (MIN_SHAPE, 0.7, 30.0, 100.0, 1e3, 12345.678, 1e6, MAX_SHAPE):
             value = specfun._log_ratio_term(a, a)
             assert value == 0.0 and math.copysign(1.0, value) == 1.0, a
 
