@@ -24,6 +24,7 @@ from gamma_extremes.iddist import (
     NormalBaseline,
     Poisson,
     _compound_density,
+    _gauss_legendre,
     band_prob,
     conjecture_scan,
     default_grid,
@@ -676,3 +677,24 @@ class TestConjectureScan:
             report = conjecture_scan(family)
             assert 0.0 < float(report.min_band) <= 1.0
             assert report.argmin_params in report.grid
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", (1, 2, 5, 12, 16))
+    def test_matches_mpmath_rule(self, n):
+        nodes, weights = _gauss_legendre(n)
+        with mpmath.workdps(30):
+            mp_nodes, mp_weights = mpmath.gauss_quadrature(n, "legendre")
+            for x, w, mp_x, mp_w in zip(nodes, weights, mp_nodes, mp_weights):
+                assert abs(x - mp_x) <= 1e-16, (n, x)
+                assert abs(w - mp_w) <= 4e-15 * mp_w, (n, w)
+
+    @pytest.mark.parametrize("n", (1, 2, 5, 12, 16))
+    def test_integrates_monomials_exactly(self, n):
+        # the n-point rule is exact for x^k, k <= 2n - 1, on [-1, 1]
+        nodes, weights = _gauss_legendre(n)
+        assert nodes == [-x for x in reversed(nodes)]
+        for k in range(2 * n):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            value = math.fsum(w * x ** k for x, w in zip(nodes, weights))
+            assert abs(value - exact) <= 1e-14, (n, k)
