@@ -5,15 +5,14 @@ A `RationalPoly` stores a tuple of integer numerators, index = degree,
 over one positive denominator, in canonical form: no trailing zero
 numerator, and gcd(denominator, all numerators) = 1, so equal polynomials
 have equal representations. Sums, scalar products, derivatives and shifts
-stay in integers. Polynomial products use Kronecker substitution (Harvey,
-J. Symbolic Comput. 2009): each numerator list is packed into one big
-integer, in slots wide enough for any coefficient of the product, the two
-integers are multiplied (CPython's Karatsuba does the work) and the
-product is unpacked slot by slot. The reduced `fractions.Fraction`
-coefficients are a view, built on first use. Everything here is immutable
-and exact: no floats, no tolerances. Every sign proof, here and in
-`certificates`, is one integer interval map, `_interval_image`; Sturm
-sequences remain the exact root counter and the tests' oracle for it.
+stay in integers, and so do polynomial products: the plain convolution
+of the two numerator lists over the product of the denominators (see
+`RationalPoly.__mul__` for why not Kronecker substitution). The reduced
+`fractions.Fraction` coefficients are a view, built on first use.
+Everything here is immutable and exact: no floats, no tolerances. Every
+sign proof, here and in `certificates`, is one integer interval map,
+`_interval_image`; Sturm sequences remain the exact root counter and the
+tests' oracle for it.
 """
 
 import math
@@ -38,31 +37,6 @@ def _as_fraction(value):
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"exact arithmetic needs int or Fraction, got {type(value).__name__}")
-
-
-def _pack(nums, slot_bytes):
-    """sum nums[i] 2^(8 slot_bytes i) as one integer; every |nums[i]| must
-    fit in a slot."""
-    zero = bytes(slot_bytes)
-    positive = b"".join(n.to_bytes(slot_bytes, "little") if n > 0 else zero for n in nums)
-    negative = b"".join((-n).to_bytes(slot_bytes, "little") if n < 0 else zero for n in nums)
-    return int.from_bytes(positive, "little") - int.from_bytes(negative, "little")
-
-
-def _unpack(value, slot_bytes, count):
-    """The count signed slots of `value`, each below 2^(8 slot_bytes - 1) in
-    magnitude: slots of its two's complement bytes with a signed borrow."""
-    raw = value.to_bytes(slot_bytes * count, "little", signed=True)
-    half = 1 << (8 * slot_bytes - 1)
-    full = half << 1
-    from_bytes = int.from_bytes
-    out = []
-    borrow = 0
-    for start in range(0, len(raw), slot_bytes):
-        n = from_bytes(raw[start:start + slot_bytes], "little") + borrow
-        borrow = n >= half
-        out.append(n - full if borrow else n)
-    return out
 
 
 class RationalPoly:
@@ -180,6 +154,20 @@ class RationalPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product with a RationalPoly, an int or a Fraction.
+
+        Two polynomials multiply by the schoolbook convolution of their
+        numerators. The package forms mostly small products: of the 94 in
+        `verify --full-compare`, 57 have a factor of 3 terms or fewer, and
+        the largest has 33 x 33 terms of at most 56 bits. On such factors
+        the loop beats Kronecker substitution (Harvey, J. Symbolic Comput.
+        2009: pack each list into one big integer, multiply once, unpack),
+        3 us against 9 us at 3 x 3 terms (CPython 3.11, in-process), and
+        `verify` runs faster over all. On dense 64-bit numerators Kronecker
+        wins from about 17 x 17 terms (39 us against 49 us), by 2.5x at
+        33 x 33, 4x at 65 x 65 and 12x at 257 x 257: a caller with many
+        products that large should bring it back.
+        """
         if isinstance(other, (int, Fraction)):
             scalar = Fraction(other)
             numerator = scalar.numerator
@@ -189,17 +177,11 @@ class RationalPoly:
         if not isinstance(other, RationalPoly):
             return NotImplemented
         a, b = self.nums, other.nums
-        if not a or not b:
-            return RationalPoly.zero()
-        # every product coefficient is at most min(len) max|a| max|b| in
-        # magnitude; one more bit holds its sign
-        bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-        slot_bytes = (bound.bit_length() + 8) // 8
-        packed = _pack(a, slot_bytes)
-        product = packed * packed if a is b else packed * _pack(b, slot_bytes)
-        return RationalPoly._from_parts(
-            _unpack(product, slot_bytes, len(a) + len(b) - 1), self.den * other.den
-        )
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return RationalPoly._from_parts(out, self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -749,11 +749,13 @@ def log_std_normal_sf(z):
       within 1e-15 absolute up to z = 2 and 2.5e-16 z^2 beyond (2.2e-13
       at z = 37), the rounding of z / sqrt 2 times the slope ~z of the log.
     - Further out: ln _scaled_normal_sf(z) - z^2 / 2, within 1.1e-16 z^2
-      absolute; -inf once z^2 overflows (z > 1.3e154). At z = +inf
-      math.log raises ValueError; -inf gives 0.0 and NaN gives NaN.
+      absolute; -inf once z^2 overflows (z > 1.3e154) and at z = +inf.
+    - z = -inf gives 0.0 and NaN gives NaN.
     """
     z = float(z)
     value = 0.5 * math.erfc(z / _SQRT2)
     if value >= _MIN_NORMAL:
         return math.log(value)
+    if z == math.inf:
+        return -math.inf
     return math.log(_scaled_normal_sf(z)) - 0.5 * z * z

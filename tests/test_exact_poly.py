@@ -3,6 +3,7 @@ certificate chains, the interval image behind every sign proof, and Sturm
 root counting, which serves as the sign proofs' independent oracle."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -383,7 +384,24 @@ class TestAgainstSchoolbook:
         _assert_canonical(p.derivative())
 
 
+wide_fractions = st.builds(
+    Fraction,
+    st.integers(min_value=-(2 ** 128), max_value=2 ** 128),
+    st.integers(min_value=1, max_value=2 ** 64),
+)
+# the length first, so long lists are drawn as often as short ones
+wide_polys = st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.lists(wide_fractions, min_size=n, max_size=n)
+).map(RationalPoly)
+
+
 class TestKroneckerEdges:
+    """Products at carry and sign edges: runs of all-ones numerators at word
+    boundaries, alternating signs, zero gaps, huge parts and constants (the
+    names come from the Kronecker-substitution product these cases were
+    written for). `_school_mul` runs `__mul__`'s own convolution, so the
+    evaluation identity below is the independent check."""
+
     @pytest.mark.parametrize("bits", [1, 2, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 127, 200])
     def test_all_ones_at_slot_boundary(self, bits):
         m = 2 ** bits - 1
@@ -401,7 +419,7 @@ class TestKroneckerEdges:
         assert (RationalPoly(a) ** 3).coeffs == _school_pow(a, 3)
 
     def test_borrow_through_zero_slots(self):
-        # -1 + x^3 packs to a run of all-ones slots under the top one
+        # -1 + x^3: zero coefficients between terms of opposite sign
         a = _fractions([-1, 0, 0, 1])
         assert (RationalPoly(a) * RationalPoly([1])).coeffs == tuple(a)
         b = _fractions([1, -1, 0, 0, -1])
@@ -415,6 +433,18 @@ class TestKroneckerEdges:
         assert (RationalPoly(a) ** 2).coeffs == _school_mul(a, a)
         assert RationalPoly(a).evaluate(tiny) == _school_evaluate(a, tiny)
         _assert_canonical(RationalPoly(a) * RationalPoly(b))
+
+    @given(p=wide_polys, q=wide_polys, seed=st.integers(min_value=0, max_value=2 ** 32))
+    @settings(max_examples=100, deadline=None)
+    def test_product_evaluates_to_product_of_values(self, p, q, seed):
+        # up to 40 x 40 terms, past the package's largest product (33 x 33)
+        rng = random.Random(seed)
+        product = p * q
+        assert product == q * p
+        _assert_canonical(product)
+        for _ in range(3):
+            r = Fraction(rng.randint(-(2 ** 40), 2 ** 40), rng.randint(1, 2 ** 40))
+            assert product.evaluate(r) == p.evaluate(r) * q.evaluate(r)
 
     def test_constants_and_zero(self):
         zero, three = RationalPoly.zero(), RationalPoly([3])

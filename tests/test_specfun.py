@@ -710,8 +710,8 @@ class TestStdNormal:
         """Beyond erfc's normal doubles, ln(e^(z^2/2) P{Z > z}) - z^2 / 2 is
         within 1.5e-16 z^2 absolute (measured 1.04e-16) on 1002 seeded z in
         [37.6, 1e7], against mpmath at 40 digits plus the two per decade
-        that z^2 carries. Where z^2 overflows the result is -inf, with no
-        continued fraction run."""
+        that z^2 carries. Where z^2 overflows, and at z = +inf, the result
+        is -inf, with no continued fraction run; -inf gives 0 and NaN NaN."""
         rng = random.Random(29)
         zs = [37.6, 1e7] + [10.0 ** rng.uniform(math.log10(37.6), 7.0) for _ in range(1000)]
         for z in zs:
@@ -725,6 +725,9 @@ class TestStdNormal:
         monkeypatch.setattr(specfun, "_lentz", no_fraction)
         assert log_std_normal_sf(1e200) == -math.inf
         assert log_std_normal_sf(2e154) == -math.inf
+        assert log_std_normal_sf(math.inf) == -math.inf
+        assert log_std_normal_sf(-math.inf) == 0.0
+        assert math.isnan(log_std_normal_sf(math.nan))
 
 
 def _scaled_normal_sf_mpmath(w):
