@@ -76,7 +76,11 @@ def build_parser():
 
     p_min = sub.add_parser("minimize", help="locate the interior minimum of h(kappa, .)")
     p_min.add_argument("--kappa", type=float, required=True)
-    p_min.add_argument("--tol", type=float, default=optimize.DEFAULT_TOL)
+    p_min.add_argument("--tol", type=float, default=optimize.DEFAULT_TOL,
+                       help="relative tolerance on ln(alpha) for Brent's search (default "
+                       "%(default)g); the search also stops at the rounding floor of h, "
+                       "which resolves argmin to ~1e-7 relative, about 7 of the 12 digits "
+                       "printed; a tol below ~1e-7 buys no further digits")
 
     p_scan = sub.add_parser("scan", help="CSV table of h(kappa, alpha) over a log grid")
     p_scan.add_argument("--kappa", type=float, required=True)

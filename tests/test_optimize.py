@@ -17,6 +17,7 @@ from gamma_extremes.optimize import (
     brent_min,
     edgeworth_argmin,
     _lin_grid,
+    _lin_point,
     min_h,
     scan,
 )
@@ -31,6 +32,14 @@ REFERENCE_MINIMA = {
     3.0: (0.205464, 0.899108),
     4.0: (0.13917, 0.925864),
 }
+
+# min_h's evaluations at each table kappa; on tol alone, before brent_min
+# stopped at h's rounding floor, they were 23, 16, 16, 14, 13, 11 and 24 (117)
+MIN_H_EVALUATIONS = {1.01: 7, 1.1: 7, 1.2: 7, 1.5: 7, 2.0: 7, 3.0: 8, 4.0: 8}
+# kappa -> argmin near which mp_min_h searches: the table, the flattest golden
+# kappa, and 5.32, where a stop on a fit over far-apart points was 2e-5 off
+MPMATH_ARGMINS = {kappa: argmin for kappa, (argmin, _) in REFERENCE_MINIMA.items()}
+MPMATH_ARGMINS.update({1.001: 333.489, 5.32: 0.0977136})
 
 # a dense sweep of kappa > 1, and kappas whose minimum lies outside the grid
 DENSE_KAPPAS = [1.0 + i / 50 for i in range(1, 401)] + [1.0001, 1.001, 1000.0, 3000.0]
@@ -136,6 +145,18 @@ class TestBracketMinimum:
         )
         assert lo < math.log(0.757559) < hi
 
+    @pytest.mark.parametrize("lo, hi, n", [
+        (DEFAULT_LOG_LO, DEFAULT_LOG_HI, 200), (DEFAULT_LOG_LO, DEFAULT_LOG_HI, 500),
+        (0.0, 5.0, 11), (0.0, 20.0, 41), (0.05, 0.95, 50), (-1.0, 1.0, 3),
+    ])
+    def test_grid_points_by_index_are_the_listed_grid(self, lo, hi, n):
+        # the reference: the whole grid as one list, bit for bit
+        step = (hi - lo) / (n - 1)
+        listed = [lo + i * step if i < n - 1 else hi for i in range(n)]
+        by_index = [_lin_point(lo, hi, n, i) for i in range(n)]
+        assert [x.hex() for x in by_index] == [x.hex() for x in listed]
+        assert [x.hex() for x in _lin_grid(lo, hi, n)] == [x.hex() for x in listed]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             bracket_minimum(lambda x: x * x, 1.0, 0.0, 10)
@@ -154,6 +175,18 @@ class TestBrentMin:
         assert result.argmin == pytest.approx(2.0, abs=1e-8)
         assert result.min_value == pytest.approx(0.0, abs=1e-15)
         assert result.converged
+
+    def test_stops_at_the_rounding_floor(self):
+        # one ulp of 1 of rounding over a curvature of 2e-3:
+        # delta = sqrt(2 eps / 2e-3) ~ 4.7e-7
+        delta = math.sqrt(2.0 * 2.0 ** -52 / 2e-3)
+        f = Counting(lambda x: 1.0 + 1e-3 * (x - 2.0) ** 2)
+        result = brent_min(f, (1.99, 2.001, 2.01), 1e-10)
+        assert result.converged
+        assert abs(result.argmin - 2.0) <= 2.0 * delta
+        # on tol alone it took 32 evaluations
+        assert result.evaluations <= 5
+        assert f.calls == result.evaluations
 
     def test_result_invariants(self):
         f = lambda x: math.cosh(x - 0.7)
@@ -187,13 +220,13 @@ class TestMinH:
             assert float(result.min_value) == pytest.approx(value_ref, abs=1e-4), kappa
             assert float(result.min_value) > 0.5, kappa
 
-    @pytest.mark.parametrize("kappa", REFERENCE_MINIMA)
+    @pytest.mark.parametrize("kappa", MPMATH_ARGMINS)
     def test_minimum_against_mpmath(self, kappa):
         # what min_h's digits mean, whatever path Brent takes: the minimum to
-        # 1e-15 (measured <= 5e-16), the argmin to 1e-6 relative, as h is flat
-        # to second order there
-        argmin, value = mp_min_h(kappa, math.log(0.8 * REFERENCE_MINIMA[kappa][0]),
-                                 math.log(1.25 * REFERENCE_MINIMA[kappa][0]))
+        # 1e-15 (measured <= 5.6e-16), the argmin to 1e-6 relative (measured
+        # <= 3.6e-7, at kappa = 1.001), as h is flat to second order there
+        argmin, value = mp_min_h(kappa, math.log(0.8 * MPMATH_ARGMINS[kappa]),
+                                 math.log(1.25 * MPMATH_ARGMINS[kappa]))
         result = min_h(kappa)
         assert abs(float(result.min_value) - value) <= 1e-15, kappa
         assert abs(result.argmin / argmin - 1) <= 1e-6, kappa
@@ -225,6 +258,21 @@ class TestMinH:
             assert result.min_value == expected.min_value, kappa
             assert result.evaluations == expected.evaluations, kappa
             assert result.converged == expected.converged, kappa
+
+    def test_evaluation_budget(self):
+        """brent_min stops at h's rounding floor: 51 evaluations over the
+        table, against 117 on tol alone, and none above its old count. A
+        return to searching below the floor fails here without a timing
+        test."""
+        counts = {kappa: min_h(kappa).evaluations for kappa in REFERENCE_MINIMA}
+        assert counts == MIN_H_EVALUATIONS
+        assert sum(counts.values()) == 51
+
+    def test_dense_sweep_evaluation_budget(self):
+        # measured 3084 over the sweep, 6 to 17 per kappa; 5657 on tol alone
+        counts = [min_h(kappa).evaluations for kappa in DENSE_KAPPAS]
+        assert sum(counts) <= 3100
+        assert max(counts) <= 17
 
     @pytest.mark.parametrize("kappa", OUTSIDE_GRID_KAPPAS)
     def test_minimum_outside_the_grid_same_diagnosis_as_the_scan(self, kappa):
