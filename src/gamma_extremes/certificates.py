@@ -188,17 +188,17 @@ def build_P_Q(side):
     return n_p, n_q, d
 
 
-def _exp_taylor_cleared(numer, denom, order):
-    """Numerator of 1 + x + ... + x^order/order! over denom^order, x=numer/denom.
+def _exp_taylor_cleared(numer, denom_powers):
+    """Numerator of 1 + x + ... + x^order/order! over denom^order, x=numer/denom,
+    from denom_powers[k] = denom^k, k = 0..order.
 
     Horner form: acc_k = acc_(k+1) numer + denom^(order-k) / k!, from
     acc_order = 1/order! down to acc_0.
     """
+    order = len(denom_powers) - 1
     acc = RationalPoly([Fraction(1, math.factorial(order))])
-    den_power = RationalPoly.one()
     for k in range(order - 1, -1, -1):
-        den_power = den_power * denom
-        acc = acc * numer + den_power * Fraction(1, math.factorial(k))
+        acc = acc * numer + denom_powers[order - k] * Fraction(1, math.factorial(k))
     return acc
 
 
@@ -208,12 +208,16 @@ def _r_numerator(spec, n_p, n_q, d):
     R = (1 +- 4w) expT(P) + 2 expT(Q) - 3 with exp truncation order 4 on
     the plus side and 3 on the minus side; R vanishes to third order at
     w = 0, so the numerator is divisible by w^3. spec is the side's
-    `_SIDES` entry and (n_p, n_q, d) its `build_P_Q`.
+    `_SIDES` entry and (n_p, n_q, d) its `build_P_Q`. D^1..D^exp_order
+    are built once, for both Taylor sums and the last term.
     """
+    d_powers = [RationalPoly.one(), d]
+    while len(d_powers) <= spec.exp_order:
+        d_powers.append(d_powers[-1] * d)
     return (
-        spec.linear * _exp_taylor_cleared(n_p, d, spec.exp_order)
-        + 2 * _exp_taylor_cleared(n_q, d, spec.exp_order)
-        - 3 * d ** spec.exp_order
+        spec.linear * _exp_taylor_cleared(n_p, d_powers)
+        + 2 * _exp_taylor_cleared(n_q, d_powers)
+        - 3 * d_powers[-1]
     )
 
 

@@ -196,16 +196,18 @@ class TestTaylorShift:
             )
 
     def test_verify_ring_product_budget(self, monkeypatch):
-        """verify_all(full_compare=True) makes 139 ring products (5 of them
-        reached as int * poly), 33 powers, and no polynomial division or
-        Sturm chain; before the substitutions were Taylor shifts it made 582
-        products and 40 powers, and before the sign proofs were interval
-        images it made 20 divisions for 2 Sturm chains. A return to ring
-        products or Sturm chains on the proof path fails here without a
+        """verify_all(full_compare=True) makes 126 ring products (5 of them
+        reached as int * poly), 31 powers, and no polynomial division or
+        Sturm chain; before each side built D^1..D^exp_order once it made
+        139 products and 33 powers, before the substitutions were Taylor
+        shifts 582 products and 40 powers, and before the sign proofs were
+        interval images 20 divisions for 2 Sturm chains. The division count
+        is taken at `_divide`, which both `divmod` and `%` run. A return to
+        ring products or Sturm chains on the proof path fails here without a
         timing test."""
-        counts = {"mul": 0, "pow": 0, "divmod": 0, "sturm_sequence": 0}
+        counts = {"mul": 0, "pow": 0, "divide": 0, "sturm_sequence": 0}
         mul, pow_ = RationalPoly.__mul__, RationalPoly.__pow__
-        divmod_, sturm_sequence = RationalPoly.divmod, exact_poly.sturm_sequence
+        divide, sturm_sequence = RationalPoly._divide, exact_poly.sturm_sequence
 
         def counted_mul(self, other):
             counts["mul"] += 1
@@ -215,9 +217,9 @@ class TestTaylorShift:
             counts["pow"] += 1
             return pow_(self, n)
 
-        def counted_divmod(self, divisor):
-            counts["divmod"] += 1
-            return divmod_(self, divisor)
+        def counted_divide(self, divisor, with_quotient):
+            counts["divide"] += 1
+            return divide(self, divisor, with_quotient)
 
         def counted_sturm_sequence(p):
             counts["sturm_sequence"] += 1
@@ -226,10 +228,10 @@ class TestTaylorShift:
         monkeypatch.setattr(RationalPoly, "__mul__", counted_mul)
         monkeypatch.setattr(RationalPoly, "__rmul__", counted_mul)
         monkeypatch.setattr(RationalPoly, "__pow__", counted_pow)
-        monkeypatch.setattr(RationalPoly, "divmod", counted_divmod)
+        monkeypatch.setattr(RationalPoly, "_divide", counted_divide)
         monkeypatch.setattr(exact_poly, "sturm_sequence", counted_sturm_sequence)
         C.verify_all(full_compare=True)
-        assert counts == {"mul": 139, "pow": 33, "divmod": 0, "sturm_sequence": 0}
+        assert counts == {"mul": 126, "pow": 31, "divide": 0, "sturm_sequence": 0}
 
 
 class TestSmallAlphaCertificate:

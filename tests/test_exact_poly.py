@@ -14,8 +14,10 @@ from gamma_extremes.certificates import _q_expansion
 from gamma_extremes.exact_poly import (
     EndpointRoot,
     RationalPoly,
+    _horner,
     _interval_image,
     sturm_roots_in_interval,
+    sturm_sequence,
     verify_sign_on_interval,
 )
 
@@ -504,3 +506,169 @@ class TestCanonicalForm:
             RationalPoly([1.0])
         with pytest.raises(TypeError):
             RationalPoly([1]).evaluate(0.5)
+
+
+def _chain_by_divmod(p):
+    """The Sturm chain spelled out by full division, quotients kept."""
+    seq = [p, p.derivative()]
+    while not seq[-1].is_zero():
+        seq.append(-(seq[-2].divmod(seq[-1])[1]))
+    seq.pop()
+    return seq
+
+
+root_lists = st.lists(
+    st.tuples(
+        st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=9),
+        st.integers(min_value=1, max_value=3),
+    ),
+    min_size=1, max_size=4,
+)
+leads = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7).filter(
+    lambda c: c != 0
+)
+
+
+def _planted(lead, roots):
+    """lead * prod (x - r)^m over the (r, m) pairs."""
+    p = RationalPoly([lead])
+    for root, multiplicity in roots:
+        p = p * RationalPoly([-root, 1]) ** multiplicity
+    return p
+
+
+class TestSturmChainAndSigns:
+    """The remainder-only chain and the integer signs against the plain
+    definitions: quotients kept, values as reduced Fractions."""
+
+    @given(lead=leads, roots=root_lists, extra=polys)
+    @settings(max_examples=80, deadline=None)
+    def test_chain_equals_the_divmod_chain(self, lead, roots, extra):
+        p = _planted(lead, roots)
+        if not extra.is_zero():
+            p = p * extra
+        assert sturm_sequence(p) == _chain_by_divmod(p)
+
+    @given(lead=leads, roots=root_lists,
+           lo=st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=11),
+           width=widths)
+    @settings(max_examples=80, deadline=None)
+    def test_count_is_the_distinct_planted_roots_inside(self, lead, roots, lo, width):
+        hi = lo + width
+        p = _planted(lead, roots)
+        distinct = {root for root, _ in roots}
+        if lo in distinct or hi in distinct:
+            with pytest.raises(EndpointRoot):
+                sturm_roots_in_interval(p, lo, hi)
+        else:
+            assert sturm_roots_in_interval(p, lo, hi) == sum(lo < r < hi for r in distinct)
+
+    @given(a=coefficient_lists, b=coefficient_lists)
+    @settings(max_examples=100, deadline=None)
+    def test_mod_is_the_divmod_remainder(self, a, b):
+        p, q = RationalPoly(a), RationalPoly(b)
+        if q.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                p % q
+            return
+        r = p % q
+        assert r == p.divmod(q)[1]
+        _assert_canonical(r)
+
+    @given(a=coefficient_lists, x=wide_rationals)
+    @settings(max_examples=150, deadline=None)
+    def test_integer_sign_is_the_sign_of_the_value(self, a, x):
+        p = RationalPoly(a)
+        if p.is_zero():
+            return
+        acc, d_power = _horner(p.nums, x.numerator, x.denominator)
+        value = p.evaluate(x)
+        assert (acc > 0) - (acc < 0) == (value > 0) - (value < 0)
+        assert Fraction(acc, p.den * d_power) == value
+
+    def test_integer_sign_examples(self):
+        p = RationalPoly([-2, 3])  # 3x - 2, root 2/3
+        for x, sign in ((Fraction(2, 3), 0), (Fraction(-5, 7), -1), (Fraction(7, 9), 1),
+                        (Fraction(0), -1), (Fraction(-3), -1), (Fraction(1, 2), -1)):
+            acc = _horner(p.nums, x.numerator, x.denominator)[0]
+            assert (acc > 0) - (acc < 0) == sign
+        # even degree: (x - 2/3)^2 (x + 1/2) is zero at both roots
+        q = _planted(Fraction(5, 4), [(Fraction(2, 3), 2), (Fraction(-1, 2), 1)])
+        assert _horner(q.nums, 2, 3)[0] == 0 and _horner(q.nums, -1, 2)[0] == 0
+        assert _horner(q.nums, -2, 3)[0] < 0 < _horner(q.nums, 1, 7)[0]
+
+    def test_endpoint_root_at_a_fraction(self):
+        p = _planted(3, [(Fraction(2, 3), 1), (Fraction(5, 2), 1), (Fraction(-7, 3), 1)])
+        with pytest.raises(EndpointRoot):
+            sturm_roots_in_interval(p, Fraction(2, 3), 1)
+        with pytest.raises(EndpointRoot):
+            sturm_roots_in_interval(p, Fraction(-1, 5), Fraction(2, 3))
+        assert sturm_roots_in_interval(p, Fraction(-3), Fraction(2, 3) + Fraction(1, 10**9)) == 2
+
+    def test_count_builds_no_quotient_and_no_fraction_value(self, monkeypatch):
+        """A Sturm count on a degree-6 polynomial runs one remainder-only
+        division per chain step and reads every sign from `_horner`: it
+        calls neither `divmod` nor `evaluate`. Kept quotients or Fraction
+        values coming back fail here without a timing test."""
+        counts = {"divmod": 0, "evaluate": 0, "with_quotient": 0, "remainder_only": 0}
+        divmod_, evaluate, divide = RationalPoly.divmod, RationalPoly.evaluate, RationalPoly._divide
+
+        def counted_divmod(self, divisor):
+            counts["divmod"] += 1
+            return divmod_(self, divisor)
+
+        def counted_evaluate(self, x):
+            counts["evaluate"] += 1
+            return evaluate(self, x)
+
+        def counted_divide(self, divisor, with_quotient):
+            counts["with_quotient" if with_quotient else "remainder_only"] += 1
+            return divide(self, divisor, with_quotient)
+
+        monkeypatch.setattr(RationalPoly, "divmod", counted_divmod)
+        monkeypatch.setattr(RationalPoly, "evaluate", counted_evaluate)
+        monkeypatch.setattr(RationalPoly, "_divide", counted_divide)
+        roots = [Fraction(n, d) for n, d in ((-41, 2), (-47, 3), (43, 5), (50, 7), (53, 3), (59, 2))]
+        p = _planted(Fraction(-7), [(r, 1) for r in roots])
+        assert p.degree == 6
+        assert sturm_roots_in_interval(p, Fraction(-16), Fraction(18)) == 4
+        # six distinct roots: a chain of 7, and a 6th remainder that is zero
+        assert counts == {"divmod": 0, "evaluate": 0, "with_quotient": 0, "remainder_only": 6}
+
+
+class TestBoolIsNoInt:
+    """True == 1 in Python, but no entry point takes a bool for a number."""
+
+    def test_constructor(self):
+        with pytest.raises(TypeError, match="bool"):
+            RationalPoly([True, 2])
+
+    def test_power(self):
+        with pytest.raises(ValueError, match="True"):
+            RationalPoly([1, 1]) ** True
+        with pytest.raises(ValueError, match="False"):
+            RationalPoly([1, 1]) ** False
+
+    def test_evaluate(self):
+        with pytest.raises(TypeError, match="bool"):
+            RationalPoly([1, 1]).evaluate(True)
+
+    def test_sturm_endpoints(self):
+        p = RationalPoly([-2, 0, 1])
+        with pytest.raises(TypeError, match="bool"):
+            sturm_roots_in_interval(p, False, 2)
+        with pytest.raises(TypeError, match="bool"):
+            sturm_roots_in_interval(p, -2, True)
+
+    def test_sign_proof_endpoints(self):
+        with pytest.raises(TypeError, match="bool"):
+            verify_sign_on_interval(RationalPoly([1]), False, 1, "positive")
+
+    def test_arithmetic_and_comparison(self):
+        p = RationalPoly([1, 1])
+        for operation in (lambda: p + True, lambda: True + p, lambda: p - False,
+                          lambda: True - p, lambda: p * True, lambda: False * p):
+            with pytest.raises(TypeError):
+                operation()
+        assert RationalPoly.one() != True  # noqa: E712 - the comparison under test
+        assert RationalPoly.one() == 1
