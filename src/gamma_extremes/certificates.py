@@ -11,8 +11,11 @@ the plus and minus chains G -> I -> V sits in one per-side table, `_SIDES`,
 and one loop builds and checks the three steps of either side. Every
 report, case 2's included, is built by `_make_report`, which raises on a
 missed spot check or sign verdict, so a report that exists has passed all
-of its checks and records only the indices it compared. Reports carry no
-clock readings; a caller that wants them measures the `verify_*` call.
+of its checks and records only the indices it compared. The checks read
+the polynomial's integer numerators, with no Fraction formed unless a check
+fails, and since every certificate is integral a report carries its
+coefficients as ints. Reports carry no clock readings; a caller that wants
+them measures the `verify_*` call.
 
 Every sign proof is one integer interval map, `exact_poly._interval_image`;
 none reads a Sturm chain or a float. w = 1/(s(1+q^2)) is that map on
@@ -165,7 +168,9 @@ def build_P_Q(side):
     With alpha = (1-w^2)^2/(4w^2) and tau = 4w^2/((1-w^2)*quad), each term
     alpha * tau^k / k collapses to 4^(k-1) w^(2k-2) (1-w^2)^(2-k) / (k quad^k),
     so D = (1-w^2)^(order-2) quad^order clears the whole truncated log sum
-    and the entire chain stays inside the polynomial ring.
+    and the entire chain stays inside the polynomial ring. Term k of the
+    cleared sum is w^(2k-2) base^(order-k), base = (1-w^2) quad, from one
+    running product of base, and D is base^(order-2) quad^2.
     The minus-side tau^3 term is taken in tau_minus (the tau_plus appearing
     at that spot in one displayed equation is treated as a typo,
     consistently with the explicit minus-side definitions).
@@ -173,15 +178,17 @@ def build_P_Q(side):
     if side not in _SIDES:
         raise ValueError(f"side must be 'plus' or 'minus', got {side!r}")
     quad, order = _SIDES[side].quad, _SIDES[side].log_order
-    d = _ONE_MINUS_W2 ** (order - 2) * quad ** order
+    base = _ONE_MINUS_W2 * quad
+    powers = [RationalPoly.one(), base]  # powers[j] = base^j, j = 0..order-1
+    while len(powers) < order:
+        powers.append(powers[-1] * base)
+    d = powers[order - 2] * quad * quad
     n_p = -d
     n_q = d * Fraction(-1, 2)
     for k in range(1, order + 1):
-        shared = (
-            _W ** (2 * k - 2)
-            * _ONE_MINUS_W2 ** (order - k)
-            * quad ** (order - k)
-        )
+        # w^(2k-2) base^(order-k), the w power as a shift of the numerators
+        power = powers[order - k]
+        shared = RationalPoly._from_parts((0,) * (2 * k - 2) + power.nums, power.den)
         coeff = Fraction((-1) ** (k + 1) * 4 ** (k - 1), k)
         n_p = n_p + shared * coeff
         n_q = n_q + shared * (coeff / 2 ** k)
@@ -238,34 +245,44 @@ def _q_expansion(poly_w, factor_power, outer_constant, den_constant):
     return RationalPoly._from_parts(in_q, poly_w.den * den_constant ** n)
 
 
-def _sign_verdict(coeffs):
-    nonzero = [c for c in coeffs if c != 0]
-    if nonzero and all(c > 0 for c in nonzero):
+def _sign_verdict(nums):
+    signs = {n > 0 for n in nums if n}
+    if signs == {True}:
         return "all_positive"
-    if nonzero and all(c < 0 for c in nonzero):
+    if signs == {False}:
         return "all_negative"
     return "mixed"
 
 
 def _make_report(name, poly, expected_verdict, expected_spots, detail,
                  full_compare_coeffs=None):
-    coeffs = poly.coeffs
-    verdict = _sign_verdict(coeffs)
+    """The report of poly, once every check has passed.
+
+    The checks read the integer numerators: a printed value c is compared
+    as c * den with the numerator at its index, the sign verdict comes from
+    the numerators' signs (den > 0), and Fractions are built only for the
+    CertificateMismatch that a miss raises. A report carries its
+    coefficients as the integers they are (den == 1, as for every
+    certificate here), else as the Fraction view.
+    """
+    nums, den = poly.nums, poly.den
+    verdict = _sign_verdict(nums)
     for index, expected in expected_spots:
-        actual = coeffs[index] if index <= poly.degree else Fraction(0)
-        if actual != expected:
-            raise CertificateMismatch(name, index, expected, actual)
+        actual = nums[index] if index < len(nums) else 0
+        if actual != expected * den:
+            raise CertificateMismatch(name, index, expected, Fraction(actual, den))
     if full_compare_coeffs is not None:
-        expected_full = [Fraction(0)] * (poly.degree + 1)
+        expected_full = [0] * len(nums)
         for i, c in enumerate(full_compare_coeffs):
-            expected_full[2 * i] = Fraction(c)
-        for index, (got, want) in enumerate(zip(coeffs, expected_full)):
-            if got != want:
-                raise CertificateMismatch(name, index, want, got)
+            expected_full[2 * i] = c
+        for index, (got, want) in enumerate(zip(nums, expected_full)):
+            if got != want * den:
+                raise CertificateMismatch(name, index, Fraction(want), Fraction(got, den))
     if verdict != expected_verdict:
         raise SignViolation(f"{name}: sign verdict {verdict}, expected {expected_verdict}")
     return CertificateReport(
-        name, poly.degree, coeffs, verdict, tuple(index for index, _ in expected_spots), detail
+        name, poly.degree, nums if den == 1 else poly.coeffs, verdict,
+        tuple(index for index, _ in expected_spots), detail,
     )
 
 

@@ -1,5 +1,6 @@
 """Tests for the exact sign-certificate verification chains."""
 
+import io
 import math
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamma_extremes import certificates as C
-from gamma_extremes import exact_poly
+from gamma_extremes import cli, exact_poly
 from gamma_extremes.exact_poly import (
     RationalPoly,
     sturm_roots_in_interval,
@@ -196,15 +197,18 @@ class TestTaylorShift:
             )
 
     def test_verify_ring_product_budget(self, monkeypatch):
-        """verify_all(full_compare=True) makes 126 ring products (5 of them
-        reached as int * poly), 31 powers, and no polynomial division or
-        Sturm chain; before each side built D^1..D^exp_order once it made
-        139 products and 33 powers, before the substitutions were Taylor
-        shifts 582 products and 40 powers, and before the sign proofs were
-        interval images 20 divisions for 2 Sturm chains. The division count
-        is taken at `_divide`, which both `divmod` and `%` run. A return to
-        ring products or Sturm chains on the proof path fails here without a
-        timing test."""
+        """verify_all(full_compare=True) makes 78 ring products (5 of them
+        reached as int * poly, 33 of them polynomial x polynomial), no power,
+        and no polynomial division or Sturm chain. Before build_P_Q formed
+        each term w^(2k-2) base^(order-k) from one running product of
+        base = (1-w^2) quad, with the w power as a shift, it made 126
+        products and 31 powers; before each side built D^1..D^exp_order once
+        it made 139 products and 33 powers, before the substitutions were
+        Taylor shifts 582 products and 40 powers, and before the sign proofs
+        were interval images 20 divisions for 2 Sturm chains. The division
+        count is taken at `_divide`, which both `divmod` and `%` run. A
+        return to ring products or Sturm chains on the proof path fails here
+        without a timing test."""
         counts = {"mul": 0, "pow": 0, "divide": 0, "sturm_sequence": 0}
         mul, pow_ = RationalPoly.__mul__, RationalPoly.__pow__
         divide, sturm_sequence = RationalPoly._divide, exact_poly.sturm_sequence
@@ -231,7 +235,7 @@ class TestTaylorShift:
         monkeypatch.setattr(RationalPoly, "_divide", counted_divide)
         monkeypatch.setattr(exact_poly, "sturm_sequence", counted_sturm_sequence)
         C.verify_all(full_compare=True)
-        assert counts == {"mul": 126, "pow": 31, "divide": 0, "sturm_sequence": 0}
+        assert counts == {"mul": 78, "pow": 0, "divide": 0, "sturm_sequence": 0}
 
 
 class TestSmallAlphaCertificate:
@@ -373,3 +377,105 @@ class TestReporting:
         assert exc.index == 2
         assert exc.expected == 5
         assert exc.actual == 7
+
+
+def _replaced(record, **changes):
+    values = dict(zip(record._fields, record._values()))
+    values.update(changes)
+    return type(record)(**values)
+
+
+def _patch_step(monkeypatch, side, index, **changes):
+    """Replace one chain step of C._SIDES[side] for the test's duration."""
+    spec = C._SIDES[side]
+    steps = list(spec.steps)
+    steps[index] = _replaced(steps[index], **changes)
+    monkeypatch.setitem(C._SIDES, side, _replaced(spec, steps=tuple(steps)))
+
+
+class TestIntegerChecks:
+    """The checker reads integer numerators; its misses carry exact values
+    (the ones it raised when it compared reduced Fractions) and its reports
+    carry integer coefficients."""
+
+    def test_spot_mismatch(self, monkeypatch):
+        _patch_step(monkeypatch, "plus", 0,
+                    spots=((0, -1140603), (2, -17129045), (28, -245760)))
+        with pytest.raises(C.CertificateMismatch) as info:
+            C.verify_chain_plus()
+        exc = info.value
+        assert (exc.name, exc.index, exc.expected, exc.actual) == ("G+", 2, -17129045, -17129046)
+        assert type(exc.actual) is Fraction
+        assert str(exc) == "G+: coefficient of q^2 is -17129046, expected -17129045"
+
+    def test_spot_beyond_degree_reads_zero(self, monkeypatch):
+        spots = C._SIDES["minus"].steps[2].spots[:2] + ((70, 5),)
+        _patch_step(monkeypatch, "minus", 2, spots=spots)
+        with pytest.raises(C.CertificateMismatch) as info:
+            C.verify_chain_minus()
+        exc = info.value
+        assert (exc.name, exc.index, exc.expected, exc.actual) == ("V-", 70, 5, 0)
+
+    def test_full_compare_mismatch(self, monkeypatch):
+        reference = list(V_PLUS_EVEN_COEFFS)
+        reference[5] += 1
+        _patch_step(monkeypatch, "plus", 2, reference=tuple(reference))
+        assert C.verify_chain_plus()[2].name == "V+"  # spot checks alone still pass
+        with pytest.raises(C.CertificateMismatch) as info:
+            C.verify_chain_plus(full_compare=True)
+        exc = info.value
+        assert (exc.name, exc.index) == ("V+", 10)
+        assert exc.expected == 401897536051918258546845673711321
+        assert exc.actual == 401897536051918258546845673711320
+        assert type(exc.expected) is type(exc.actual) is Fraction
+
+    def test_full_compare_mismatch_prints_fail_record(self, monkeypatch):
+        reference = list(V_MINUS_EVEN_COEFFS)
+        reference[0] -= 1
+        _patch_step(monkeypatch, "minus", 2, reference=tuple(reference))
+        out = io.StringIO()
+        assert cli.run(["verify", "--full-compare", "--only", "chain_minus"], out=out) == 1
+        assert out.getvalue() == (
+            "name=verify;verdict=fail;detail=V-: coefficient of q^0 is "
+            "1058023271132626023, expected 1058023271132626022\n"
+        )
+
+    def test_sign_violation(self, monkeypatch):
+        _patch_step(monkeypatch, "plus", 1, sign="all_positive")
+        with pytest.raises(C.SignViolation, match="I\\+: sign verdict all_negative, expected all_positive"):
+            C.verify_chain_plus()
+
+    def test_coefficients_are_the_fraction_view(self, monkeypatch):
+        expansions = []
+        expand = C._q_expansion
+
+        def recorded(*args):
+            expansions.append(expand(*args))
+            return expansions[-1]
+
+        monkeypatch.setattr(C, "_q_expansion", recorded)
+        reports, _ = C.verify_all(full_compare=True)
+        polys = expansions + [C.CASE2_NUMERATOR]
+        assert [r.name for r in reports] == [
+            "smallalpha", "G+", "I+", "V+", "G-", "I-", "V-", "case2J",
+        ]
+        for report, poly in zip(reports, polys, strict=True):
+            assert poly.den == 1, report.name
+            assert len(report.coefficients) == len(poly.coeffs) == report.degree + 1
+            for got, want in zip(report.coefficients, poly.coeffs):
+                assert type(got) is int and got == want, report.name
+
+    def test_non_integral_polynomial_reports_fractions(self):
+        poly = RationalPoly([Fraction(1, 2), 0, 3])
+        report = C._make_report("x", poly, "all_positive", [(0, Fraction(1, 2)), (2, 3)], "")
+        assert report.coefficients == (Fraction(1, 2), 0, 3)
+        assert all(type(c) is Fraction for c in report.coefficients)
+        with pytest.raises(C.CertificateMismatch) as info:
+            C._make_report("x", poly, "all_positive", [(0, Fraction(1, 3))], "")
+        exc = info.value
+        assert (exc.index, exc.expected, exc.actual) == (0, Fraction(1, 3), Fraction(1, 2))
+        with pytest.raises(C.CertificateMismatch) as info:
+            C._make_report("x", poly, "all_positive", [], "", full_compare_coeffs=(1, 3))
+        assert (info.value.index, info.value.expected, info.value.actual) == (
+            0, 1, Fraction(1, 2)
+        )
