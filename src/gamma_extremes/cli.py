@@ -7,10 +7,15 @@ violation was found, 2 usage error (a bad argument, or an --out path that
 cannot be opened), 3 a numerical method failed (ConvergenceError or
 another ArithmeticError); error messages go to stderr. All output is
 deterministic for fixed arguments; scan CSV is byte-stable.
+
+`run` parses with one parser per process, built on its first call and not
+at import, so a one-shot command pays for argparse once, as before, and an
+in-process caller pays for it once rather than per call.
 """
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 
@@ -90,7 +95,7 @@ def build_parser():
     p_scan.add_argument("--out", default=None)
 
     p_verify = sub.add_parser("verify", help="run the exact sign-certificate suite")
-    p_verify.add_argument("--only", nargs="*", default=None,
+    p_verify.add_argument("--only", nargs="+", default=None,
                           choices=("smallalpha", "chain_plus", "chain_minus", "case2", "case1"))
     p_verify.add_argument("--full-compare", action="store_true")
     p_verify.add_argument("--out", default=None)
@@ -171,7 +176,7 @@ def _cmd_scan(args, out):
 def _cmd_verify(args, out):
     from . import certificates
 
-    only = None if not args.only else set(args.only)
+    only = None if args.only is None else set(args.only)
     try:
         reports, case1 = certificates.verify_all(full_compare=args.full_compare, only=only)
     except (certificates.CertificateMismatch, certificates.SignViolation,
@@ -225,11 +230,23 @@ _HANDLERS = {
 }
 
 
+@functools.cache
+def _parser():
+    # argparse keeps no per-call state: it reads the terminal width and
+    # sys.stdout/sys.stderr when it formats and prints, not when it is built
+    return build_parser()
+
+
 def run(argv=None, out=None):
+    """Run one command; returns its exit code. Records go to out (default
+    sys.stdout), error messages to sys.stderr.
+
+    Every call parses with the same parser, which build_parser makes on the
+    first call in the process.
+    """
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,5 +1,5 @@
-"""Tests for the command-line interface: output formats, determinism, and
-exit codes."""
+"""Tests for the command-line interface: output formats, determinism, exit
+codes, and the one parser that every run in a process shares."""
 
 import io
 import math
@@ -202,6 +202,14 @@ class TestVerify:
         assert code == 0
         assert text == expected
 
+    def test_only_without_names_is_usage_error(self, capsys):
+        code, text = invoke("verify", "--only")
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.endswith(
+            "gamma-extremes verify: error: argument --only: expected at least one argument\n"
+        )
+
     def test_failed_check_exits_one(self, monkeypatch):
         # constant term -2 in place of the printed -1
         patched = certificates.CASE2_NUMERATOR + RationalPoly([-1, 4])
@@ -316,3 +324,65 @@ class TestNumericalFailure:
         assert code == 3
         assert text == ""
         assert capsys.readouterr().err == "error: no convergence at alpha=7.0\n"
+
+
+@pytest.fixture
+def unbuilt_parser():
+    """run's shared parser as a new process has it: not built yet."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+# usage errors, help at two widths, a ValueError, a numerical failure (t is
+# patched to fail) and successful commands, mixed in one process
+MIXED_CALLS = (
+    (("conjecture", "--family", "zeta"), "80"),
+    (("verify", "--help"), "52"),
+    (("eval", "--function", "h", "--kappa", "1.5", "--alpha", "2"), "80"),
+    (("verify", "--help"), "200"),
+    (("eval", "--function", "h", "--alpha", "2"), "80"),
+    (("verify", "--only", "case2", "smallalpha"), "80"),
+    (("eval", "--function", "t", "--alpha", "7"), "80"),
+    (("--help",), "60"),
+    (("conjecture", "--family", "gamma"), "80"),
+    (("verify", "--only"), "40"),
+    (("minimize", "--kappa", "1.5", "--tol", "nan"), "80"),
+    ((), "80"),
+    (("verify", "--full-compare"), "80"),
+)
+
+
+class TestSharedParser:
+    def _transcripts(self, monkeypatch, capsys):
+        """(exit code, records, stdout, stderr) of each of MIXED_CALLS."""
+        transcripts = []
+        for argv, columns in MIXED_CALLS:
+            monkeypatch.setenv("COLUMNS", columns)
+            code, text = invoke(*argv)
+            captured = capsys.readouterr()
+            transcripts.append((code, text, captured.out, captured.err))
+        return transcripts
+
+    def test_built_once_over_many_runs(self, unbuilt_parser, monkeypatch):
+        built = []
+        fresh = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(None) or fresh())
+        for argv, _ in MIXED_CALLS[:6]:
+            invoke(*argv)
+        assert len(built) == 1
+
+    def test_every_call_matches_a_fresh_parser(self, unbuilt_parser, monkeypatch, capsys):
+        def fail(alpha):
+            raise ConvergenceError(f"no convergence at alpha={alpha}")
+
+        monkeypatch.setattr(cli, "t", fail)
+        shared = self._transcripts(monkeypatch, capsys)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert self._transcripts(monkeypatch, capsys) == shared
+        assert [code for code, *_ in shared] == [2, 0, 0, 0, 2, 0, 3, 0, 0, 2, 2, 2, 0]
+        # the help text follows COLUMNS at each call, not at the first
+        assert shared[1][2] != shared[3][2]
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser() is not cli.build_parser()

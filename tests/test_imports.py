@@ -6,9 +6,10 @@ its CLI, and running the case-1 proof, loads no heavy numeric library;
 importing them loads none of the slow-to-import introspection modules that
 dataclasses brings in, and not the exact stack, which loads on first
 access to one of its names with the same objects, dir() and star-import a
-plain import gave; the CLI's golden outputs come out of a fresh interpreter
-unchanged; the full certificate suite runs where mpmath cannot be imported
-at all."""
+plain import gave; importing the CLI builds no argument parser, and its
+first run builds the one parser every later run reuses; the CLI's golden
+outputs come out of a fresh interpreter unchanged; the full certificate
+suite runs where mpmath cannot be imported at all."""
 
 import ast
 import glob
@@ -71,6 +72,27 @@ sys.exit(cli.run(["verify", "--full-compare"]))
 """
 
 
+# counts every ArgumentParser made, subcommand parsers included
+_PARSER_PROBE = """
+import argparse, io, json
+
+made = []
+init = argparse.ArgumentParser.__init__
+
+def counting_init(self, *args, **kwargs):
+    made.append(None)
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting_init
+from gamma_extremes import cli
+counts = [len(made)]
+for argv in (["eval", "--function", "t", "--alpha", "7"], ["verify", "--only", "case2"]):
+    cli.run(argv, out=io.StringIO())
+    counts.append(len(made))
+print(json.dumps(counts))
+"""
+
+
 def _run_fresh(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC_DIR, env.get("PYTHONPATH"))))
@@ -101,6 +123,13 @@ def test_package_and_cli_import_load_no_exact_stack(probe):
 def test_case1_loads_no_heavy_library_and_passes(probe):
     assert probe["after_case1"] == []
     assert probe["case1_samples"] == 1000
+
+
+def test_cli_builds_its_parser_on_first_run_not_at_import():
+    result = _run_fresh(_PARSER_PROBE)
+    assert result.returncode == 0, result.stderr
+    # none at import; the first run makes the parser and its six subcommands'
+    assert json.loads(result.stdout) == [0, 7, 7]
 
 
 def test_full_compare_verify_runs_with_mpmath_blocked():
