@@ -8,7 +8,14 @@ to the regularized incomplete gamma and are scale-free in beta.
 
 import math
 
-from .specfun import Probability, _Record, _check_positive, _finite_variance, reg_lower_gamma
+from .specfun import (
+    Probability,
+    _Record,
+    _check_positive,
+    _finite_variance,
+    _reg_lower_gamma,
+    reg_lower_gamma,
+)
 
 __all__ = ["GammaParams", "h", "t", "band"]
 
@@ -39,13 +46,16 @@ def h(kappa, alpha):
 
 
 def _band_shape(alpha, kappa):
-    """P{|X - alpha| <= kappa*sqrt(alpha)} for X ~ Gamma(alpha, 1)."""
+    """P{|X - alpha| <= kappa*sqrt(alpha)} for X ~ Gamma(alpha, 1).
+
+    The upper edge's reg_lower_gamma call checks alpha; the lower edge, in
+    [0, alpha) once alpha > kappa^2, skips the checks."""
     half_width = kappa * math.sqrt(alpha)
     upper = reg_lower_gamma(alpha, alpha + half_width)
     if alpha <= kappa * kappa:
         # lower endpoint clamps to 0 exactly
         return Probability(upper)
-    lower = reg_lower_gamma(alpha, alpha - half_width)
+    lower = _reg_lower_gamma(alpha, alpha - half_width)
     return Probability(upper - lower)
 
 

@@ -77,24 +77,35 @@ EVIDENCE_NOTE = (
 
 def _integer_band(mean, sd):
     """Integers k >= 0 with |k - mean| <= sd, endpoints inclusive."""
-    return max(0, math.ceil(mean - sd)), math.floor(mean + sd)
+    lo = math.ceil(mean - sd)
+    return (lo if lo > 0 else 0), math.floor(mean + sd)
 
 
 def _lattice_pmf(anchor, k0, lo, hi, c, d):
     """pmf(lo..hi) of a lattice law with pmf(k + 1) / pmf(k) = (c + d k) / (k + 1)
     (Poisson: c = mean, d = 0; negative binomial: c = r q, d = q), run up and
     down by that ratio from pmf(k0) = anchor, lo <= k0 <= hi. A term's
-    relative error grows by ~eps a step away from the anchor's."""
-    pmf = anchor
-    terms = [pmf]
-    for k in range(k0, lo, -1):
-        pmf *= k / (c + d * (k - 1))
-        terms.append(pmf)
-    terms.reverse()
-    pmf = anchor
-    for k in range(k0, hi):
-        pmf *= (c + d * k) / (k + 1.0)
-        terms.append(pmf)
+    relative error grows by ~eps a step away from the anchor's.
+
+    The terms come anchor first, then downward, then upward; both callers
+    take math.fsum, which is correctly rounded and so reads them in any
+    order. k runs as a float counter x: float(k) is exact, and each step
+    rounds what the integer form did (down: pmf *= x / (c + d (x - 1)), up:
+    pmf *= (c + d x) / (x + 1)), on CPython's float-only fast paths."""
+    terms = [anchor]
+    append = terms.append
+    pmf, x = anchor, float(k0)
+    for _ in range(k0 - lo):
+        y = x - 1.0
+        pmf *= x / (c + d * y)
+        x = y
+        append(pmf)
+    pmf, x = anchor, float(k0)
+    for _ in range(hi - k0):
+        num = c + d * x
+        x += 1.0
+        pmf *= num / x
+        append(pmf)
     return terms
 
 
@@ -248,6 +259,8 @@ class NegativeBinomial(_Record):
         - r < 10: walked from pmf(0) = p^r, as stirlerr of a non-integer
           r < 10 has no cheap accurate form; at most ~2 band widths, since
           mean / sd = sqrt(r q) < 3.2. Within 6e-15 on the default grid.
+          The walk runs on a float counter, lo steps to pmf(lo) and then
+          hi - lo steps summed left to right (fsum would move the bits).
 
         A band 1e6 wide, or a walk to 1e6, is refused, as its time has no
         other bound; before the edges round (from r q ~ 1e33 up, to one
@@ -264,12 +277,17 @@ class NegativeBinomial(_Record):
         lo, hi = _integer_band(mean, sd)
         if r < _STIRLERR_MIN_SHAPE:
             pmf = math.exp(r * math.log(p))
-            total = pmf if lo == 0 else 0.0
-            for k in range(hi):
-                kr = k + r
-                pmf *= (kr - kr * p) / (k + 1.0)  # no drift from the rounding of q
-                if k + 1 >= lo:
-                    total += pmf
+            x = 0.0
+            for _ in range(lo):
+                kr = x + r
+                x += 1.0
+                pmf *= (kr - kr * p) / x  # no drift from the rounding of q
+            total = pmf
+            for _ in range(hi - lo):
+                kr = x + r
+                x += 1.0
+                pmf *= (kr - kr * p) / x
+                total += pmf
             return Probability(total)
         k0 = min(max(int((r - 1.0) * q / p), lo), hi)
         n = r + k0
@@ -450,7 +468,11 @@ def default_grid(family):
         return tuple(CompoundPoissonExp(rate, 1.0) for rate in _log_grid(0.01, 1e3, 200))
     if family == "normal":
         return (NormalBaseline(),)
-    raise ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
+    raise _unknown_family(family)
+
+
+def _unknown_family(family):
+    return ValueError(f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
 
 
 FAMILIES = ("gamma", "poisson", "negbinomial", "invgaussian", "compound_poisson_exp", "normal")
@@ -459,7 +481,10 @@ FAMILIES = ("gamma", "poisson", "negbinomial", "invgaussian", "compound_poisson_
 def conjecture_scan(family, grid=None):
     """Sweep band_prob over a grid, recording the minimum and any entries
     strictly below the standard normal band less 1e-9 (slack keeps rounding
-    error in the band values from reading as a violation)."""
+    error in the band values from reading as a violation). An unknown
+    family name is refused, as default_grid refuses it, with a grid too."""
+    if family not in FAMILIES:
+        raise _unknown_family(family)
     if grid is None:
         grid = default_grid(family)
     grid = tuple(grid)

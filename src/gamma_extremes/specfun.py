@@ -88,18 +88,6 @@ _SPLITTER = 2.0 ** 27 + 1.0
 _DEVIANCE_MAX_W = tuple((2.0 ** -58 * (2 * n + 3) / 3.0) ** (1.0 / n) for n in range(1, 18))
 _DEVIANCE_TERMS = tuple(tuple(1.0 / (2 * k + 5) for k in reversed(range(n))) for n in range(18))
 
-# Stirling series coefficients B_{2n} / (2n (2n-1)), n = 1..8.
-_STIRLING = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
-
 _PROBABILITY_SLACK = 1e-12
 _MIN_NORMAL = sys.float_info.min
 _MAX_DOUBLE = sys.float_info.max
@@ -390,17 +378,28 @@ _STIRLERR = (
 def _stirlerr(x):
     """Loader's stirlerr, ln Gamma(x + 1) - (x + 1/2) ln x + x - ln(2 pi)/2,
     for an integer x in 1..9 (correctly rounded) or any x >= 10 (Stirling's
-    series to x^-15, within 3e-16 relative)."""
+    series to x^-15, within 3e-16 relative). The series' eight terms
+    B_2n / (2n (2n - 1)) x^(1 - 2n), n = 1..8, are written out and summed
+    lowest power first, each coefficient a constant the compiler folds."""
     if x < 10:
         return _STIRLERR[x - 1]
-    inv = 1.0 / x
-    inv2 = inv * inv
-    total = 0.0
-    term = inv
-    for c in _STIRLING:
-        total += c * term
-        term *= inv2
-    return total
+    term = 1.0 / x
+    inv2 = term * term
+    total = (1.0 / 12.0) * term
+    term *= inv2
+    total += (-1.0 / 360.0) * term
+    term *= inv2
+    total += (1.0 / 1260.0) * term
+    term *= inv2
+    total += (-1.0 / 1680.0) * term
+    term *= inv2
+    total += (1.0 / 1188.0) * term
+    term *= inv2
+    total += (-691.0 / 360360.0) * term
+    term *= inv2
+    total += (1.0 / 156.0) * term
+    term *= inv2
+    return total + (-3617.0 / 122400.0) * term
 
 
 def _bd0(x, m):
@@ -496,7 +495,7 @@ def _log_ratio_term(a, x):
 def _log_prefactor(a, x):
     """a ln x - x - ln Gamma(a), accurate to ~1e-15 absolute near x ~ a."""
     if a < 10.0:
-        return a * math.log(x) - x - ln_gamma(a)
+        return a * math.log(x) - x - math.lgamma(a)
     corr = -0.5 * math.log(a) + _HALF_LOG_TWO_PI + _stirlerr(a)
     return _log_ratio_term(a, x) - corr
 
@@ -608,26 +607,31 @@ def _lower_series(a, x):
 def _lentz(a, x):
     """The Legendre continued fraction of Q(a, x) e^x x^-a Gamma(a), by
     Lentz's method. Sound only while x + 1 - a > 0: below that its first
-    denominators change sign and the loop can stop on a false convergence."""
+    denominators change sign and the loop can stop on a false convergence.
+    The index i runs as a float, so a_i = -i (i - a) is float arithmetic
+    only, and each |v| < bound test is written -bound < v < bound, which
+    has the same truth value for every double, +-0 and NaN included."""
     # one rounding of x + 1 - a: x + 1.0 is exact for x >= 1, 1.0 - a for
     # a >= 1/2 (below that b > 1/2, so a second rounding does no harm)
     b = x + 1.0 - a if x >= 1.0 else (1.0 - a) + x
     c = 1.0 / TINY
     d = 1.0 / b if b != 0.0 else 1.0 / TINY
     h = d
-    for i in range(1, MAX_ITERATIONS + 1):
+    i = 0.0
+    for _ in range(MAX_ITERATIONS):
+        i += 1.0
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
-        if abs(d) < TINY:
+        if -TINY < d < TINY:
             d = TINY
         c = b + an / c
-        if abs(c) < TINY:
+        if -TINY < c < TINY:
             c = TINY
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < REL_TOL:
+        if -REL_TOL < delta - 1.0 < REL_TOL:
             return h
     raise ConvergenceError(f"continued fraction did not converge for a={a}, x={x}")
 
@@ -717,9 +721,15 @@ def reg_lower_gamma(a, x):
       a = 1e7 just beyond the band, where P < 1e-18).
 
     Results below the normal double range come from the series and are
-    LogProbability values.
+    LogProbability values. The dispatch itself is _reg_lower_gamma, for
+    arguments already checked: gamma_prob's band takes its lower edge there,
+    once the upper edge's call has checked the shape.
     """
-    a, x = _check_domain(a, x)
+    return _reg_lower_gamma(*_check_domain(a, x))
+
+
+def _reg_lower_gamma(a, x):
+    """reg_lower_gamma for a and x already inside the domain."""
     if a < TEMME_MIN_SHAPE:
         if x < a + 1.0:
             return _lower_series(a, x)

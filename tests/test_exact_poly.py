@@ -21,10 +21,44 @@ from gamma_extremes.exact_poly import (
     verify_sign_on_interval,
 )
 
-rationals = st.fractions(
-    min_value=Fraction(-50), max_value=Fraction(50), max_denominator=20
-)
+
+def bounded_fractions(lo, hi, max_denominator):
+    """Fractions in [lo, hi] with denominators up to max_denominator, built
+    as st.fractions(lo, hi, max_denominator=...) builds them: a denominator
+    d in 1..max_denominator, a numerator n of the multiples of 1/(d s) in
+    [lo, hi] (s the bounds' common scale), and n / (d s) cut back by
+    limit_denominator. st.fractions draws n from a strategy it makes anew
+    for each d (a flatmap, most of this file's time); here n is one draw
+    over the range at max_denominator, mapped linearly onto d's range."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    scale = lo.denominator * hi.denominator
+    low, high = lo.numerator * hi.denominator, hi.numerator * lo.denominator
+    div = math.gcd(scale, low, high)
+    low, high, scale = low // div, high // div, scale // div
+    top_low, top_count = max_denominator * low, max_denominator * (high - low) + 1
+
+    def build(d, m):
+        n = d * low + (m - top_low) * (d * (high - low) + 1) // top_count
+        return Fraction(n, d * scale).limit_denominator(max_denominator)
+
+    return st.builds(build, st.integers(1, max_denominator),
+                     st.integers(top_low, top_low + top_count - 1))
+
+
+rationals = bounded_fractions(-50, 50, 20)
 polys = st.lists(rationals, min_size=0, max_size=7).map(RationalPoly)
+
+
+@pytest.mark.parametrize("lo, hi, max_denominator", (
+    (-50, 50, 20), (-3, 3, 12), (Fraction(1, 12), 4, 12), (Fraction(1, 50), Fraction(49, 50), 50),
+))
+def test_bounded_fractions_keep_the_bounds_and_denominators(lo, hi, max_denominator):
+    @given(value=bounded_fractions(lo, hi, max_denominator))
+    @settings(max_examples=200, deadline=None)
+    def check(value):
+        assert lo <= value <= hi and value.denominator <= max_denominator
+
+    check()
 
 
 class TestRationalPolyBasics:
@@ -114,7 +148,7 @@ class TestSubstitution:
 
     @given(
         p=polys,
-        q0=st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=12),
+        q0=bounded_fractions(-5, 5, 12),
         extra=st.integers(min_value=0, max_value=3),
     )
     @settings(max_examples=150, deadline=None)
@@ -178,12 +212,8 @@ class TestVerifySign:
             verify_sign_on_interval(RationalPoly([1]), 0, 1, "nonnegative")
 
 
-small_rationals = st.fractions(
-    min_value=Fraction(-3), max_value=Fraction(3), max_denominator=12
-)
-widths = st.fractions(
-    min_value=Fraction(1, 12), max_value=Fraction(4), max_denominator=12
-)
+small_rationals = bounded_fractions(-3, 3, 12)
+widths = bounded_fractions(Fraction(1, 12), 4, 12)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 
 
@@ -213,8 +243,7 @@ class TestVerifySignSoundness:
     """The interval-image proof against the Sturm count as an oracle."""
 
     @given(q=nonzero_polys, lo=small_rationals, width=widths,
-           t=st.fractions(min_value=Fraction(1, 50), max_value=Fraction(49, 50),
-                          max_denominator=50))
+           t=bounded_fractions(Fraction(1, 50), Fraction(49, 50), 50))
     @settings(max_examples=40, deadline=None)
     def test_planted_root_is_never_proved(self, q, lo, width, t):
         hi = lo + width
@@ -320,7 +349,8 @@ def _assert_canonical(p):
 
 wide_rationals = st.one_of(
     st.integers(min_value=-(2 ** 80), max_value=2 ** 80).map(Fraction),
-    st.fractions(max_denominator=10 ** 6),
+    # st.fractions(max_denominator=10 ** 6) as it builds them, without its flatmap
+    st.builds(lambda d, n: Fraction(n, d), st.integers(1, 10 ** 6), st.integers()),
     st.builds(
         Fraction,
         st.integers(min_value=-(2 ** 120), max_value=2 ** 120),
@@ -519,12 +549,12 @@ def _chain_by_divmod(p):
 
 root_lists = st.lists(
     st.tuples(
-        st.fractions(min_value=Fraction(-4), max_value=Fraction(4), max_denominator=9),
+        bounded_fractions(-4, 4, 9),
         st.integers(min_value=1, max_value=3),
     ),
     min_size=1, max_size=4,
 )
-leads = st.fractions(min_value=Fraction(-9), max_value=Fraction(9), max_denominator=7).filter(
+leads = bounded_fractions(-9, 9, 7).filter(
     lambda c: c != 0
 )
 
@@ -550,7 +580,7 @@ class TestSturmChainAndSigns:
         assert sturm_sequence(p) == _chain_by_divmod(p)
 
     @given(lead=leads, roots=root_lists,
-           lo=st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=11),
+           lo=bounded_fractions(-5, 5, 11),
            width=widths)
     @settings(max_examples=80, deadline=None)
     def test_count_is_the_distinct_planted_roots_inside(self, lead, roots, lo, width):

@@ -3,6 +3,7 @@ closed-form lemma behind h's one-step decrease, and for the Gauss-Legendre
 rule that iddist's compound Poisson band integrates with."""
 
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ import pytest
 from gamma_extremes import certificates
 from gamma_extremes.gamma_prob import GammaParams, band, h, t
 from gamma_extremes.optimize import edgeworth_argmin, min_h, scan
-from gamma_extremes.specfun import LogProbability, Probability, std_normal_band
+from gamma_extremes.specfun import LogProbability, Probability, reg_lower_gamma, std_normal_band
 
 
 def mp_log_h(kappa, alpha):
@@ -212,6 +213,28 @@ class TestBand:
     def test_wide_band_tends_to_one(self):
         value = band(GammaParams(4.0), 8.0)
         assert 0.999996 < value < 1.0
+
+    def test_lower_edge_is_nonnegative_and_matches_the_checked_call(self):
+        """band takes its lower edge alpha - kappa sqrt(alpha) past the
+        domain checks once alpha > kappa^2: on 20,000 seeded kappa with
+        alpha one to three doubles above kappa^2, where rounding could push
+        the edge below 0, it is >= 0, and on a sample of those and of int
+        shapes band is bit-identical to two checked reg_lower_gamma calls."""
+        rng = random.Random(35)
+        points = []
+        for _ in range(20000):
+            kappa = 10.0 ** rng.uniform(-3.0, 3.0)
+            alpha = kappa * kappa
+            for _ in range(rng.randrange(1, 4)):
+                alpha = math.nextafter(alpha, math.inf)
+            assert alpha - kappa * math.sqrt(alpha) >= 0.0, (kappa, alpha)
+            points.append((alpha, kappa))
+        points = points[:300] + [(alpha, 1.0) for alpha in (2, 7, 99, 150, 12345, 10 ** 7)]
+        for alpha, kappa in points:
+            half_width = kappa * math.sqrt(alpha)
+            checked = Probability(reg_lower_gamma(alpha, alpha + half_width)
+                                  - reg_lower_gamma(alpha, alpha - half_width))
+            assert band(GammaParams(alpha), kappa).hex() == checked.hex(), (alpha, kappa)
 
 
 class TestStepMonotoneIntegral:

@@ -2,6 +2,7 @@
 inequality grid scanner."""
 
 import math
+import os
 import random
 import re
 import sys
@@ -672,6 +673,16 @@ class TestConjectureScan:
         with pytest.raises(ValueError):
             default_grid("cauchy")
 
+    @pytest.mark.parametrize("family", ("bogus", "Poisson", None))
+    def test_unknown_family_refused_with_a_grid(self, family):
+        """A grid does not stand in for the family: its name is checked as
+        default_grid checks it, with the same message."""
+        with pytest.raises(ValueError) as from_grid:
+            default_grid(family)
+        with pytest.raises(ValueError) as from_scan:
+            conjecture_scan(family, [Poisson(1.0)])
+        assert str(from_scan.value) == str(from_grid.value)
+
     def test_all_default_scans_complete(self):
         for family in ("poisson", "invgaussian", "compound_poisson_exp"):
             report = conjecture_scan(family)
@@ -698,3 +709,47 @@ class TestGaussLegendre:
             exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
             value = math.fsum(w * x ** k for x, w in zip(nodes, weights))
             assert abs(value - exact) <= 1e-14, (n, k)
+
+
+BAND_BITS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "iddist_bits.txt")
+
+# specs that reach every branch of each family's band
+BAND_BITS_SPECS = (
+    # negative binomial, r < 10: the walk from p^r, with lo = 0 and lo > 0
+    NegativeBinomial(0.5, 0.7), NegativeBinomial(3.0, 0.5), NegativeBinomial(5.0, 0.3),
+    NegativeBinomial(9.99, 0.05), NegativeBinomial(1.456348477501244, 0.3071428571428571),
+    # r >= 10: the anchor at k0 = 0 (with hi = 0 and hi > 0), at k0 = lo > 0
+    # and inside the band. k0 = int((r - 1) q / p) = int(mean - q / p) lies
+    # in [lo, hi] there, as sd > q / p + 1 once lo > 0, so the band's clamps
+    # never move it to an edge.
+    NegativeBinomial(10.0, 0.99), NegativeBinomial(14.0, 0.945),
+    NegativeBinomial(10.164814296421225, 0.8706619352348335),
+    NegativeBinomial(49.41713361323832, 0.5275510204081633),
+    NegativeBinomial(100.0, 0.05), NegativeBinomial(1e4, 0.01), NegativeBinomial(1e6, 0.5),
+    # Poisson: k0 = 0, 1 <= k0 < 10 (the stirlerr table), k0 >= 10, lam = 1e6
+    Poisson(0.3), Poisson(1.0), Poisson(5), Poisson(7.3), Poisson(37.5), Poisson(1e6),
+    # inverse Gaussian: s = 1 / sqrt(phi) >= 1, s < 1, and phi > 350, where
+    # the scaled tail runs Lentz's fraction
+    InverseGaussian(1.0, 0.25), InverseGaussian(1.0, 1.0), InverseGaussian(2.0, 7.0),
+    InverseGaussian(0.01, 4.0), InverseGaussian(1.0, 1e8),
+    # compound Poisson: with the atom (rate <= 2), termwise, Hankel's
+    CompoundPoissonExp(0.01, 1.0), CompoundPoissonExp(1.9, 1.0), CompoundPoissonExp(3.0, 1.0),
+    CompoundPoissonExp(23.0, 1.0), CompoundPoissonExp(24.0, 1.0), CompoundPoissonExp(1e7, 1.0),
+    # Gamma: the series, the fraction, Temme's expansion
+    GammaDist(0.5), GammaDist(7.0), GammaDist(150.0), GammaDist(1e6),
+    NormalBaseline(),
+)
+
+
+def band_bit_lines():
+    """One line per band: the spec and float.hex of band_prob's result."""
+    return [f"band_prob({spec!r}) {float(band_prob(spec)).hex()}" for spec in BAND_BITS_SPECS]
+
+
+def test_band_bits_match_golden():
+    """Every output bit of band_prob at fixed specs on every branch of each
+    family's band, against a transcript of the same calls. A change that
+    moves any of these bits must say so."""
+    with open(BAND_BITS, encoding="utf-8") as fh:
+        golden = fh.read().splitlines()
+    assert band_bit_lines() == golden
