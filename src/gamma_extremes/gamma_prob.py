@@ -9,10 +9,10 @@ to the regularized incomplete gamma and are scale-free in beta.
 import math
 
 from .specfun import (
-    Probability,
     _Record,
     _check_positive,
     _finite_variance,
+    _probability,
     _reg_lower_gamma,
     reg_lower_gamma,
 )
@@ -54,9 +54,9 @@ def _band_shape(alpha, kappa):
     upper = reg_lower_gamma(alpha, alpha + half_width)
     if alpha <= kappa * kappa:
         # lower endpoint clamps to 0 exactly
-        return Probability(upper)
+        return _probability(upper)
     lower = _reg_lower_gamma(alpha, alpha - half_width)
-    return Probability(upper - lower)
+    return _probability(upper - lower)
 
 
 def t(alpha):

@@ -7,7 +7,7 @@ moments() gives (mean, variance) and band() gives P{|L - E[L]| <= sqrt(Var L)},
 both in closed form; moments(spec) and band_prob(spec) call them. The two
 lattice bands (Poisson, negative binomial) sum pmfs from one builder,
 _lattice_pmf: the ratio recursion run up and down from the pmf at the mode,
-clamped into the summed range. That anchor is Loader's saddle-point form
+which lies in the summed range. That anchor is Loader's saddle-point form
 (C. Loader, Fast and Accurate Computation of Binomial Probabilities, 2000),
 within a few ulp in O(1), so no band needs a normalising pass, nor a walk
 from k = 0 but the negative binomial's below r = 10. The compound Poisson
@@ -31,6 +31,7 @@ from .specfun import (
     _check_positive,
     _describe,
     _finite_variance,
+    _probability,
     _scaled_normal_sf,
     _stirlerr,
     std_normal_band,
@@ -65,6 +66,15 @@ _MAX_BAND_TERMS = 10 ** 6
 # rate s from which Hankel's expansion at z = 2 sqrt(rate s) >= 40 leaves out
 # ~e^(-2z) < 2e-35; the band sums termwise below rate max(L, 0) = 400
 _HANKEL_MIN = 400.0
+# step k of Hankel's expansion in _compound_density multiplies its term by
+# ((2k - 1)^2 - 4) / (8k z): the numerators and the 8k, as exact doubles.
+# Every rounded term shrinks as z grows, so the loop ends no later than at
+# the least z: at z = 2 sqrt(400) = 40, k = 14. The tables run to k = 27,
+# where it ends at z = 20 (rate s = 100), so that _HANKEL_MIN can be
+# lowered to there; the omitted ~e^(-2z) is 4e-18 at z = 20, and below
+# z ~ 18.57 the terms grow again before they reach 1e-17
+_HANKEL_NUMERATORS = tuple(float((2 * k - 1) ** 2 - 4) for k in range(28))
+_HANKEL_EIGHT_K = tuple(8.0 * k for k in range(28))
 # 1 / k!, correctly rounded: the termwise band takes 62 terms at the switch
 _INVERSE_FACTORIALS = tuple(1 / math.factorial(k) for k in range(100))
 
@@ -110,10 +120,13 @@ def _lattice_pmf(anchor, k0, lo, hi, c, d):
 
 
 def _poisson_pmf(mean, lo, hi):
-    """Poisson(mean) pmf at lo..hi, from its value at the mode clamped into
-    lo..hi: Loader's e^(-stirlerr(k) - bd0(k, mean)) / sqrt(2 pi k), within a
-    few ulp, or e^-mean at k = 0."""
-    k0 = min(max(int(mean), lo), hi)
+    """Poisson(mean) pmf at lo..hi, from its value at the mode k0 = int(mean):
+    Loader's e^(-stirlerr(k) - bd0(k, mean)) / sqrt(2 pi k), within a few
+    ulp, or e^-mean at k = 0, for lo, hi = _integer_band(mean, sqrt(mean))."""
+    # lo <= k0 <= hi: int(mean) <= mean <= mean + sd. lo > 0 needs mean >
+    # sqrt(mean) as doubles, so mean > 1 and sd >= 1; then mean - sd rounds
+    # to at most mean - 1, which is exact, and lo <= ceil(mean) - 1 <= k0
+    k0 = int(mean)
     anchor = (math.exp(-_stirlerr(k0) - _bd0(k0, mean)) / math.sqrt(2.0 * math.pi * k0)
               if k0 else math.exp(-mean))
     return _lattice_pmf(anchor, k0, lo, hi, mean, 0.0)
@@ -165,7 +178,9 @@ def _compound_density(rate, offset):
     offset + z) = (sqrt(s) - sqrt(rate))^2 from the exact offset, not s
     rounded. Within 6.6e-16 relative of 40-digit mpmath at the exact s,
     within two sd of the mean, rates 16 to 1e7. Below rate s = 400 it is
-    refused."""
+    refused. Each step reads its ratio's numerator and 8k from the tables
+    _HANKEL_NUMERATORS and _HANKEL_EIGHT_K (sized there): the same roundings
+    of the same exact operands as forming them per step."""
     s = rate + offset
     x = rate * s
     if not x >= _HANKEL_MIN:
@@ -179,7 +194,7 @@ def _compound_density(rate, offset):
     k = 1
     while term < -1e-17:
         k += 1
-        term *= ((2 * k - 1) ** 2 - 4) / (8.0 * k * z)
+        term *= _HANKEL_NUMERATORS[k] / (_HANKEL_EIGHT_K[k] * z)
         total += term
     square = offset * offset / (2.0 * rate + offset + z)
     return math.sqrt(rate / s) * math.exp(-square) * total / math.sqrt(2.0 * math.pi * z)
@@ -230,7 +245,7 @@ class Poisson(_Record):
         if self.lam > _MAX_WINDOW_MEAN:
             raise ValueError(f"Poisson band needs lam <= 1e7, got {self.lam!r}")
         lo, hi = _integer_band(self.lam, math.sqrt(self.lam))
-        return Probability(math.fsum(_poisson_pmf(self.lam, lo, hi)))
+        return _probability(math.fsum(_poisson_pmf(self.lam, lo, hi)))
 
 
 class NegativeBinomial(_Record):
@@ -288,13 +303,20 @@ class NegativeBinomial(_Record):
                 x += 1.0
                 pmf *= (kr - kr * p) / x
                 total += pmf
-            return Probability(total)
-        k0 = min(max(int((r - 1.0) * q / p), lo), hi)
+            return _probability(total)
+        # lo <= k0 <= hi. (r - 1) q / p rounds by the same ops as mean = r q / p
+        # from r - 1.0 <= r, so k0 <= mean < hi + 1. lo > 0 needs r q > 1 as
+        # doubles, and then mean - sd is below k0 by (sqrt(r q) - 1) / p, far
+        # above the ~6 eps mean of rounding unless r q is within a few ulp of
+        # 1. There lo = 1, p > 1/2, and r q > 1 + eps / 2 (eps = 2^-52) with
+        # q = 1 - p and r - 1 exact (r < 2^53) gives (r - 1) q > p + ulp(p):
+        # it rounds to at least p + ulp(p), so k0 >= 1
+        k0 = int((r - 1.0) * q / p)
         n = r + k0
         anchor = (r / n * math.exp(_stirlerr(n) - _stirlerr(r) - _stirlerr(k0) - _bd0(r, n * p)
                                    - _bd0(k0, n * q)) / math.sqrt(2.0 * math.pi * r * k0 / n)
                   if k0 else math.exp(r * math.log(p)))
-        return Probability(math.fsum(_lattice_pmf(anchor, k0, lo, hi, r * q, q)))
+        return _probability(math.fsum(_lattice_pmf(anchor, k0, lo, hi, r * q, q)))
 
 
 class InverseGaussian(_Record):
@@ -353,7 +375,7 @@ class InverseGaussian(_Record):
             u = 1.0 - s
             mass -= (0.5 * math.erfc(1.0 / math.sqrt(2.0 * u))
                      + math.exp(-0.5 / u) * _scaled_normal_sf(math.sqrt(phi / u) * (2.0 - s)))
-        return Probability(mass)
+        return _probability(mass)
 
 
 class CompoundPoissonExp(_Record):
@@ -375,11 +397,12 @@ class CompoundPoissonExp(_Record):
         the mass of S in (max(L, 0), H], for L, H = rate -+ sqrt(2 rate).
 
         - rate max(L, 0) < 400 (rate < ~23.74): its mixture of Gamma laws,
-          term by term (_compound_termwise), 3-22 us (CPython 3.11).
+          term by term (_compound_termwise), 3.4-28 us (CPython 3.11,
+          BENCH_36.json).
         - above: one 12-point Gauss-Legendre sum of _compound_density,
           entire in s, over the offset s - rate in exactly [-sd, sd],
           sd = sqrt(2 rate), so no edge is rounded; every node has rate s >
-          400, so the 12 calls are Hankel's, of bounded cost: 11-29 us.
+          400, so the 12 calls are Hankel's, of bounded cost: 9.1-22 us.
 
         Within 6.5e-16 relative of 40-digit mpmath up to rate 1e3, 4.9e-16
         above the switch up to 1e7; rates above 1e7 are refused."""
@@ -389,10 +412,10 @@ class CompoundPoissonExp(_Record):
         sd = math.sqrt(2.0 * rate)
         lower, upper = rate - sd, rate + sd
         if rate * lower >= _HANKEL_MIN:
-            return Probability(sd * math.fsum(w * _compound_density(rate, sd * x)
-                                              for x, w in zip(*_GAUSS_LEGENDRE_12)))
+            return _probability(sd * math.fsum(w * _compound_density(rate, sd * x)
+                                               for x, w in zip(*_GAUSS_LEGENDRE_12)))
         mass, _ = _compound_termwise(rate, max(lower, 0.0), upper)
-        return Probability(mass + math.exp(-rate) if lower <= 0.0 else mass)
+        return _probability(mass + math.exp(-rate) if lower <= 0.0 else mass)
 
 
 class GammaDist(gamma_prob.GammaParams):
@@ -423,6 +446,8 @@ class NormalBaseline(_Record):
 DistributionSpec = (
     Poisson, NegativeBinomial, InverseGaussian, CompoundPoissonExp, GammaDist, NormalBaseline
 )
+# the same classes for one hash lookup of a spec's exact type
+_SPEC_TYPES = frozenset(DistributionSpec)
 
 
 class ScanReport(_Record):
@@ -433,16 +458,21 @@ class ScanReport(_Record):
 
 def moments(spec):
     """Closed-form (mean, variance) of the distribution."""
-    if not isinstance(spec, DistributionSpec):
-        raise TypeError(f"not a distribution spec: {_describe(spec)}")
-    return spec.moments()
+    if type(spec) in _SPEC_TYPES or isinstance(spec, DistributionSpec):
+        return spec.moments()
+    raise TypeError(f"not a distribution spec: {_describe(spec)}")
 
 
 def band_prob(spec):
-    """P{|L - E[L]| <= sqrt(Var L)} for the given distribution."""
-    if not isinstance(spec, DistributionSpec):
-        raise TypeError(f"not a distribution spec: {_describe(spec)}")
-    return spec.band()
+    """P{|L - E[L]| <= sqrt(Var L)} for the given distribution, exactly a
+    Probability (never a LogProbability).
+
+    A spec of one of the six family classes passes on one lookup of its exact
+    type; a subclass of one passes the isinstance check after it, and any
+    other object raises TypeError."""
+    if type(spec) in _SPEC_TYPES or isinstance(spec, DistributionSpec):
+        return spec.band()
+    raise TypeError(f"not a distribution spec: {_describe(spec)}")
 
 
 def default_grid(family):

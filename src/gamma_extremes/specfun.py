@@ -203,6 +203,9 @@ class Probability(float):
 
     Values outside the interval by more than 1e-12 are rejected; values
     inside the slack are clamped onto the interval, and -0.0 becomes 0.0.
+    The package's bands and incomplete gamma build their results with
+    _probability, which gives the same result without the class call's
+    Python-level __new__.
     """
 
     __slots__ = ()
@@ -218,6 +221,17 @@ class Probability(float):
         if not (-_PROBABILITY_SLACK <= value <= 1.0 + _PROBABILITY_SLACK):
             raise ValueError(f"not a probability: {value!r}")
         return float.__new__(cls, min(1.0, max(0.0, value)))
+
+
+def _probability(value):
+    """Probability(value), with the constructor's fast path for a float in
+    (0, 1] called as a plain function: a type call into a Python __new__
+    costs ~0.1 us more (CPython 3.11), once per band or incomplete gamma
+    result. Any other value goes to the checked constructor, so the class,
+    the bits and the errors are those of Probability(value)."""
+    if type(value) is float and 0.0 < value <= 1.0:
+        return float.__new__(Probability, value)
+    return Probability(value)
 
 
 def _describe(value):
@@ -356,7 +370,7 @@ def _from_log_parts(total, log_prefactor):
     """total * e^log_prefactor; a LogProbability below the normal range."""
     value = total * math.exp(log_prefactor)
     if value >= _MIN_NORMAL:
-        return Probability(value)
+        return _probability(value)
     return LogProbability(value, log_prefactor + math.log(total))
 
 
@@ -532,7 +546,7 @@ def _temme(a, x, half_a_eta2):
 def _temme_lower(a, x, half_a_eta2):
     """P(a, x) = erfc(-y) / 2 - R from Temme's expansion (see _temme)."""
     y, remainder = _temme(a, x, half_a_eta2)
-    return Probability(0.5 * math.erfc(-y) - remainder)
+    return _probability(0.5 * math.erfc(-y) - remainder)
 
 
 def _check_domain(a, x):
@@ -685,7 +699,7 @@ def _upper_continued_fraction(a, x):
         return Probability(1.0)
     if a >= TEMME_MIN_SHAPE:
         y, remainder = _temme(a, x, -_log_ratio_term(a, x))
-        return Probability(0.5 * math.erfc(y) + remainder)
+        return _probability(0.5 * math.erfc(y) + remainder)
     if x < UPPER_MIN_X:
         raise ConvergenceError(
             f"continued fraction for Q is not accurate below x={UPPER_MIN_X} "
@@ -733,7 +747,7 @@ def _reg_lower_gamma(a, x):
     if a < TEMME_MIN_SHAPE:
         if x < a + 1.0:
             return _lower_series(a, x)
-        return Probability(1.0 - _upper_continued_fraction(a, x))
+        return _probability(1.0 - _upper_continued_fraction(a, x))
     if x > 0.0:
         half_a_eta2 = -_log_ratio_term(a, x)
         if x >= a + 1.0 or half_a_eta2 <= min(_TEMME_EXPONENT_CUTOFF, 0.08 * a):

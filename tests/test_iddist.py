@@ -31,7 +31,15 @@ from gamma_extremes.iddist import (
     default_grid,
     moments,
 )
-from gamma_extremes.specfun import _scaled_normal_sf, reg_lower_gamma, std_normal_band
+from gamma_extremes.specfun import (
+    LogProbability,
+    Probability,
+    _scaled_normal_sf,
+    lower_series,
+    reg_lower_gamma,
+    std_normal_band,
+    upper_continued_fraction,
+)
 
 
 def _negbinomial_band_mpmath(r, p):
@@ -234,6 +242,57 @@ class TestCompoundDensity:
             assert count <= rate + 8.0 * math.sqrt(rate) + 6.0, rate
 
 
+def _compound_density_per_step(rate, offset):
+    """_compound_density with each Hankel ratio formed per step, as it was
+    before the tables, and the k at which its loop ends; for rate s >= 100."""
+    s = rate + offset
+    z = 2.0 * math.sqrt(rate * s)
+    term = -3.0 / (8.0 * z)
+    total = 1.0 + term
+    k = 1
+    while term < -1e-17:
+        k += 1
+        term *= ((2 * k - 1) ** 2 - 4) / (8.0 * k * z)
+        total += term
+    square = offset * offset / (2.0 * rate + offset + z)
+    density = math.sqrt(rate / s) * math.exp(-square) * total / math.sqrt(2.0 * math.pi * z)
+    return density, k
+
+
+class TestHankelTables:
+    def test_entries_are_their_formulas(self):
+        assert len(iddist._HANKEL_NUMERATORS) == len(iddist._HANKEL_EIGHT_K) == 28
+        for k, (num, eight_k) in enumerate(zip(iddist._HANKEL_NUMERATORS, iddist._HANKEL_EIGHT_K)):
+            assert type(num) is float and num == (2 * k - 1) ** 2 - 4
+            assert type(eight_k) is float and eight_k == 8 * k
+
+    def test_loop_ends_within_the_tables(self):
+        # at the least admitted z = 2 sqrt(400) = 40 the loop ends at k = 14;
+        # the tables run on to its end at rate s = 100 (z = 20)
+        assert _compound_density_per_step(1.0, 399.0)[1] == 14
+        assert _compound_density_per_step(1.0, 99.0)[1] == 27
+        assert len(iddist._HANKEL_NUMERATORS) == 28
+        # at a larger z every term is smaller, and the loop ends no later
+        ends = [_compound_density_per_step(1.0, 99.0 + v)[1] for v in range(0, 5000)]
+        assert ends == sorted(ends, reverse=True)
+
+    def test_densities_match_the_per_step_loop_bit_for_bit(self, monkeypatch):
+        rng = random.Random(20261020)
+        points = []
+        for _ in range(1500):
+            rate = 10 ** rng.uniform(math.log10(30.0), 7.0)
+            points.append((rate, rng.uniform(-2.0, 2.0) * math.sqrt(2.0 * rate)))
+        # rate s in [100, 400): the switch lowered as far as the tables reach
+        for _ in range(500):
+            rate = 10 ** rng.uniform(-1.0, 1.3)
+            points.append((rate, rng.uniform(100.0, 400.0) / rate - rate))
+        points += [(1.0, 399.0), (20.0, 0.0), (1.0, 99.0)]
+        monkeypatch.setattr(iddist, "_HANKEL_MIN", 100.0)
+        for rate, offset in points:
+            expected, _ = _compound_density_per_step(rate, offset)
+            assert _compound_density(rate, offset).hex() == expected.hex(), (rate, offset)
+
+
 class TestSpecs:
     def test_parameter_validation(self):
         for lam in (0.0, True):
@@ -311,6 +370,28 @@ class TestMoments:
             band_prob(42)
         with pytest.raises(TypeError):
             band_prob(GammaParams(2.0))
+
+    def test_spec_check_by_exact_type_then_isinstance(self):
+        # the six classes pass on their exact type, a subclass of one on the
+        # isinstance check after it; anything else gets the same TypeError,
+        # GammaDist's own base class too
+        class PoissonSubclass(Poisson):
+            __slots__ = ()
+
+        class GammaSubclass(GammaDist):
+            __slots__ = ()
+
+        pairs = ((PoissonSubclass(3.5), Poisson(3.5)), (GammaSubclass(2.0), GammaDist(2.0)))
+        for spec, plain in pairs:
+            assert float(band_prob(spec)).hex() == float(band_prob(plain)).hex()
+            assert type(band_prob(spec)) is Probability
+            assert moments(spec) == moments(plain)
+        for entry in (band_prob, moments):
+            with pytest.raises(TypeError, match=r"^not a distribution spec: 42$"):
+                entry(42)
+            message = r"^not a distribution spec: GammaParams\(alpha=2.0, beta=1.0\)$"
+            with pytest.raises(TypeError, match=message):
+                entry(GammaParams(2.0))
 
     def test_spec_type_is_the_six_family_classes(self):
         assert type(DistributionSpec) is tuple
@@ -720,8 +801,8 @@ BAND_BITS_SPECS = (
     NegativeBinomial(9.99, 0.05), NegativeBinomial(1.456348477501244, 0.3071428571428571),
     # r >= 10: the anchor at k0 = 0 (with hi = 0 and hi > 0), at k0 = lo > 0
     # and inside the band. k0 = int((r - 1) q / p) = int(mean - q / p) lies
-    # in [lo, hi] there, as sd > q / p + 1 once lo > 0, so the band's clamps
-    # never move it to an edge.
+    # in [lo, hi] there, as sd > q / p + 1 once lo > 0, so the band takes it
+    # unclamped (TestLatticeAnchor).
     NegativeBinomial(10.0, 0.99), NegativeBinomial(14.0, 0.945),
     NegativeBinomial(10.164814296421225, 0.8706619352348335),
     NegativeBinomial(49.41713361323832, 0.5275510204081633),
@@ -753,3 +834,72 @@ def test_band_bits_match_golden():
     with open(BAND_BITS, encoding="utf-8") as fh:
         golden = fh.read().splitlines()
     assert band_bit_lines() == golden
+
+
+def test_band_results_are_exactly_probability():
+    """Every branch of every family's band returns a Probability, not a
+    subclass; the incomplete gamma's results below the normal doubles stay
+    LogProbability values with the logs they had when every result went
+    through the Probability constructor."""
+    for spec in BAND_BITS_SPECS:
+        assert type(band_prob(spec)) is Probability, spec
+    for value, log in ((gamma_prob.h(0.5, 1e7), "-0x1.d78d81726fff3p+20"),
+                       (reg_lower_gamma(2.0, 1e-160), "-0x1.70c29bb6268e9p+9"),
+                       (lower_series(2.0, 1e-160), "-0x1.70c29bb6268e9p+9"),
+                       (upper_continued_fraction(1.0, 800.0), "-0x1.9000000000000p+9")):
+        assert type(value) is LogProbability
+        assert value.log.hex() == log
+
+
+class TestLatticeAnchor:
+    """The lattice bands anchor at the mode with no clamp into [lo, hi]; the
+    proofs are in the comments at the two anchors. Each band here hands
+    _lattice_pmf its k0 and band edges, which a stub records in place of
+    the sum."""
+
+    @pytest.fixture
+    def anchors(self, monkeypatch):
+        seen = []
+
+        def record(anchor, k0, lo, hi, c, d):
+            seen.append((k0, lo, hi))
+            return [0.5]
+
+        monkeypatch.setattr(iddist, "_lattice_pmf", record)
+        return seen
+
+    def test_negative_binomial_mode_lies_in_the_band(self, anchors):
+        rng = random.Random(20260614)
+        specs = [NegativeBinomial(10 ** rng.uniform(1.0, 5.0), rng.uniform(0.001, 0.999))
+                 for _ in range(10_000)]
+        # r q a few ulp above 1, where lo = 1 and the margin of the proof is
+        # as small as the roundings: p stepped by ulps around 1 - 1/r
+        shapes = [10.0 + v / 16 for v in range(400)]
+        shapes += [10 ** rng.uniform(1.0, 5.0) for _ in range(400)]
+        for r in shapes:
+            p = 1.0 - 1.0 / r
+            for direction in (0.0, 2.0):
+                x = p
+                for _ in range(40):
+                    if 1.0 < r * (1.0 - x) <= 1.0 + 1e-15:
+                        specs.append(NegativeBinomial(r, x))
+                    x = math.nextafter(x, direction)
+        for spec in specs:
+            spec.band()
+        assert len(anchors) == len(specs) > 10_000
+        assert all(lo <= k0 <= hi for k0, lo, hi in anchors)
+        # the proof's edge cases are reached: k0 at lo, and lo = k0 = 1 at
+        # every r q just above 1
+        assert sum(k0 == lo > 0 for k0, lo, _ in anchors[:10_000]) > 50
+        assert len(anchors) > 10_300
+        assert all(k0 == lo == 1 for k0, lo, _ in anchors[10_000:])
+
+    def test_poisson_mode_lies_in_the_band(self, anchors):
+        rng = random.Random(20260615)
+        lams = [10 ** rng.uniform(-2.0, 7.0) for _ in range(10_000)]
+        lams += [1.0, math.nextafter(1.0, 2.0), 2.0, 4.0, math.nextafter(4.0, 0.0), 1e7]
+        for lam in lams:
+            Poisson(lam).band()
+        assert len(anchors) == len(lams)
+        assert all(lo <= k0 <= hi for k0, lo, hi in anchors)
+        assert sum(k0 == lo > 0 for k0, lo, _ in anchors) > 0

@@ -157,6 +157,25 @@ class TestProbability:
         with pytest.raises(ValueError):
             Probability(2)
 
+    def test_module_fast_path_matches_the_constructor(self):
+        # _probability builds the package's results: for every input it gives
+        # what Probability gives, class, bits and sign of zero, or the error
+        def outcome(build, value):
+            try:
+                result = build(value)
+            except Exception as exc:  # noqa: BLE001 - the error is the outcome
+                return type(exc), str(exc)
+            return type(result), float(result).hex(), math.copysign(1.0, result)
+
+        inputs = (0.0, -0.0, 5e-324, sys.float_info.min, 0.5, 1.0, math.nextafter(1.0, 2.0),
+                  1.0 + 1e-13, 1.0 - 1e-13, 1.0 + 1e-11, -1e-11, math.inf, -math.inf, math.nan,
+                  0, 1, 2, 10 ** 400, Fraction(1, 3), "0.5", True)
+        outcomes = [outcome(Probability, value) for value in inputs]
+        assert [outcome(specfun._probability, value) for value in inputs] == outcomes
+        # the inputs reach the fast path, the clamps and the refusals
+        assert sum(result[0] is Probability for result in outcomes) == 14
+        assert sum(result[0] is ValueError for result in outcomes) == 7
+
     def test_carries_no_instance_dict(self):
         assert not hasattr(Probability(0.5), "__dict__")
         assert not hasattr(LogProbability(0.0, -2000.0), "__dict__")
