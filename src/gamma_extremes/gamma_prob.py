@@ -9,6 +9,7 @@ to the regularized incomplete gamma and are scale-free in beta.
 import math
 
 from .specfun import (
+    _MAX_DOUBLE,
     _Record,
     _check_positive,
     _finite_variance,
@@ -41,7 +42,10 @@ class GammaParams(_Record):
 
 def h(kappa, alpha):
     """P{X <= kappa * E[X]} for X ~ Gamma(alpha, 1)."""
-    kappa = _check_positive("kappa", kappa)
+    # a plain float kappa in (0, _MAX_DOUBLE], the usual case, is one that
+    # _check_positive returns unchanged
+    if not (type(kappa) is float and 0.0 < kappa <= _MAX_DOUBLE):
+        kappa = _check_positive("kappa", kappa)
     return reg_lower_gamma(alpha, kappa * alpha)
 
 

@@ -14,7 +14,10 @@ classic golden-section / parabolic-interpolation minimizer (Numerical
 Recipes style) with an evaluation budget, which also stops at the rounding
 floor of the objective: a minimum is located only to about sqrt(eps) of
 its scale (Brent, Algorithms for Minimization without Derivatives, 1973,
-ch. 5). So min_h resolves the argmin to ~1e-7 relative, about 7 of the 12
+ch. 5). min_h hands it the values the walk has found at the bracket's
+ends, so its first step is a parabola rather than a golden section: 5-6
+evaluations at each table kappa, 39 over the seven (51 from a cold
+start). min_h resolves the argmin to ~1e-7 relative, about 7 of the 12
 digits `minimize` prints, and the minimum itself to ~1e-15.
 """
 
@@ -123,8 +126,17 @@ def bracket_minimum(f, lo, hi, grid_n):
     raise NoInteriorMinimum("upper", hi, above)
 
 
-def brent_min(f, bracket, tol, max_evaluations=200):
+def brent_min(f, bracket, tol, max_evaluations=200, ends=None):
     """Locate the bracketed minimum to abscissa tolerance tol.
+
+    With ends = (f(lo), f(hi)), values the caller already has, the search
+    starts warm: Brent's two other points w and v are the bracket's ends,
+    the lower value first, and the last two steps count as the bracket's
+    width, so the first step is the vertex of the parabola through the
+    three known points rather than a golden section. The ends cost no
+    evaluation. Without ends the search starts cold, at the middle point
+    alone (on (x - 2)^2 from the bracket (0, 1.5, 5): 5 evaluations warm,
+    7 cold).
 
     The search also ends, converged, at the objective's rounding floor:
     when an accepted parabolic step is shorter than
@@ -166,6 +178,12 @@ def brent_min(f, bracket, tol, max_evaluations=200):
     x = w = v = mid
     fx = fw = fv = eval_f(x)
     d = e = 0.0
+    if ends is not None:
+        # warm start: w and v are the bracket's ends, the lower value first,
+        # and e = hi - lo admits the parabola through them and x at once
+        f_lo, f_hi = ends
+        w, fw, v, fv = (hi, f_hi, lo, f_lo) if f_hi < f_lo else (lo, f_lo, hi, f_hi)
+        d = e = hi - lo
     converged = False
     while evaluations < max_evaluations:
         m = 0.5 * (a + b)
@@ -290,19 +308,22 @@ def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
     a tie or a grid end, bracket_minimum scans the grid instead. Both read
     the grid's points by index; no list of grid_n points is built.
 
-    brent_min then stops at h's rounding floor, or on tol where that comes
-    first: 7-8 evaluations at each table kappa, 51 over the seven, where
-    the search on tol alone took 11-24 and 117. The argmin is resolved to
-    ~1e-7 relative (the floor delta in ln alpha is 0.8e-7 to 1.5e-7 over
-    the table, 2.5e-7 at kappa = 1.001), about 7 of the 12 digits
-    `minimize` prints; the minimum to ~1e-15. A tol below ~1e-7 buys no
-    further digits.
+    brent_min starts from h at the bracket's ends, which the walk or the
+    scan has already computed, and stops at h's rounding floor, or on tol
+    where that comes first: 5-6 evaluations at each table kappa, 39 over
+    the seven, where a cold start took 7-8 and 51 and the search on tol
+    alone 11-24 and 117. The argmin is resolved to ~1e-7 relative (the
+    floor delta in ln alpha is 0.8e-7 to 1.5e-7 over the table, 2.5e-7 at
+    kappa = 1.001), about 7 of the 12 digits `minimize` prints; the
+    minimum to ~1e-15. A tol below ~1e-7 buys no further digits.
 
     Within one call h is evaluated once per point: the objective keeps the
-    value at each log-abscissa, so brent_min's first point (the bracket's
-    middle) and its closing re-evaluation of the argmin cost no call of h.
-    evaluations still counts brent_min's objective calls, those two among
-    them. Nothing is kept between calls.
+    value at each log-abscissa, so the bracket's ends, brent_min's first
+    point (the bracket's middle) and its closing re-evaluation of the
+    argmin cost no call of h. evaluations still counts brent_min's
+    objective calls, the last two among them. A table kappa takes 6-9
+    calls of h in all (8-11 from a cold start). Nothing is kept between
+    calls.
 
     tol and grid_n are checked first, for every kappa. NoInteriorMinimum
     carries the boundary, its alpha and h there; for kappa > 1 it means the
@@ -331,7 +352,8 @@ def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
             log_bracket = bracket_minimum(objective, DEFAULT_LOG_LO, DEFAULT_LOG_HI, grid_n)
         except NoInteriorMinimum as diag:
             raise NoInteriorMinimum(diag.boundary, math.exp(diag.abscissa), diag.value) from None
-    result = brent_min(objective, log_bracket, tol)
+    lo, _, hi = log_bracket
+    result = brent_min(objective, log_bracket, tol, ends=(values[lo], values[hi]))
     bracket = tuple(math.exp(x) for x in result.bracket)
     return OptimizationResult(math.exp(result.argmin), Probability(result.min_value), bracket,
                               result.evaluations, result.converged)

@@ -567,6 +567,16 @@ def _check_domain(a, x):
     return float(a), float(x)
 
 
+# The public incomplete gammas take plain floats, the usual case, straight
+# to their bodies when type(a) is float and type(x) is float and
+# MIN_SHAPE <= a <= MAX_SHAPE and 0.0 <= x <= _MAX_DOUBLE. _check_domain
+# accepts every such pair (the range tests exclude NaN and +-inf) and
+# returns it unchanged, float(a) and float(x) being a and x themselves,
+# -0.0 included; anything else goes through it, the one place that tells
+# what is wrong. The test saves ~0.15 us of the call's ~2.6 us at
+# (2.0, 0.5) (CPython 3.11).
+
+
 def lower_series(a, x):
     """P(a, x) from the lower side, never from Q.
 
@@ -585,6 +595,9 @@ def lower_series(a, x):
     - x >= a + 1 and a >= TEMME_MIN_SHAPE: Temme's P form
       erfc(-eta sqrt(a/2)) / 2 - R_a(eta) in O(1), to ~2e-16 relative.
     """
+    if (type(a) is float and type(x) is float
+            and MIN_SHAPE <= a <= MAX_SHAPE and 0.0 <= x <= _MAX_DOUBLE):
+        return _lower_series(a, x)
     return _lower_series(*_check_domain(a, x))
 
 
@@ -598,6 +611,7 @@ def _lower_series(a, x):
     total = term
     comp = 0.0
     ap = a
+    tol = REL_TOL
     for _ in range(MAX_ITERATIONS):
         ap += 1.0
         term *= x / ap
@@ -605,10 +619,10 @@ def _lower_series(a, x):
         t = total + y
         comp = (t - total) - y
         total = t
-        # term < total * REL_TOL while both are finite; an overflowed sum
+        # term < total * tol while both are finite; an overflowed sum
         # stops here too, at once (term finite, total inf) or one step after
         # both overflow (total nan)
-        if not term >= total * REL_TOL:
+        if not term >= total * tol:
             if not total < math.inf:
                 raise ConvergenceError(
                     f"lower series overflowed for a={a}, x={x}; "
@@ -620,32 +634,45 @@ def _lower_series(a, x):
 
 def _lentz(a, x):
     """The Legendre continued fraction of Q(a, x) e^x x^-a Gamma(a), by
-    Lentz's method. Sound only while x + 1 - a > 0: below that its first
+    Lentz's method, for x >= 0 and b_0 = x + 1 - a > 0. Below that its first
     denominators change sign and the loop can stop on a false convergence.
-    The index i runs as a float, so a_i = -i (i - a) is float arithmetic
-    only, and each |v| < bound test is written -bound < v < bound, which
+
+    The loop needs no zero guards. With b_i = b_0 + 2i and a_i = -i (i - a),
+    the denominators D_i = b_i + a_i / D_(i-1) and C_i = b_i + a_i / C_(i-1)
+    stay >= b_0 + i, by induction: D_0 = b_0 and C_1 = b_1 + a_1 TINY; where
+    i <= a, a_i >= 0; where i > a, D_i >= b_0 + 2i - i (i - a) / (b_0 + i - 1)
+    >= b_0 + i, as b_0 + i - 1 >= i - a is x >= 0 (C_i alike). In doubles a
+    step scales the last relative shortfall below b_0 + i by at most
+    i / (b_0 + i) < 1, as |a_i| / (b_0 + i - 1) <= i, and its roundings add
+    a few eps, so D_i and C_i stay above (b_0 + i)(1 - 6 i eps), within
+    1.3e-9 of the bound up to MAX_ITERATIONS: no denominator comes near 0,
+    where Lentz's guards would put TINY in its place. Each caller
+    has b_0 > 0: x >= a + 1 in _upper_continued_fraction, a0 <= x or a0 <= 1
+    with x >= UPPER_MIN_X on its shape-lowered path, and (1/2, y^2 >= 700)
+    in _scaled_normal_sf. Without the guards' two tests a step costs about
+    three quarters as much (a call at (0.001, 1.011): 19.5 -> 14.9 us on
+    CPython 3.11), with the same bits.
+
+    The index i runs as a float, so a_i is float arithmetic only, and the
+    stopping test |delta - 1| < tol is written -tol < delta - 1 < tol, which
     has the same truth value for every double, +-0 and NaN included."""
     # one rounding of x + 1 - a: x + 1.0 is exact for x >= 1, 1.0 - a for
     # a >= 1/2 (below that b > 1/2, so a second rounding does no harm)
     b = x + 1.0 - a if x >= 1.0 else (1.0 - a) + x
     c = 1.0 / TINY
-    d = 1.0 / b if b != 0.0 else 1.0 / TINY
+    d = 1.0 / b
     h = d
     i = 0.0
+    tol = REL_TOL
     for _ in range(MAX_ITERATIONS):
         i += 1.0
         an = -i * (i - a)
         b += 2.0
-        d = an * d + b
-        if -TINY < d < TINY:
-            d = TINY
+        d = 1.0 / (an * d + b)
         c = b + an / c
-        if -TINY < c < TINY:
-            c = TINY
-        d = 1.0 / d
         delta = d * c
         h *= delta
-        if -REL_TOL < delta - 1.0 < REL_TOL:
+        if -tol < delta - 1.0 < tol:
             return h
     raise ConvergenceError(f"continued fraction did not converge for a={a}, x={x}")
 
@@ -688,6 +715,9 @@ def upper_continued_fraction(a, x):
       near x = UPPER_MIN_X, below which it raises ConvergenceError
       (except Q(a, 0) = 1).
     """
+    if (type(a) is float and type(x) is float
+            and MIN_SHAPE <= a <= MAX_SHAPE and 0.0 <= x <= _MAX_DOUBLE):
+        return _upper_continued_fraction(a, x)
     return _upper_continued_fraction(*_check_domain(a, x))
 
 
@@ -739,6 +769,9 @@ def reg_lower_gamma(a, x):
     arguments already checked: gamma_prob's band takes its lower edge there,
     once the upper edge's call has checked the shape.
     """
+    if (type(a) is float and type(x) is float
+            and MIN_SHAPE <= a <= MAX_SHAPE and 0.0 <= x <= _MAX_DOUBLE):
+        return _reg_lower_gamma(a, x)
     return _reg_lower_gamma(*_check_domain(a, x))
 
 

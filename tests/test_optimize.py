@@ -33,9 +33,11 @@ REFERENCE_MINIMA = {
     4.0: (0.13917, 0.925864),
 }
 
-# min_h's evaluations at each table kappa; on tol alone, before brent_min
-# stopped at h's rounding floor, they were 23, 16, 16, 14, 13, 11 and 24 (117)
-MIN_H_EVALUATIONS = {1.01: 7, 1.1: 7, 1.2: 7, 1.5: 7, 2.0: 7, 3.0: 8, 4.0: 8}
+# min_h's evaluations at each table kappa, with brent_min started from the
+# bracket's known end values; from a cold start they were 7, 7, 7, 7, 7, 8
+# and 8 (51), and on tol alone, before brent_min stopped at h's rounding
+# floor, 23, 16, 16, 14, 13, 11 and 24 (117)
+MIN_H_EVALUATIONS = {1.01: 5, 1.1: 5, 1.2: 5, 1.5: 6, 2.0: 6, 3.0: 6, 4.0: 6}
 # kappa -> argmin near which mp_min_h searches: the table, the flattest golden
 # kappa, and 5.32, where a stop on a fit over far-apart points was 2e-5 off
 MPMATH_ARGMINS = {kappa: argmin for kappa, (argmin, _) in REFERENCE_MINIMA.items()}
@@ -51,13 +53,13 @@ DECREASING_KAPPAS = [i / 200 for i in range(1, 201)] + [
 
 
 def full_grid_bracket(f, lo, hi, grid_n):
-    """The first strictly-lower triple, with every grid point evaluated
-    before the scan."""
+    """The first strictly-lower triple and f at its two ends, with every
+    grid point evaluated before the scan."""
     xs = _lin_grid(lo, hi, grid_n)
     fs = [f(x) for x in xs]
     for i in range(1, grid_n - 1):
         if fs[i] < fs[i - 1] and fs[i] < fs[i + 1]:
-            return (xs[i - 1], xs[i], xs[i + 1])
+            return (xs[i - 1], xs[i], xs[i + 1]), (fs[i - 1], fs[i + 1])
     raise AssertionError("no interior triple")
 
 
@@ -188,6 +190,40 @@ class TestBrentMin:
         assert result.evaluations <= 5
         assert f.calls == result.evaluations
 
+    def test_warm_start_steps_first_to_the_parabola(self):
+        # with f at the bracket's ends, the first step is the vertex of the
+        # parabola through the three points, here the minimum itself
+        f = lambda x: (x - 2.0) ** 2
+        seen = []
+        result = brent_min(lambda x: seen.append(x) or f(x), (0.0, 1.5, 5.0), 1e-10,
+                           ends=(f(0.0), f(5.0)))
+        assert seen[:2] == [1.5, 2.0]
+        assert result.argmin == 2.0
+        assert result.min_value == 0.0
+        assert result.converged
+        # the ends cost no evaluation: 5, against 7 from a cold start
+        assert result.evaluations == len(seen) == 5
+
+    @pytest.mark.parametrize("f, bracket, tol, evaluations, argmin", [
+        (lambda x: (x - 2.0) ** 2, (0.0, 1.5, 5.0), 1e-10, 7, "0x1.0000000000000p+1"),
+        (lambda x: 1.0 + 1e-3 * (x - 2.0) ** 2, (0.0, 1.5, 5.0), 1e-10, 37,
+         "0x1.00000172891c3p+1"),
+        (lambda x: math.cosh(x - 0.7), (-2.0, 0.0, 3.0), 1e-9, 9, "0x1.6666666648d83p-1"),
+    ])
+    def test_cold_start_is_unchanged(self, f, bracket, tol, evaluations, argmin):
+        # without ends the search starts at the middle point alone and takes
+        # a golden section first, into the longer side (each middle here is
+        # left of its bracket's centre): the counts and argmins measured
+        # before the warm start existed
+        _, mid, hi = bracket
+        seen = []
+        result = brent_min(lambda x: seen.append(x) or f(x), bracket, tol)
+        assert seen[1] == mid + 0.3819660112501051 * (hi - mid)
+        assert result.evaluations == evaluations
+        assert result.argmin.hex() == argmin
+        assert result.converged
+        assert brent_min(f, bracket, tol, ends=None) == result
+
     def test_result_invariants(self):
         f = lambda x: math.cosh(x - 0.7)
         result = brent_min(f, (-2.0, 0.0, 3.0), 1e-9)
@@ -236,8 +272,8 @@ class TestMinH:
         def objective(x):
             return h(kappa, math.exp(x))
 
-        log_bracket = full_grid_bracket(objective, DEFAULT_LOG_LO, DEFAULT_LOG_HI, 200)
-        expected = brent_min(objective, log_bracket, DEFAULT_TOL)
+        log_bracket, ends = full_grid_bracket(objective, DEFAULT_LOG_LO, DEFAULT_LOG_HI, 200)
+        expected = brent_min(objective, log_bracket, DEFAULT_TOL, ends=ends)
         result = min_h(kappa)
         assert result.bracket == tuple(math.exp(x) for x in log_bracket)
         assert result.argmin == math.exp(expected.argmin)
@@ -250,8 +286,8 @@ class TestMinH:
             def objective(x):
                 return h(kappa, math.exp(x))
 
-            log_bracket = full_grid_bracket(objective, DEFAULT_LOG_LO, DEFAULT_LOG_HI, 200)
-            expected = brent_min(objective, log_bracket, DEFAULT_TOL)
+            log_bracket, ends = full_grid_bracket(objective, DEFAULT_LOG_LO, DEFAULT_LOG_HI, 200)
+            expected = brent_min(objective, log_bracket, DEFAULT_TOL, ends=ends)
             result = min_h(kappa)
             assert result.bracket == tuple(math.exp(x) for x in log_bracket), kappa
             assert result.argmin == math.exp(expected.argmin), kappa
@@ -260,19 +296,20 @@ class TestMinH:
             assert result.converged == expected.converged, kappa
 
     def test_evaluation_budget(self):
-        """brent_min stops at h's rounding floor: 51 evaluations over the
-        table, against 117 on tol alone, and none above its old count. A
-        return to searching below the floor fails here without a timing
-        test."""
+        """brent_min starts from the bracket's end values and stops at h's
+        rounding floor: 39 evaluations over the table, against 51 from a
+        cold start and 117 on tol alone. A return to a cold start or to
+        searching below the floor fails here without a timing test."""
         counts = {kappa: min_h(kappa).evaluations for kappa in REFERENCE_MINIMA}
         assert counts == MIN_H_EVALUATIONS
-        assert sum(counts.values()) == 51
+        assert sum(counts.values()) == 39
 
     def test_dense_sweep_evaluation_budget(self):
-        # measured 3084 over the sweep, 6 to 17 per kappa; 5657 on tol alone
+        # measured 2405 over the sweep, 5 to 8 per kappa; 3084 (6 to 17) from
+        # a cold start, 5657 on tol alone
         counts = [min_h(kappa).evaluations for kappa in DENSE_KAPPAS]
-        assert sum(counts) <= 3100
-        assert max(counts) <= 17
+        assert sum(counts) <= 2405
+        assert max(counts) <= 8
 
     @pytest.mark.parametrize("kappa", OUTSIDE_GRID_KAPPAS)
     def test_minimum_outside_the_grid_same_diagnosis_as_the_scan(self, kappa):

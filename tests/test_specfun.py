@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gamma_extremes import iddist, optimize, specfun
+from gamma_extremes import gamma_prob, iddist, optimize, specfun
 from gamma_extremes.certificates import Case1Report, CertificateReport
 from gamma_extremes.gamma_prob import GammaParams, band, h, t
 from gamma_extremes.iddist import (
@@ -672,6 +672,207 @@ def test_kernel_bits_match_golden():
     with open(KERNEL_BITS, encoding="utf-8") as fh:
         golden = fh.read().splitlines()
     assert kernel_bit_lines() == golden
+
+
+def guarded_lentz(a, x):
+    """Lentz's loop with its zero guards, as it stood before they were
+    proved idle: (the fraction, the least of D_i / (b_0 + i) and
+    C_i / (b_0 + i) over its steps). Its first value is the reference for
+    specfun._lentz bit for bit, its second a check of the invariant
+    D_i, C_i >= b_0 + i that makes the guards idle."""
+    tiny, tol = specfun.TINY, specfun.REL_TOL
+    b = x + 1.0 - a if x >= 1.0 else (1.0 - a) + x
+    b0 = b
+    c = 1.0 / tiny
+    d = 1.0 / b if b != 0.0 else 1.0 / tiny
+    h = d
+    i = 0.0
+    least = math.inf
+    for _ in range(specfun.MAX_ITERATIONS):
+        i += 1.0
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if -tiny < d < tiny:
+            d = tiny
+        c = b + an / c
+        if -tiny < c < tiny:
+            c = tiny
+        least = min(least, d / (b0 + i), c / (b0 + i))
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if -tol < delta - 1.0 < tol:
+            return h, least
+    raise ConvergenceError(f"continued fraction did not converge for a={a}, x={x}")
+
+
+class TestLentzWithoutGuards:
+    """_lentz has no zero guards: each caller has b_0 = x + 1 - a > 0 and
+    x >= 0, where D_i and C_i stay >= b_0 + i (see its docstring). On 10^4
+    seeded arguments of each caller, as the callers pass them, the guarded
+    loop keeps D_i and C_i within 1e-6 relative of that bound, and the
+    unguarded one gives the same bits."""
+
+    def lentz_arguments(self, monkeypatch, run):
+        """The (a, x) each call of _lentz gets while run() runs."""
+        calls = []
+        real = specfun._lentz
+        monkeypatch.setattr(specfun, "_lentz", lambda a, x: calls.append((a, x)) or real(a, x))
+        run()
+        monkeypatch.undo()
+        return calls
+
+    def check(self, calls):
+        assert len(calls) >= 10 ** 4
+        for a, x in calls:
+            reference, least = guarded_lentz(a, x)
+            assert specfun._lentz(a, x).hex() == reference.hex(), (a, x)
+            assert least >= 1.0 - 1e-6, (a, x)
+
+    def test_above_a_plus_one(self, monkeypatch):
+        # a log-uniform over the shapes; x from a + 1 exactly (every 100th
+        # point) up to ten times it, and every 100th point far above
+        rng = random.Random(3701)
+        points = []
+        for k in range(10 ** 4):
+            a = math.exp(rng.uniform(math.log(MIN_SHAPE), math.log(MAX_SHAPE)))
+            if k % 100 == 0:
+                x = a + 1.0
+            elif k % 100 == 50:
+                x = math.exp(rng.uniform(math.log(a + 1.0), math.log(1e308)))
+            else:
+                x = (a + 1.0) * math.exp(rng.uniform(0.0, math.log(10.0)))
+            points.append((a, x))
+
+        def run():
+            for a, x in points:
+                upper_continued_fraction(a, x)
+
+        calls = self.lentz_arguments(monkeypatch, run)
+        assert calls == points
+        assert sum(x == a + 1.0 for a, x in calls) == 100
+        self.check(calls)
+
+    def test_shape_lowered_below_a_plus_one(self, monkeypatch):
+        # below a + 1 at a < 100, the fraction runs at the lowered shape a0;
+        # a log-uniform and, to lower it more often, uniform by turns
+        rng = random.Random(3702)
+        points = []
+        while len(points) < 10 ** 4:
+            if len(points) % 2:
+                a = rng.uniform(MIN_SHAPE, TEMME_MIN_SHAPE)
+            else:
+                a = math.exp(rng.uniform(math.log(MIN_SHAPE), math.log(TEMME_MIN_SHAPE)))
+            x = rng.uniform(UPPER_MIN_X, a + 1.0)
+            if x < a + 1.0:
+                points.append((a, x))
+
+        def run():
+            for a, x in points:
+                upper_continued_fraction(a, x)
+
+        calls = self.lentz_arguments(monkeypatch, run)
+        assert [x for _, x in calls] == [x for _, x in points]
+        assert all(a0 <= 1.0 or a0 <= x for a0, x in calls)
+        assert sum(a0 < a for (a0, _), (a, _) in zip(calls, points)) > 5000
+        self.check(calls)
+
+    def test_scaled_normal_tail(self, monkeypatch):
+        # Q(1/2, y^2) from y^2 = 700, where erfc leaves the normal doubles, up
+        # to 1e308; a y^2 that rounds below 700 on the way through w takes
+        # erfc instead
+        rng = random.Random(3703)
+        y2s = [math.exp(rng.uniform(math.log(700.0), math.log(1e308))) for _ in range(10100)]
+        ws = [math.sqrt(2.0 * y2) for y2 in y2s]
+
+        def run():
+            for w in ws:
+                specfun._scaled_normal_sf(w)
+
+        calls = self.lentz_arguments(monkeypatch, run)
+        assert len(calls) >= len(ws) - 10
+        assert all(a == 0.5 and x >= specfun._ERFC_MAX_EXPONENT for a, x in calls)
+        self.check(calls)
+
+
+class _Float(float):
+    """A float subclass, which the entry fast paths leave to the checks."""
+
+
+def checked_h(kappa, alpha):
+    """h as it stood with its check always run: the fast path's reference."""
+    return reg_lower_gamma(alpha, specfun._check_positive("kappa", kappa) * alpha)
+
+
+class TestEntryFastPath:
+    """reg_lower_gamma, lower_series, upper_continued_fraction and h take a
+    plain in-range float straight to their bodies; everything else goes
+    through the checks. Both routes give the same class, bits and log, or
+    the same error type and message."""
+
+    SHAPES = (MIN_SHAPE, math.nextafter(MIN_SHAPE, 0.0), MAX_SHAPE,
+              math.nextafter(MAX_SHAPE, math.inf), 10 ** 7, True, Probability(0.5),
+              math.nan, math.inf, -math.inf)
+    ARGUMENTS = (0.0, -0.0, 5e-324, sys.float_info.max, math.inf, math.nan, -1e-300,
+                 10 ** 400, True)
+    KAPPAS = (math.nan, math.inf, 0.0, -0.0, 5e-324, sys.float_info.max, 2, True,
+              _Float(1.5), 1.5)
+    ALPHAS = (MIN_SHAPE, 0.5, 2.0, MAX_SHAPE, 3)
+    BODIES = {
+        reg_lower_gamma: specfun._reg_lower_gamma,
+        lower_series: specfun._lower_series,
+        upper_continued_fraction: specfun._upper_continued_fraction,
+    }
+
+    @staticmethod
+    def outcome(call, *args):
+        try:
+            value = call(*args)
+        except Exception as exc:  # noqa: BLE001 - the error is the outcome
+            return type(exc), str(exc)
+        return type(value), float(value).hex(), getattr(value, "log", None)
+
+    @pytest.mark.parametrize("public", list(BODIES), ids=lambda f: f.__name__)
+    def test_same_outcome_as_the_checks(self, public):
+        body = self.BODIES[public]
+        outcomes = []
+        for a in self.SHAPES:
+            for x in self.ARGUMENTS:
+                checked = self.outcome(lambda: body(*specfun._check_domain(a, x)))
+                assert self.outcome(public, a, x) == checked, (a, x)
+                outcomes.append(checked)
+        # the inputs reach the results, the refusals and the fast path
+        assert sum(outcome[0] is ValueError for outcome in outcomes) == 74
+        assert sum(outcome[0] in (Probability, LogProbability) for outcome in outcomes) >= 14
+
+    def test_h_same_outcome_as_the_check(self):
+        outcomes = []
+        for kappa in self.KAPPAS:
+            for alpha in self.ALPHAS:
+                expected = self.outcome(checked_h, kappa, alpha)
+                assert self.outcome(h, kappa, alpha) == expected, (kappa, alpha)
+                outcomes.append(expected)
+        assert sum(outcome[0] is ValueError for outcome in outcomes) == 28
+        assert sum(outcome[0] in (Probability, LogProbability) for outcome in outcomes) == 22
+
+    def test_plain_floats_skip_the_checks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"checked {args}")
+
+        monkeypatch.setattr(specfun, "_check_domain", refuse)
+        monkeypatch.setattr(specfun, "_check_positive", refuse)
+        for public in self.BODIES:
+            assert public(2.0, 3.0) == self.BODIES[public](2.0, 3.0)
+            assert public(MIN_SHAPE, -0.0) == self.BODIES[public](MIN_SHAPE, -0.0)
+        monkeypatch.setattr(gamma_prob, "_check_positive", refuse)
+        assert h(1.5, 2.0) == specfun._reg_lower_gamma(2.0, 3.0)
+        # an int, a bool or a float subclass is checked
+        for args in ((2, 3.0), (2.0, True), (Probability(0.5), 3.0)):
+            with pytest.raises(AssertionError, match="checked"):
+                reg_lower_gamma(*args)
+        with pytest.raises(AssertionError, match="checked"):
+            h(_Float(1.5), 2.0)
 
 
 class TestStdNormal:
