@@ -4,13 +4,16 @@ from libm's erf and erfc, and so does the scaled tail e^(w^2/2) P{Z > w}
 that the inverse Gaussian band uses, with Lentz's fraction where erfc
 leaves the normal doubles; the log tail takes that scaled tail there.
 
-The incomplete gamma uses three methods, each where it is accurate:
+The incomplete gamma uses four methods, each where it is accurate:
 
 - the lower power series for P(a, x), Kahan-compensated;
 - Lentz's continued fraction for Q(a, x) at x >= a + 1;
 - Temme's uniform asymptotic expansion (SIAM J. Math. Anal. 1979; the form
   of Gil, Segura & Temme, SIAM J. Sci. Comput. 2012) for a >= 100, in
-  O(1) where the other two cost O(sqrt(a)) terms or more.
+  O(1) where the other two cost O(sqrt(a)) terms or more;
+- the expansion of P for large a at fixed x/a < 1 (DLMF 8.11.iii), in
+  O(1) far below the mean at a >= 100, where the series' terms shrink
+  only by x/a per step.
 
 reg_lower_gamma is the one point that chooses among them for P, with
 a eta^2 / 2 = -_log_ratio_term(a, x) (see _temme):
@@ -21,17 +24,24 @@ a eta^2 / 2 = -_log_ratio_term(a, x) (see _temme):
     a >= 100, x >= a + 1               Temme P       ~2e-16
     a >= 100, x < a + 1,
       a eta^2 / 2 <= min(40, 0.08 a)   Temme P       5e-15 + 5e-16 a eta^2/2
-    a >= 100, further below the mean   series        that + ~1e-16 sqrt(a)
+    a >= 100, further below the mean:
+      (a - x)^2 >= 60 a                asymptotic    that (1.5e-15 a eta^2/2
+                                       (<= 34 terms) where x < a/2)
+      (a - x)^2 < 60 a                 series        that + 2e-15
+                                       (<= 68 terms)
 
 The error that grows with a eta^2 / 2 is that of the prefactor's exponent,
-which the series shares. The public lower_series and
-upper_continued_fraction each keep their own side's methods: P from the
-series (Temme above x = a + 1 at a >= 100), Q from the fraction above
-x = a + 1 and below it from Temme's Q form at a >= 100, or at smaller
-shapes from the fraction at a shape lowered by whole steps to where it
-converges, plus the exact recurrence Q(b + 1, x) = Q(b, x) + x^b e^-x /
-Gamma(b + 1). So P and Q never come from one another: P + Q - 1 checks two
-methods against each other everywhere. The log-prefactor
+which the methods share; below x = a/2 its direct form is up to 6.2 ulp
+off (see _log_ratio_term). The asymptotic sum adds 2e-16 to it, the
+series its truncated tail. The series stays at a >= 100 only where
+a < 494 and x/a < 0.6515 (see _ASYMPTOTIC_MIN_SPREAD). The public
+lower_series and upper_continued_fraction each keep their own side's
+methods: P from the series (Temme above x = a + 1 at a >= 100), Q from
+the fraction above x = a + 1 and below it from Temme's Q form at a >= 100,
+or at smaller shapes from the fraction at a shape lowered by whole steps
+to where it converges, plus the exact recurrence Q(b + 1, x) = Q(b, x) +
+x^b e^-x / Gamma(b + 1). So P and Q never come from one another:
+P + Q - 1 checks two methods against each other everywhere. The log-prefactor
 a*ln(x) - x - ln_gamma(a) is evaluated in a cancellation-free form: from
 a = 10 up, its a ln(x/a) - (x - a) is the deviance -d v + 2 a v^3 S(v^2)
 in d = x - a and v = d / (x + a), whose leading -d v is formed from exact
@@ -191,6 +201,41 @@ def _temme_tables():
 
 
 _TEMME_SHAPES, _TEMME_ETAS, _TEMME_TERMS = _temme_tables()
+
+# Below Temme's band at a >= TEMME_MIN_SHAPE, the asymptotic sum of
+# _lower_asymptotic runs where (a - x)^2 >= _ASYMPTOTIC_MIN_SPREAD a, so
+# t = a / (a - x)^2 <= 1/60. That covers every such point from a ~ 494 up,
+# where the band's edge lies at (a - x)^2 / a >= 60.7 (79.8 at a = 1e7);
+# below a ~ 494 the band ends at lambda = x/a = 0.6515, and the series
+# keeps lambda < 0.6515 with (a - x)^2 < 60 a, where it takes at most 68
+# terms. The sum stops once a term is below _ASYMPTOTIC_TOL; it takes at
+# most 34 terms over its path (at (a - x)^2 = 60 a, lambda = 0.649) and
+# 33 along the band's edge at larger shapes. _ASYMPTOTIC_TERMS holds 40
+# rows; a sum that reads them all raises ConvergenceError.
+_ASYMPTOTIC_MIN_SPREAD = 60.0
+_ASYMPTOTIC_TOL = 2.0 ** -56
+
+
+def _asymptotic_table(rows):
+    """The polynomials b_k(lambda) / lambda of _lower_asymptotic, k = 1..rows,
+    each highest coefficient first, for Horner's scheme.
+
+    b_0 = 1 and b_k = lambda (1 - lambda) b_(k-1)' + (2k - 1) lambda
+    b_(k-1) (DLMF 8.11.iii) have positive integer coefficients (the
+    second-order Eulerian numbers, shifted by one power of lambda): with
+    b_(k-1) = sum_j c_j lambda^j, b_k has j c_j + (2k - j) c_(j-1) at
+    lambda^j. The recursion runs on exact ints, and each coefficient is
+    rounded once to double.
+    """
+    b = [1]
+    table = []
+    for k in range(1, rows + 1):
+        b = [j * c + (2 * k - j) * p for j, (p, c) in enumerate(zip([0] + b, b + [0]))]
+        table.append(tuple(map(float, reversed(b[1:]))))
+    return tuple(table)
+
+
+_ASYMPTOTIC_TERMS = _asymptotic_table(40)
 
 
 class ConvergenceError(ArithmeticError):
@@ -510,8 +555,14 @@ def _log_prefactor(a, x):
     """a ln x - x - ln Gamma(a), accurate to ~1e-15 absolute near x ~ a."""
     if a < 10.0:
         return a * math.log(x) - x - math.lgamma(a)
-    corr = -0.5 * math.log(a) + _HALF_LOG_TWO_PI + _stirlerr(a)
-    return _log_ratio_term(a, x) - corr
+    return _log_ratio_term(a, x) - _stirling_shift(a)
+
+
+def _stirling_shift(a):
+    """ln Gamma(a) - (a ln a - a) for a >= 10, from Stirling's series: the
+    part of the log-prefactor a ln x - x - ln Gamma(a) = _log_ratio_term(a, x)
+    - _stirling_shift(a) that depends on a alone."""
+    return -0.5 * math.log(a) + _HALF_LOG_TWO_PI + _stirlerr(a)
 
 
 def _temme(a, x, half_a_eta2):
@@ -607,6 +658,14 @@ def _lower_series(a, x):
         return Probability(0.0)
     if a >= TEMME_MIN_SHAPE and x >= a + 1.0:
         return _temme_lower(a, x, -_log_ratio_term(a, x))
+    return _from_log_parts(_series_sum(a, x), _log_prefactor(a, x))
+
+
+def _series_sum(a, x):
+    """The lower series' sum sum_n x^n / (a (a + 1) ... (a + n)) for x > 0,
+    Kahan-compensated, stopped once a term is below REL_TOL of the sum:
+    P(a, x) e^-(a ln x - x - ln Gamma(a)). Raises ConvergenceError where
+    the sum overflows."""
     term = 1.0 / a
     total = term
     comp = 0.0
@@ -628,8 +687,46 @@ def _lower_series(a, x):
                     f"lower series overflowed for a={a}, x={x}; "
                     "reg_lower_gamma takes Q there"
                 )
-            return _from_log_parts(total, _log_prefactor(a, x))
+            return total
     raise ConvergenceError(f"lower series did not converge for a={a}, x={x}")
+
+
+def _lower_asymptotic(a, x, half_a_eta2):
+    """P(a, x) far below the mean at large shapes, from the expansion for
+    large a at fixed lambda = x/a < 1 (DLMF 8.11.iii):
+
+        gamma(a, x) ~ x^a e^-x / (a - x) sum_k (-t)^k b_k(lambda),
+
+    t = a / (a - x)^2, b_0 = 1 and b_k(lambda) = lambda q_k(lambda) with
+    q_k the rows of _ASYMPTOTIC_TERMS. For half_a_eta2 = a eta^2 / 2 =
+    -_log_ratio_term(a, x), 0 < x < a and t <= 1 / _ASYMPTOTIC_MIN_SPREAD,
+    where reg_lower_gamma takes it. The sum lies in (1 - t lambda, 1), so
+    the first term below _ASYMPTOTIC_TOL = 2^-56 in magnitude, where it
+    stops, is below 2^-56 of the sum to within 2%; that comes before the
+    terms of the divergent expansion begin to grow, after at most 34
+    terms. The terms after b_0 = 1 are added apart, so their roundings
+    stay ~t below an ulp of the sum. The sum divided by a - x is then
+    within 2e-16 relative of 40-digit mpmath (measured 1.6e-16 on 1,600
+    seeded points), and P carries the error of its exponent alone, the
+    prefactor's -half_a_eta2 - _stirling_shift(a). O(1): up to 34 * 35 / 2
+    Horner steps, ~20 us on CPython 3.11 at the band's edge.
+    """
+    lam = x / a
+    d = a - x
+    ratio = -a / (d * d)
+    power = lam
+    tail = 0.0
+    tol = _ASYMPTOTIC_TOL
+    for row in _ASYMPTOTIC_TERMS:
+        power *= ratio
+        b = 0.0
+        for c in row:
+            b = b * lam + c
+        term = power * b
+        tail += term
+        if -tol < term < tol:
+            return _from_log_parts((1.0 + tail) / d, -half_a_eta2 - _stirling_shift(a))
+    raise ConvergenceError(f"asymptotic sum for P did not converge for a={a}, x={x}")
 
 
 def _lentz(a, x):
@@ -759,15 +856,23 @@ def reg_lower_gamma(a, x):
       Temme's P form erfc(-y) / 2 - R in O(1), ~2e-16 relative above the
       mean and 5e-15 + 5e-16 a eta^2 / 2 below it, smooth enough for the
       strict monotonicity of the band probability at a ~ 1e6;
-    - a >= TEMME_MIN_SHAPE, further below the mean: the lower series,
-      whose terms shrink at least by x / a per step there; the same error
-      plus its truncated tail, up to ~1e-16 sqrt(a) relative (3e-13 at
-      a = 1e7 just beyond the band, where P < 1e-18).
+    - a >= TEMME_MIN_SHAPE, further below the mean, with
+      (a - x)^2 >= _ASYMPTOTIC_MIN_SPREAD a (= 60 a): the asymptotic sum
+      of _lower_asymptotic, at most 34 terms, ~20 us at the band's edge
+      and ~5 us at x/a <= 0.8 (CPython 3.11); the same error as Temme's
+      below the mean, the prefactor's, plus 2e-16 (up to 1.5e-15 per unit
+      of a eta^2 / 2 below x = a/2, where the exponent takes its direct
+      form);
+    - a >= TEMME_MIN_SHAPE, short of that: the lower series, only at
+      a < 494 and x/a < 0.6515, at most 68 terms; the same error plus its
+      truncated tail, up to 2e-15 relative.
 
-    Results below the normal double range come from the series and are
-    LogProbability values. The dispatch itself is _reg_lower_gamma, for
-    arguments already checked: gamma_prob's band takes its lower edge there,
-    once the upper edge's call has checked the shape.
+    Every path at a >= TEMME_MIN_SHAPE takes its exponent from the
+    a eta^2 / 2 computed here. Results below the normal double range come
+    from the series or the asymptotic sum and are LogProbability values.
+    The dispatch itself is _reg_lower_gamma, for arguments already checked:
+    gamma_prob's band takes its lower edge there, once the upper edge's
+    call has checked the shape.
     """
     if (type(a) is float and type(x) is float
             and MIN_SHAPE <= a <= MAX_SHAPE and 0.0 <= x <= _MAX_DOUBLE):
@@ -777,15 +882,19 @@ def reg_lower_gamma(a, x):
 
 def _reg_lower_gamma(a, x):
     """reg_lower_gamma for a and x already inside the domain."""
+    if x == 0.0:
+        return Probability(0.0)
     if a < TEMME_MIN_SHAPE:
         if x < a + 1.0:
-            return _lower_series(a, x)
+            return _from_log_parts(_series_sum(a, x), _log_prefactor(a, x))
         return _probability(1.0 - _upper_continued_fraction(a, x))
-    if x > 0.0:
-        half_a_eta2 = -_log_ratio_term(a, x)
-        if x >= a + 1.0 or half_a_eta2 <= min(_TEMME_EXPONENT_CUTOFF, 0.08 * a):
-            return _temme_lower(a, x, half_a_eta2)
-    return _lower_series(a, x)
+    half_a_eta2 = -_log_ratio_term(a, x)
+    if x >= a + 1.0 or half_a_eta2 <= min(_TEMME_EXPONENT_CUTOFF, 0.08 * a):
+        return _temme_lower(a, x, half_a_eta2)
+    d = a - x
+    if d * d >= _ASYMPTOTIC_MIN_SPREAD * a:
+        return _lower_asymptotic(a, x, half_a_eta2)
+    return _from_log_parts(_series_sum(a, x), -half_a_eta2 - _stirling_shift(a))
 
 
 def std_normal_band(kappa):

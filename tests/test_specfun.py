@@ -445,29 +445,32 @@ class TestRegLowerGamma:
     @pytest.mark.parametrize("a", (100.0, 300.0, 1e3, 1e4, 1e5, 1e6, 1e7))
     def test_below_the_mean_matches_kummer_series(self, a):
         """P below x = a from reg_lower_gamma: Temme's P form where
-        a eta^2 / 2 <= min(40, 0.08 a), the lower series beyond, both at
+        a eta^2 / 2 <= min(40, 0.08 a); beyond, the asymptotic sum where
+        (a - x)^2 >= 60 a and the lower series short of that, all at
         z = (x - a) / sqrt(a) in [-8, 0] and at the two doubles around the
-        edge of that band. Each is within 5e-15 relative plus 5e-16 per
+        edge of the band. Each is within 5e-15 relative plus 5e-16 per
         unit of a eta^2 / 2, the absolute error of the exponent of the
-        prefactor e^(-a eta^2 / 2) that both methods share; beyond the band
-        the series adds its truncated tail, up to 1e-16 sqrt(a)."""
+        prefactor e^(-a eta^2 / 2) that the methods share; the series adds
+        its truncated tail, up to 1e-16 sqrt(a), and the asymptotic sum,
+        which has none, adds nothing. Just past the edge the series runs
+        at a = 100 and 300, the asymptotic sum from a = 1e3 up."""
         cutoff = min(specfun._TEMME_EXPONENT_CUTOFF, 0.08 * a)
-        outside, inside = 0.5 * a, a
-        while True:
-            mid = 0.5 * (outside + inside)
-            if mid in (outside, inside):
-                break
-            if -specfun._log_ratio_term(a, mid) > cutoff:
-                outside = mid
-            else:
-                inside = mid
-        assert -specfun._log_ratio_term(a, outside) > cutoff
-        assert reg_lower_gamma(a, outside) == lower_series(a, outside)
+        outside = beyond_the_band(a)
+        inside = math.nextafter(outside, a)
+        assert -specfun._log_ratio_term(a, inside) <= cutoff
+        half_a_eta2 = -specfun._log_ratio_term(a, outside)
+        assert half_a_eta2 > cutoff
+        if a >= 1e3:
+            assert (a - outside) ** 2 >= specfun._ASYMPTOTIC_MIN_SPREAD * a
+            assert reg_lower_gamma(a, outside) == specfun._lower_asymptotic(a, outside, half_a_eta2)
+        else:
+            assert (a - outside) ** 2 < specfun._ASYMPTOTIC_MIN_SPREAD * a
+            assert reg_lower_gamma(a, outside) == lower_series(a, outside)
         points = [a + 0.5 * k * math.sqrt(a) for k in range(-16, 1)] + [outside, inside]
         for x in points:
             half_a_eta2 = -specfun._log_ratio_term(a, x)
             tol = 5e-15 + 5e-16 * half_a_eta2
-            if half_a_eta2 > cutoff:
+            if half_a_eta2 > cutoff and (a - x) ** 2 < specfun._ASYMPTOTIC_MIN_SPREAD * a:
                 tol += 1e-16 * math.sqrt(a)
             expected = mp_lower(a, x)
             assert abs(reg_lower_gamma(a, x) - expected) <= tol * expected, (a, x)
@@ -518,6 +521,223 @@ class TestRegLowerGamma:
     def test_result_is_probability(self, a, x):
         value = reg_lower_gamma(a, x)
         assert 0.0 <= value <= 1.0
+
+
+def beyond_the_band(a):
+    """The largest double x < a beyond Temme's band at a >= 100, where
+    a eta^2 / 2 > min(40, 0.08 a)."""
+    cutoff = min(specfun._TEMME_EXPONENT_CUTOFF, 0.08 * a)
+    outside, inside = 0.0, a
+    while True:
+        mid = 0.5 * (outside + inside)
+        if mid in (outside, inside):
+            return outside
+        if -specfun._log_ratio_term(a, mid) > cutoff:
+            outside = mid
+        else:
+            inside = mid
+
+
+def asymptotic_upper_x(a):
+    """The largest double x at which reg_lower_gamma(a, x), a >= 100, takes
+    the asymptotic sum: beyond Temme's band and (a - x)^2 >= 60 a."""
+    x = min(beyond_the_band(a), a - math.sqrt(specfun._ASYMPTOTIC_MIN_SPREAD * a))
+    while (a - x) ** 2 < specfun._ASYMPTOTIC_MIN_SPREAD * a:
+        x = math.nextafter(x, 0.0)
+    return x
+
+
+def takes_asymptotic_sum(a, x):
+    """Whether reg_lower_gamma(a, x) takes the asymptotic sum."""
+    return (a >= TEMME_MIN_SHAPE and 0.0 < x < a + 1.0
+            and -specfun._log_ratio_term(a, x) > min(specfun._TEMME_EXPONENT_CUTOFF, 0.08 * a)
+            and (a - x) ** 2 >= specfun._ASYMPTOTIC_MIN_SPREAD * a)
+
+
+def asymptotic_points(seed, n):
+    """n seeded (a, x) on the asymptotic sum's path: a log-uniform in
+    [100, 1e7], x = a - d with d log-uniform between the path's edge and a,
+    skewed toward the edge, where the sum takes the most terms."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < n:
+        a = 10.0 ** rng.uniform(2.0, 7.0)
+        least = a - asymptotic_upper_x(a)
+        x = a - least * (a / least) ** (rng.random() ** 3)
+        if x > 0.0:
+            assert takes_asymptotic_sum(a, x), (a, x)
+            points.append((a, x))
+    return points
+
+
+class _CountedRows:
+    """A stand-in for _ASYMPTOTIC_TERMS that records how many rows each
+    pass over it reads."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.counts = []
+
+    def __iter__(self):
+        self.counts.append(0)
+        for row in self.rows:
+            self.counts[-1] += 1
+            yield row
+
+
+class TestLowerAsymptotic:
+    """P(a, x) far below the mean at a >= 100 from the expansion of DLMF
+    8.11.iii, where (a - x)^2 >= 60 a beyond Temme's band."""
+
+    def test_table_is_the_exact_recursion(self):
+        """Each row is b_k / lambda of b_k = lambda (1 - lambda) b_(k-1)' +
+        (2k - 1) lambda b_(k-1), here by plain polynomial arithmetic on
+        ints, each coefficient rounded once, highest first."""
+        def times(p, q):
+            out = [0] * (len(p) + len(q) - 1)
+            for i, c in enumerate(p):
+                for j, e in enumerate(q):
+                    out[i + j] += c * e
+            return out
+
+        def plus(p, q):
+            size = max(len(p), len(q))
+            return [(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(size)]
+
+        table = specfun._ASYMPTOTIC_TERMS
+        assert len(table) == 40
+        b = [1]
+        for k in range(1, len(table) + 1):
+            derivative = [j * c for j, c in enumerate(b)][1:] or [0]
+            b = plus(times([0, 1, -1], derivative), times([0, 2 * k - 1], b))
+            while b[-1] == 0:
+                b.pop()
+            assert b[0] == 0 and all(c > 0 for c in b[1:]), k
+            assert table[k - 1] == tuple(float(c) for c in reversed(b[1:])), k
+            # b_k(1) = (2k - 1)!!, and the leading coefficient is k!
+            assert sum(b) == math.prod(range(1, 2 * k, 2)) and b[-1] == math.factorial(k), k
+            if k <= 3:
+                assert b == ([0, 1], [0, 1, 2], [0, 1, 8, 6])[k - 1]
+
+    def test_sum_and_p_against_mpmath(self, monkeypatch):
+        """On 320 seeded points of its path: the sum divided by a - x within
+        5e-16 relative of 40-digit mpmath's hyp1f1(1, a + 1, x) / a (measured
+        1.6e-16); the log-prefactor, taken from the dispatch's a eta^2 / 2,
+        the bits of _log_prefactor(a, x); and P within 5e-15 plus 5e-16 per
+        unit of a eta^2 / 2 where x >= a/2, and 1.5e-15 per unit below,
+        where _log_ratio_term takes its direct form (up to 6.2 ulp off)."""
+        parts = []
+        real = specfun._from_log_parts
+        monkeypatch.setattr(specfun, "_from_log_parts",
+                            lambda total, log_prefactor: parts.append((total, log_prefactor))
+                            or real(total, log_prefactor))
+        for a, x in asymptotic_points(3801, 320):
+            value = reg_lower_gamma(a, x)
+            total, log_prefactor = parts[-1]
+            assert log_prefactor == specfun._log_prefactor(a, x), (a, x)
+            with mpmath.workdps(40):
+                ma, mx = mpmath.mpf(a), mpmath.mpf(x)
+                series = mpmath.hyp1f1(1, ma + 1, mx, maxterms=10 ** 6) / ma
+                log_p = ma * mpmath.log(mx) - mx - mpmath.loggamma(ma) + mpmath.log(series)
+                assert abs(total - series) <= 5e-16 * series, (a, x)
+                half_a_eta2 = -specfun._log_ratio_term(a, x)
+                tol = 5e-15 + (5e-16 if x >= 0.5 * a else 1.5e-15) * half_a_eta2
+                if isinstance(value, LogProbability):
+                    assert abs(value.log - log_p) <= tol, (a, x)
+                else:
+                    assert abs(value / mpmath.exp(log_p) - 1) <= tol, (a, x)
+
+    def test_exponent_from_the_dispatch_is_log_prefactor(self):
+        """Below the mean at a >= 100 the dispatch forms the exponent as
+        -half_a_eta2 - _stirling_shift(a) from its half_a_eta2 =
+        -_log_ratio_term(a, x): negation is exact, so on 20,000 seeded
+        (a, x) it has the bits of _log_prefactor(a, x)."""
+        rng = random.Random(3805)
+        for _ in range(20000):
+            a = 10.0 ** rng.uniform(2.0, 7.0)
+            x = a * rng.random()
+            half_a_eta2 = -specfun._log_ratio_term(a, x)
+            exponent = -half_a_eta2 - specfun._stirling_shift(a)
+            assert exponent.hex() == specfun._log_prefactor(a, x).hex(), (a, x)
+
+    def test_term_count_is_bounded(self, monkeypatch):
+        """At most 34 terms, of the table's 40, on the seeded points and
+        along the path's upper edge, where the count is largest: 33 along
+        Temme's band and 34 near (a - x)^2 = 60 a at a ~ 487."""
+        rows = _CountedRows(specfun._ASYMPTOTIC_TERMS)
+        monkeypatch.setattr(specfun, "_ASYMPTOTIC_TERMS", rows)
+        edge = [(a, asymptotic_upper_x(a)) for a in (10.0 ** (2.0 + k / 100) for k in range(501))]
+        for a, x in asymptotic_points(3802, 300) + edge:
+            reg_lower_gamma(a, x)
+        assert len(rows.counts) == 801
+        assert max(rows.counts) <= 34 < len(rows.rows)
+        assert max(rows.counts[300:]) >= 33
+
+    def test_short_table_is_a_diagnosed_error(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_ASYMPTOTIC_TERMS", specfun._ASYMPTOTIC_TERMS[:5])
+        a = 1e6
+        x = asymptotic_upper_x(a)
+        with pytest.raises(ConvergenceError, match=re.escape(f"did not converge for a={a}, x={x}")):
+            reg_lower_gamma(a, x)
+
+    def test_no_series_on_its_path(self, monkeypatch):
+        """A stub of the series counts no call on the path, including
+        (a - x)^2 = 90 a at a = 1e4 ... 1e7 (a eta^2 / 2 ~ 45 at 1e7), where
+        the series took 35 us to 0.93 ms; each result is the sum's."""
+        calls = []
+        monkeypatch.setattr(specfun, "_lower_series", lambda a, x: calls.append((a, x)))
+        monkeypatch.setattr(specfun, "_series_sum", lambda a, x: calls.append((a, x)))
+        cliff = [(a, a - math.sqrt(90.0 * a)) for a in (1e4, 1e5, 1e6, 1e7)]
+        assert 44.9 < -specfun._log_ratio_term(*cliff[-1]) < 45.2
+        for a, x in cliff + asymptotic_points(3803, 300):
+            assert takes_asymptotic_sum(a, x), (a, x)
+            half_a_eta2 = -specfun._log_ratio_term(a, x)
+            assert reg_lower_gamma(a, x) == specfun._lower_asymptotic(a, x, half_a_eta2), (a, x)
+        assert calls == []
+
+    def test_series_short_of_it_is_bounded_and_unchanged(self, monkeypatch):
+        """Beyond Temme's band with (a - x)^2 < 60 a the series stays, only
+        at a < 494 and x/a < 0.6515, in at most 68 terms (MAX_ITERATIONS
+        cut to 68 raises nothing), with the bits of the public lower_series:
+        its exponent comes from the dispatch's a eta^2 / 2 and is
+        _log_prefactor's. From a = 494 up, the band's edge lies on the
+        asymptotic sum's path."""
+        for k in range(301):
+            a = 494.0 * 10.0 ** (4.3 * k / 300)
+            assert asymptotic_upper_x(a) == beyond_the_band(a), a
+        monkeypatch.setattr(specfun, "MAX_ITERATIONS", 68)
+        rng = random.Random(3804)
+        points = []
+        for a in (100.0 + k for k in range(401)):
+            top = beyond_the_band(a)
+            if (a - top) ** 2 < specfun._ASYMPTOTIC_MIN_SPREAD * a:
+                points += [(a, top), (a, rng.uniform(asymptotic_upper_x(a), top))]
+        assert len(points) == 2 * 394
+        for a, x in points:
+            if takes_asymptotic_sum(a, x):
+                continue
+            assert a < 494.0 and x < 0.6515 * a, (a, x)
+            value = reg_lower_gamma(a, x)
+            assert float(value).hex() == float(lower_series(a, x)).hex(), (a, x)
+
+    @pytest.mark.parametrize("kappa", (0.5, 0.8, 0.95))
+    def test_h_decreases_across_the_switch(self, kappa):
+        """h(kappa, alpha + 1) < h(kappa, alpha) for alpha within 30 of the
+        shape where h's x = kappa alpha moves onto the asymptotic sum: from
+        the series at kappa = 0.5 (alpha = 240), from Temme's band at 0.8
+        and 0.95 (alpha ~ 1728 and ~ 30930), in quarter steps."""
+        low, high = 100.0, 1e6
+        while high - low > 1e-6:
+            mid = 0.5 * (low + high)
+            if takes_asymptotic_sum(mid, kappa * mid):
+                high = mid
+            else:
+                low = mid
+        alphas = [high + 0.25 * k for k in range(-120, 121)]
+        assert not takes_asymptotic_sum(alphas[0], kappa * alphas[0])
+        assert takes_asymptotic_sum(alphas[-1], kappa * alphas[-1])
+        for alpha in alphas:
+            assert h(kappa, alpha + 1.0) < h(kappa, alpha), alpha
 
 
 def mp_log_ratio_term(a, x):
@@ -627,7 +847,8 @@ KERNEL_POINTS = (
     (100.0, 101.0), (1e3, 1050.0), (1e6, 1001000.0), (1e7, 10003000.0),
     # a >= 100, in the band below the mean: Temme's P
     (100.0, 95.0), (1e3, 980.0), (12345.678, 12300.0), (1e6, 999000.0), (1e7, 9997000.0),
-    # a >= 100, further below the mean: the series
+    # a >= 100, further below the mean: the series while (a - x)^2 < 60 a,
+    # (100, 50); the asymptotic sum beyond
     (100.0, 50.0), (1e3, 700.0), (1e6, 990000.0), (1e7, 9900000.0),
     # below the normal doubles
     (1e3, 100.0), (100.0, 1e-5), (0.5, 709.0), (1.0, 709.5),
