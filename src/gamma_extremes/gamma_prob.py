@@ -10,7 +10,9 @@ import math
 
 from .specfun import (
     _MAX_DOUBLE,
+    Probability,
     _Record,
+    _check_domain,
     _check_positive,
     _finite_variance,
     _probability,
@@ -40,22 +42,48 @@ class GammaParams(_Record):
         return _finite_variance(self.mean * self.beta, self, "alpha beta^2")
 
 
+def _overflowed(alpha, x):
+    """Whether reg_lower_gamma refused (alpha, x) only because x, an edge
+    formed from a finite kappa, overflowed to +inf: P(alpha, x) is 1.0 there.
+    h and band ask only after that refusal, so their usual path costs
+    nothing more."""
+    if x != math.inf:
+        return False
+    try:
+        _check_domain(alpha, 0.0)
+    except ValueError:
+        return False
+    return True
+
+
 def h(kappa, alpha):
-    """P{X <= kappa * E[X]} for X ~ Gamma(alpha, 1)."""
+    """P{X <= kappa * E[X]} for X ~ Gamma(alpha, 1); 1.0 where kappa * alpha
+    overflows."""
     # a plain float kappa in (0, _MAX_DOUBLE], the usual case, is one that
     # _check_positive returns unchanged
     if not (type(kappa) is float and 0.0 < kappa <= _MAX_DOUBLE):
         kappa = _check_positive("kappa", kappa)
-    return reg_lower_gamma(alpha, kappa * alpha)
+    try:
+        return reg_lower_gamma(alpha, kappa * alpha)
+    except ValueError:
+        if not _overflowed(alpha, kappa * alpha):
+            raise
+    return Probability(1.0)
 
 
 def _band_shape(alpha, kappa):
-    """P{|X - alpha| <= kappa*sqrt(alpha)} for X ~ Gamma(alpha, 1).
+    """P{|X - alpha| <= kappa*sqrt(alpha)} for X ~ Gamma(alpha, 1); 1.0 where
+    the upper edge overflows.
 
     The upper edge's reg_lower_gamma call checks alpha; the lower edge, in
     [0, alpha) once alpha > kappa^2, skips the checks."""
     half_width = kappa * math.sqrt(alpha)
-    upper = reg_lower_gamma(alpha, alpha + half_width)
+    try:
+        upper = reg_lower_gamma(alpha, alpha + half_width)
+    except ValueError:
+        if not _overflowed(alpha, alpha + half_width):
+            raise
+        return Probability(1.0)
     if alpha <= kappa * kappa:
         # lower endpoint clamps to 0 exactly
         return _probability(upper)

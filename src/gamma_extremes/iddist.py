@@ -25,7 +25,6 @@ import math
 from . import gamma_prob
 from .optimize import _lin_grid, _log_grid
 from .specfun import (
-    Probability,
     _Record,
     _bd0,
     _check_positive,
@@ -536,5 +535,5 @@ def conjecture_scan(family, grid=None):
     if family == "negbinomial":
         notes.append(NEGBINOMIAL_CONVENTION)
     return ScanReport(
-        family, grid, Probability(min_band), argmin, tuple(violations), threshold, tuple(notes)
+        family, grid, _probability(min_band), argmin, tuple(violations), threshold, tuple(notes)
     )

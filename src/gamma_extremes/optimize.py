@@ -5,10 +5,13 @@ which covers the full feature range (argmins from ~0.14 to ~33.5, infima at
 the 0 and infinity boundaries). For kappa <= 1 the infimum is the
 alpha -> infinity limit (a lemma in closed form, see min_h), so min_h
 reports it at the upper grid end after one call of h. For kappa > 1 the
-bracket search starts at the grid point nearest the Edgeworth estimate of
-the argmin and walks downhill on that grid; it falls back to the
-left-to-right scan of bracket_minimum at a tie or a grid end. h(kappa, .)
-is unimodal for kappa > 1, so both find the same grid triple. Both read
+bracket search starts at the grid point nearest a two-term estimate of the
+argmin (_argmin_seed: the Edgeworth estimate plus a term that gives it the
+argmin's limits at kappa -> 1 and kappa -> inf) and walks downhill on that
+grid; at every table kappa it starts on the triple's middle, in 3 calls of
+h. It falls back to the left-to-right scan of bracket_minimum at a tie or
+a grid end. h(kappa, .) is unimodal for kappa > 1, so both find the same
+grid triple, whatever the seed. Both read
 grid points by index (_lin_point) and never build the grid. brent_min is a
 classic golden-section / parabolic-interpolation minimizer (Numerical
 Recipes style) with an evaluation budget, which also stops at the rounding
@@ -17,14 +20,15 @@ its scale (Brent, Algorithms for Minimization without Derivatives, 1973,
 ch. 5). min_h hands it the values the walk has found at the bracket's
 ends, so its first step is a parabola rather than a golden section: 5-6
 evaluations at each table kappa, 39 over the seven (51 from a cold
-start). min_h resolves the argmin to ~1e-7 relative, about 7 of the 12
-digits `minimize` prints, and the minimum itself to ~1e-15.
+start), and 6-7 calls of h in all. min_h resolves the argmin to ~1e-7
+relative, about 7 of the 12 digits `minimize` prints, and the minimum
+itself to ~1e-15.
 """
 
 import math
 
 from .gamma_prob import h
-from .specfun import Probability, _Record, _check_positive, _describe
+from .specfun import _Record, _check_positive, _describe, _probability
 
 __all__ = [
     "OptimizationResult",
@@ -46,6 +50,10 @@ DEFAULT_TOL = 1e-8
 _GOLDEN = 0.3819660112501051
 _TWO_EPS = 2.0 * 2.0 ** -52
 _FIT_SPAN = 1e4  # brent_min's stop needs w and v within this many floors of x
+# u* - 1/3 and 1 - 45 (u* - 1/3) / 7, with u* the root of E_1(u) = e^-u
+# (see _argmin_seed)
+_SEED_SCALE = 0.43481820438490376 - 1.0 / 3.0
+_SEED_SHIFT = 1.0 - 45.0 * _SEED_SCALE / 7.0
 
 
 class NoInteriorMinimum(Exception):
@@ -108,8 +116,8 @@ def bracket_minimum(f, lo, hi, grid_n):
     evaluated, and NoInteriorMinimum is raised for the sampled minimum at
     a boundary.
 
-    min_h calls it only for kappa > 1, when its downhill walk from the
-    Edgeworth seed meets a tie or a grid end.
+    min_h calls it only for kappa > 1, when its downhill walk from
+    _argmin_seed meets a tie or a grid end.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo}, {hi}")
@@ -277,12 +285,47 @@ def edgeworth_argmin(kappa):
 
     Gamma(alpha)'s skewness 2 / sqrt(alpha) puts the minimum there for
     kappa > 1: the argmin is 1.0005 times the estimate at kappa = 1.001
-    and 1.25 times it at kappa = 4.
+    and 1.25 times it at kappa = 4. From kappa ~ 6e307 up, where
+    3 (kappa - 1) overflows, the estimate is the subnormal (1/3) / (kappa - 1).
     """
     kappa = _check_positive("kappa", kappa)
     if not kappa > 1.0:
         raise ValueError(f"need kappa > 1, got {kappa}")
-    return 1.0 / (3.0 * (kappa - 1.0))
+    return _edgeworth(kappa)
+
+
+def _edgeworth(kappa):
+    """edgeworth_argmin for a float kappa > 1."""
+    spread = 3.0 * (kappa - 1.0)
+    if spread < math.inf:
+        return 1.0 / spread
+    return (1.0 / 3.0) / (kappa - 1.0)
+
+
+def _argmin_seed(kappa):
+    """The start of min_h's walk for a float kappa > 1: the two-term estimate
+    1 / (3 (kappa - 1)) + _SEED_SCALE / (kappa - _SEED_SHIFT) of the argmin
+    of h(kappa, .), which has the argmin's limits at both ends.
+
+    - As kappa -> 1 the argmin is 1 / (3 (kappa - 1)) + 7/45 + O(kappa - 1).
+      With s = sqrt(alpha) and e = kappa - 1, the Edgeworth series of
+      Gamma(alpha) (cumulants (r - 1)! / s^(r - 2) of the standardized
+      variable) gives, near z = e s = 0, (h - 1/2) / phi(0) = e s + 1/(3 s)
+      + 1/(540 s^3) - e / (12 s) - e^2 s / 2 - e^3 s^3 / 6 + ..., the
+      1/(540 s^3) being the third order at z = 0; setting its derivative in
+      s to 0 puts s^2 at 1 / (3 e) + 7/45.
+    - As kappa -> inf the argmin tends to 0 and h(kappa, alpha) = 1 -
+      alpha E_1(kappa alpha) + O(alpha^2) at a fixed u = kappa alpha, whose
+      largest u E_1(u) sits at the root u* of E_1(u) = e^-u: the argmin is
+      u* / kappa + O(kappa^-2).
+
+    _SEED_SCALE = u* - 1/3 and _SEED_SHIFT = 1 - 45 _SEED_SCALE / 7 meet
+    both. The walk then starts on the grid triple's middle at every table
+    kappa and at 397 of the 404 kappa of the tests' dense sweep (1.0001 to
+    3000); the other 7 take one step. The estimate is positive and finite
+    up to the largest double.
+    """
+    return _edgeworth(kappa) + _SEED_SCALE / (kappa - _SEED_SHIFT)
 
 
 def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
@@ -302,11 +345,14 @@ def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
     the full scan of bracket_minimum would reach the same boundary,
     abscissa and value. For kappa > 1 the
     bracket is found by walking downhill on the grid of bracket_minimum
-    from the point nearest ln edgeworth_argmin(kappa); the walk meets the
-    same first triple as the full scan because h(kappa, .) is unimodal
-    there, in 3-5 calls of h rather than up to ~110. Where the walk meets
-    a tie or a grid end, bracket_minimum scans the grid instead. Both read
-    the grid's points by index; no list of grid_n points is built.
+    from the point nearest ln _argmin_seed(kappa); the walk meets the same
+    first triple as the full scan because h(kappa, .) is unimodal there,
+    in 3 calls of h at every table kappa (3-5 from ln edgeworth_argmin)
+    rather than up to ~110. Where the walk meets a tie or a grid end,
+    bracket_minimum scans the grid instead. Both read the grid's points by
+    index; no list of grid_n points is built. From kappa ~ 1.8e302 up,
+    kappa alpha overflows on the grid, where h is 1.0: the scan reports
+    the lower grid end, as it does at kappa = 1e300.
 
     brent_min starts from h at the bracket's ends, which the walk or the
     scan has already computed, and stops at h's rounding floor, or on tol
@@ -321,9 +367,9 @@ def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
     value at each log-abscissa, so the bracket's ends, brent_min's first
     point (the bracket's middle) and its closing re-evaluation of the
     argmin cost no call of h. evaluations still counts brent_min's
-    objective calls, the last two among them. A table kappa takes 6-9
-    calls of h in all (8-11 from a cold start). Nothing is kept between
-    calls.
+    objective calls, the last two among them. A table kappa takes 6-7
+    calls of h in all, 46 over the seven (6-9 from the Edgeworth estimate,
+    8-11 from a cold start). Nothing is kept between calls.
 
     tol and grid_n are checked first, for every kappa. NoInteriorMinimum
     carries the boundary, its alpha and h there; for kappa > 1 it means the
@@ -346,7 +392,7 @@ def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
         # the decrease over real alpha is checked on grids only
         raise NoInteriorMinimum("upper", math.exp(DEFAULT_LOG_HI), objective(DEFAULT_LOG_HI))
     log_bracket = _descend_to_triple(objective, DEFAULT_LOG_LO, DEFAULT_LOG_HI, grid_n,
-                                     math.log(edgeworth_argmin(kappa)))
+                                     math.log(_argmin_seed(kappa)))
     if log_bracket is None:
         try:
             log_bracket = bracket_minimum(objective, DEFAULT_LOG_LO, DEFAULT_LOG_HI, grid_n)
@@ -355,7 +401,7 @@ def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
     lo, _, hi = log_bracket
     result = brent_min(objective, log_bracket, tol, ends=(values[lo], values[hi]))
     bracket = tuple(math.exp(x) for x in result.bracket)
-    return OptimizationResult(math.exp(result.argmin), Probability(result.min_value), bracket,
+    return OptimizationResult(math.exp(result.argmin), _probability(result.min_value), bracket,
                               result.evaluations, result.converged)
 
 

@@ -165,17 +165,24 @@ _TEMME_COEFFS = (
 
 
 def _temme_tables():
-    """Temme's sum cut to the terms a and eta need: (shapes, etas, terms).
+    """Temme's sum cut term by term to what a and eta need: (shapes, etas, terms).
 
-    Row k of _TEMME_COEFFS is kept while a^-k max|C_k| can reach 2^-62 of
-    |C_0(0)| = 1/3, about 1/800 of an ulp of the sum, with max|C_k| the
-    sum of |d[k][n]| |eta|^n at the largest |eta| the expansion meets,
+    The bins in a and |eta| are those where a whole row or column of
+    _TEMME_COEFFS can reach 2^-62 of |C_0(0)| = 1/3, about 1/800 of an ulp
+    of the sum: row k while a^-k max|C_k| can, with max|C_k| the sum of
+    |d[k][n]| |eta|^n at the largest |eta| the expansion meets, eta_max =
     sqrt(2 _TEMME_EXPONENT_CUTOFF / TEMME_MIN_SHAPE); column n while
-    |eta|^n max_k |d[k][n]| can. Then terms[i][j], i = bisect_left(shapes,
-    a) and j = bisect(etas, |eta|), holds the kept rows, last first, each
-    cut to the kept columns and highest first, for Horner's scheme.
-    Against the full table, R then moves by at most 2 ulp, and on ~1 in
-    10^4 points; at 2^-58 it moved on ~1 in 400.
+    |eta|^n max_k |d[k][n]| can. In bin i = bisect_left(shapes, a),
+    j = bisect(etas, |eta|), a exceeds the bin's least shape a_lo and |eta|
+    stays below its edge eta_hi (eta_max in the last), and term (k, n) is
+    kept while its bound there, |d[k][n]| eta_hi^n a_lo^-k, exceeds the
+    same tolerance: while eta_hi > (tol a_lo^k / |d[k][n]|)^(1/n). Horner's
+    scheme sums a row from its last kept term down, so the row's width in
+    bin j is the number of those thresholds' suffix minima below eta_hi,
+    one bisect. terms[i][j] holds the rows - i rows the bin's shapes keep,
+    last first, each highest first. Against the full table R moves by at
+    most 2 ulp, on ~2 in 10^4 points with a in [100, 1e7] and
+    |x - a| <= 9 sqrt(a).
     """
     tol = 2.0 ** -62 / 3.0
     eta_max = math.sqrt(2.0 * _TEMME_EXPONENT_CUTOFF / TEMME_MIN_SHAPE)
@@ -192,12 +199,34 @@ def _temme_tables():
     # |eta| >= min(column_etas[m - 1:])
     shapes = tuple(sorted(max(row_shapes[m - 1:]) for m in range(1, rows)))
     etas = tuple(min(column_etas[m - 1:]) for m in range(1, cols))
-    highest_first = [row[::-1] for row in _TEMME_COEFFS]
-    terms = tuple(
-        tuple(tuple(row[cols - m:] for row in highest_first[k - 1::-1]) for m in range(1, cols + 1))
-        for k in range(rows, 0, -1)
-    )
-    return shapes, etas, terms
+    eta_his = etas + (eta_max,)
+    magnitudes = [[abs(d) for d in row] for row in _TEMME_COEFFS]
+    # cuts[k][w]: the first w terms of row k, highest first, for Horner
+    cuts = [[row[cols - w:] for w in range(cols + 1)] for row in (r[::-1] for r in _TEMME_COEFFS)]
+
+    def cut_row(k, floor):
+        # row k in each eta bin, cut after its last term n with eta_hi >
+        # (floor / |d[k][n]|)^(1/n), floor = tol a_lo^k: its width is the
+        # number of those thresholds' suffix minima below eta_hi
+        row = magnitudes[k]
+        least, minima = math.inf, [0.0] * cols
+        for n in range(cols - 1, 0, -1):
+            threshold = (floor / row[n]) ** (1.0 / n)
+            if threshold < least:
+                least = threshold
+            minima[n] = least
+        if row[0] <= floor:
+            minima[0] = least
+        return [cuts[k][bisect_left(minima, eta_hi)] for eta_hi in eta_his]
+
+    first = cut_row(0, tol)
+    terms = []
+    for i, a_lo in enumerate((TEMME_MIN_SHAPE,) + shapes):
+        # the rows - i rows of bin i are those its whole-row test keeps;
+        # every term of a row it drops is below the tolerance too
+        cut = [cut_row(k, tol * a_lo ** k) for k in range(rows - i - 1, 0, -1)]
+        terms.append(tuple(zip(*cut, first)))
+    return shapes, etas, tuple(terms)
 
 
 _TEMME_SHAPES, _TEMME_ETAS, _TEMME_TERMS = _temme_tables()
@@ -272,10 +301,15 @@ def _probability(value):
     """Probability(value), with the constructor's fast path for a float in
     (0, 1] called as a plain function: a type call into a Python __new__
     costs ~0.1 us more (CPython 3.11), once per band or incomplete gamma
-    result. Any other value goes to the checked constructor, so the class,
-    the bits and the errors are those of Probability(value)."""
+    result. A value whose type is exactly Probability, already checked and
+    clamped, is returned as it is: 0.05 us, where the constructor took 1.0.
+    Any other value goes to the checked constructor, so the class, the bits
+    and the errors are those of Probability(value): a LogProbability comes
+    back a plain Probability."""
     if type(value) is float and 0.0 < value <= 1.0:
         return float.__new__(Probability, value)
+    if type(value) is Probability:
+        return value
     return Probability(value)
 
 

@@ -53,6 +53,11 @@ class TestEval:
         assert a == b
         assert float(a) == pytest.approx(0.9585112, abs=1e-6)
 
+    def test_overflowing_edge_is_one(self):
+        for function in ("h", "band"):
+            code, text = invoke("eval", "--function", function, "--kappa", "1e308", "--alpha", "2")
+            assert (code, text) == (0, "1\n"), function
+
     def test_missing_kappa_is_usage_error(self):
         code, _ = invoke("eval", "--function", "h", "--alpha", "2")
         assert code == 2
@@ -109,6 +114,20 @@ class TestMinimize:
             f"Edgeworth estimate alpha*={alpha_star}\n"
         )
         assert "infimum" not in text
+
+    @pytest.mark.parametrize("kappa, shown, alpha_star", [
+        ("1e303", "1e+303", "3.33333333333e-304"),
+        ("1e308", "1e+308", "3.33333333333e-309"),
+    ])
+    def test_huge_kappa_is_diagnosed_not_refused(self, kappa, shown, alpha_star):
+        # kappa alpha overflows on the grid, where h is 1.0
+        code, text = invoke("minimize", "--kappa", kappa)
+        assert code == 0
+        assert text == (
+            f"no interior minimum for kappa={shown} in the search range [0.0001, 1e+06]: "
+            f"the minimum lies outside it, beyond the grid edge alpha=0.0001 where h=1; "
+            f"Edgeworth estimate alpha*={alpha_star}\n"
+        )
 
     @pytest.mark.parametrize("kappa, tol", [("0.5", "-1"), ("1.5", "nan")])
     def test_invalid_tol_is_usage_error(self, kappa, tol, capsys):

@@ -10,10 +10,17 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from gamma_extremes import certificates
+from gamma_extremes import certificates, iddist
 from gamma_extremes.gamma_prob import GammaParams, band, h, t
 from gamma_extremes.optimize import edgeworth_argmin, min_h, scan
-from gamma_extremes.specfun import LogProbability, Probability, reg_lower_gamma, std_normal_band
+from gamma_extremes.specfun import (
+    MAX_SHAPE,
+    MIN_SHAPE,
+    LogProbability,
+    Probability,
+    reg_lower_gamma,
+    std_normal_band,
+)
 
 
 def mp_log_h(kappa, alpha):
@@ -235,6 +242,65 @@ class TestBand:
             checked = Probability(reg_lower_gamma(alpha, alpha + half_width)
                                   - reg_lower_gamma(alpha, alpha - half_width))
             assert band(GammaParams(alpha), kappa).hex() == checked.hex(), (alpha, kappa)
+
+
+class TestEdgeOverflow:
+    """An edge kappa alpha or alpha + kappa sqrt(alpha) that overflows to
+    +inf at a supported shape gives 1.0, the true value to the double; any
+    other refused argument keeps its error."""
+
+    HUGE = (1e303, 1e308, sys.float_info.max)
+
+    def test_h_is_one_where_kappa_alpha_overflows(self):
+        for kappa in self.HUGE:
+            for alpha in (2.0, 1e5, MAX_SHAPE, 3):
+                if kappa * alpha == math.inf:
+                    value = h(kappa, alpha)
+                    assert type(value) is Probability and value == 1.0, (kappa, alpha)
+        # just below the overflow, the true value is 1.0 already
+        assert h(sys.float_info.max / 2.0, 2.0) == 1.0
+
+    def test_band_is_one_where_the_upper_edge_overflows(self):
+        for kappa in (1.7e308, sys.float_info.max):
+            for alpha in (4.0, 1e-3, MAX_SHAPE):
+                value = band(GammaParams(alpha, 3.0), kappa)
+                assert type(value) is Probability and value == 1.0, (kappa, alpha)
+        assert band(GammaParams(4.0), 8.9e307) == 1.0  # the edge is finite
+
+    def test_refused_shapes_keep_their_errors(self):
+        for alpha, message in ((math.nextafter(MAX_SHAPE, math.inf), "outside supported range"),
+                               (math.nextafter(MIN_SHAPE, 0.0), "outside supported range"),
+                               (math.inf, "must be finite"), (math.nan, "must be finite"),
+                               (True, "must be finite"), (Fraction(5), "must be finite")):
+            with pytest.raises(ValueError, match=message):
+                h(1e308, alpha)
+        with pytest.raises(ValueError, match="outside supported range"):
+            band(GammaParams(2e7), 1.7e308)
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            h(math.inf, 2.0)
+
+
+class TestResultClasses:
+    def test_results_are_exactly_probability(self):
+        """t, band, band_prob and min_h's minimum come back exactly
+        Probability, on the clamped band (alpha <= kappa^2), where the upper
+        edge's Probability passes through, and off it."""
+        for alpha in (1e-6, 0.3, 1.0, 2.0, 50.0, 1e4):
+            assert type(t(alpha)) is Probability, alpha
+            for kappa in (0.5, 1.0, 3.0, 1e3):
+                assert type(band(GammaParams(alpha), kappa)) is Probability, (alpha, kappa)
+            assert type(iddist.band_prob(iddist.GammaDist(alpha))) is Probability, alpha
+        for kappa in (1.01, 1.5, 4.0):
+            assert type(min_h(kappa).min_value) is Probability, kappa
+
+    def test_clamped_band_is_the_upper_edge(self):
+        # alpha <= kappa^2: the lower edge clamps to 0 and the band is P at
+        # the upper edge, bit for bit
+        for alpha, kappa in ((0.5, 1.0), (4.0, 2.0), (1e-6, 1e-3), (1.0, 1.0)):
+            upper = reg_lower_gamma(alpha, alpha + kappa * math.sqrt(alpha))
+            assert band(GammaParams(alpha), kappa).hex() == upper.hex(), (alpha, kappa)
+            if kappa == 1.0:
+                assert t(alpha).hex() == upper.hex(), alpha
 
 
 class TestStepMonotoneIntegral:

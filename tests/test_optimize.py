@@ -1,6 +1,7 @@
 """Tests for bracketing, Brent minimization, and the h-minimum front end."""
 
 import math
+import sys
 
 import mpmath
 import pytest
@@ -350,9 +351,60 @@ class TestMinH:
         counted = Counting(h)
         monkeypatch.setattr(optimize, "h", counted)
         result = min_h(kappa)
-        # the seeded walk measured 3-5 calls, of which brent_min reuses the
-        # middle one and its argmin; the full scan took 65-112
-        assert counted.calls - result.evaluations <= 4, kappa
+        # the walk starts on the triple's middle: 3 calls, of which
+        # brent_min reuses the middle one and its argmin (3-5 calls from the
+        # Edgeworth estimate alone; the full scan took 65-112)
+        assert counted.calls - result.evaluations == 1, kappa
+        assert counted.calls <= 7, kappa
+
+    def test_dense_sweep_walk_calls(self, monkeypatch):
+        walks = []
+        descend = optimize._descend_to_triple
+
+        def counted_descend(f, *args):
+            counted = Counting(f)
+            triple = descend(counted, *args)
+            walks.append(counted.calls)
+            return triple
+
+        monkeypatch.setattr(optimize, "_descend_to_triple", counted_descend)
+        for kappa in DENSE_KAPPAS:
+            min_h(kappa)
+        # measured 1219 calls: 397 walks of 3 and 7 of 4; from the Edgeworth
+        # estimate alone 1967, mostly 5 each
+        assert len(walks) == len(DENSE_KAPPAS)
+        assert sum(walks) <= 1300
+        assert max(walks) <= 5
+
+    def test_argmin_seed_meets_both_limits(self):
+        """The walk's seed 1 / (3 (kappa - 1)) + A / (kappa - B) has the
+        argmin's limits: + 7/45 as kappa -> 1 and u* / kappa as kappa -> inf,
+        u* the root of E_1(u) = e^-u. min_h's argmins approach both."""
+        seed = optimize._argmin_seed
+        u_star = optimize._SEED_SCALE + 1.0 / 3.0
+        with mpmath.workdps(30):
+            assert abs(mpmath.e1(u_star) - mpmath.exp(-u_star)) < 1e-16
+        for kappa in (1.0 + 1e-6, 1.0 + 1e-4):
+            assert abs(seed(kappa) - 1.0 / (3.0 * (kappa - 1.0)) - 7.0 / 45.0) < 1e-4, kappa
+        for kappa in (1e6, 1e9):
+            assert abs(kappa * seed(kappa) - u_star) < 1e-5, kappa
+        # measured 0.15536 at kappa = 1.001 and 0.43494 at kappa = 3000
+        assert abs(min_h(1.001).argmin - 1.0 / (3.0 * 0.001) - 7.0 / 45.0) < 1e-3
+        assert abs(3000.0 * min_h(3000.0).argmin - u_star) < 1e-3
+        for kappa in (1e300, 6e307, sys.float_info.max):
+            assert 0.0 < seed(kappa) < math.inf and math.log(seed(kappa)) < DEFAULT_LOG_LO
+
+    @pytest.mark.parametrize("kappa", (1e303, 1e308, sys.float_info.max))
+    def test_huge_kappa_same_diagnosis_as_a_finite_scan(self, kappa):
+        # h(kappa, .) is 1.0 on the whole grid, where kappa alpha overflows
+        # too: the scan finds the minimum at the lower end, as at 1e300
+        with pytest.raises(NoInteriorMinimum) as expected:
+            min_h(1e300)
+        with pytest.raises(NoInteriorMinimum) as info:
+            min_h(kappa)
+        assert expected.value.boundary == info.value.boundary == "lower"
+        assert expected.value.abscissa == info.value.abscissa == math.exp(DEFAULT_LOG_LO)
+        assert expected.value.value == info.value.value == 1.0
 
     def test_edgeworth_argmin(self):
         assert edgeworth_argmin(1.5) == pytest.approx(2.0 / 3.0)
@@ -362,6 +414,20 @@ class TestMinH:
         for kappa in (1.0, 0.5):
             with pytest.raises(ValueError):
                 edgeworth_argmin(kappa)
+
+    def test_edgeworth_argmin_past_the_overflow(self):
+        # where 3 (kappa - 1) overflows the estimate is (1/3) / (kappa - 1),
+        # a subnormal, not 0.0
+        for kappa in (6e307, 1e308, sys.float_info.max):
+            assert 3.0 * (kappa - 1.0) == math.inf
+            value = edgeworth_argmin(kappa)
+            assert value == (1.0 / 3.0) / (kappa - 1.0)
+            assert 0.0 < value < sys.float_info.min
+            assert abs(value - mpmath.mpf(1) / (3 * (mpmath.mpf(kappa) - 1))) <= 5e-324
+        # elsewhere its bits are those of 1 / (3 (kappa - 1))
+        below = math.nextafter(sys.float_info.max / 3.0, 0.0)
+        for kappa in (1.0001, 1.5, 4.0, 1e300, 5e307, below):
+            assert edgeworth_argmin(kappa) == 1.0 / (3.0 * (kappa - 1.0)), kappa
 
     def test_kappa_one_boundary_diagnosis(self):
         with pytest.raises(NoInteriorMinimum) as info:

@@ -178,6 +178,20 @@ class TestProbability:
 
     def test_carries_no_instance_dict(self):
         assert not hasattr(Probability(0.5), "__dict__")
+
+    def test_a_checked_probability_passes_through(self):
+        # a value of type exactly Probability is already checked and
+        # clamped: _probability returns it, the object itself
+        for value in (0.0, 5e-324, 0.5, 1.0):
+            checked = Probability(value)
+            assert specfun._probability(checked) is checked
+        # a LogProbability still comes back a plain Probability, its log
+        # dropped, with the bits the constructor gives
+        for value, log in ((0.0, -2000.0), (5e-324, math.log(5e-324))):
+            result = specfun._probability(LogProbability(value, log))
+            assert type(result) is Probability
+            assert float(result).hex() == float(Probability(value)).hex()
+            assert not hasattr(result, "log")
         assert not hasattr(LogProbability(0.0, -2000.0), "__dict__")
         with pytest.raises(AttributeError):
             Probability(0.5).note = 1
@@ -834,6 +848,72 @@ def test_temme_truncation_matches_the_full_table():
     assert identical >= 0.999 * n, identical
 
 
+TEMME_TOL = 2.0 ** -62 / 3.0
+
+
+def temme_table_faults(shapes, etas, terms):
+    """What is wrong with a table of _temme_tables' form, as a list of
+    (i, j, k, n, fault). Row k of bin (i, j), a > a_lo (TEMME_MIN_SHAPE in
+    the first bin) and |eta| < eta_hi (sqrt(0.8) in the last), must be the
+    first w coefficients of _TEMME_COEFFS[k], highest first, where term
+    (k, n)'s bound |d[k][n]| eta_hi^n a_lo^-k is below the tolerance over
+    the bin for every n >= w ("dropped above tol") and reaches it at
+    n = w - 1 ("last kept below tol"); the bin's rows are the len(shapes)
+    + 1 - i its whole-row test keeps, last first, and every term of a row
+    past them is below the tolerance. A bound within 1e-12 relative of
+    the tolerance counts as on either side of it: there the bin's edge is
+    that term's own threshold (at k = 0 some are 2e-15 above it, as
+    rounded)."""
+    coeffs = specfun._TEMME_COEFFS
+    rows, cols = len(coeffs), len(coeffs[0])
+    eta_max = math.sqrt(2.0 * specfun._TEMME_EXPONENT_CUTOFF / TEMME_MIN_SHAPE)
+    slack = 1e-12 * TEMME_TOL
+    faults = []
+    for i, a_lo in enumerate((TEMME_MIN_SHAPE,) + tuple(shapes)):
+        for j, eta_hi in enumerate(tuple(etas) + (eta_max,)):
+            cell = terms[i][j]
+            if len(cell) != rows - i:
+                faults.append((i, j, None, None, f"{len(cell)} rows"))
+            for k in range(rows):
+                width = len(cell[len(cell) - 1 - k]) if k < len(cell) else 0
+                if k < len(cell) and cell[len(cell) - 1 - k] != coeffs[k][:width][::-1]:
+                    faults.append((i, j, k, None, "not the row's first terms"))
+                for n in range(cols):
+                    bound = abs(coeffs[k][n]) * eta_hi ** n / a_lo ** k
+                    if n >= width and bound > TEMME_TOL + slack:
+                        faults.append((i, j, k, n, "dropped above tol"))
+                    if n == width - 1 and bound < TEMME_TOL - slack:
+                        faults.append((i, j, k, n, "last kept below tol"))
+    return faults
+
+
+def test_temme_table_keeps_the_terms_that_reach_the_tolerance():
+    """Each term of Temme's table is kept in a bin exactly while its bound
+    there can reach 2^-62 / 3: every dropped term's bound is below it over
+    the bin, and every row's last kept term reaches it."""
+    shapes, etas, terms = specfun._TEMME_SHAPES, specfun._TEMME_ETAS, specfun._TEMME_TERMS
+    assert temme_table_faults(shapes, etas, terms) == []
+    # the bins are those of whole rows and columns; the largest cells lost
+    # terms: 84 -> 83 at a <= 1625 (48 -> 37, 72 -> 53), 70 -> 64 below 12692
+    sizes = [[sum(map(len, cell)) for cell in row] for row in terms]
+    assert [len(row) for row in sizes] == [14] * 6
+    assert (sizes[0][0], sizes[0][7], sizes[0][11], sizes[0][13]) == (6, 37, 53, 83)
+    assert (sizes[1][0], sizes[1][7], sizes[1][13]) == (5, 27, 64)
+    assert sizes[5] == list(range(1, 15))
+
+
+def test_temme_table_check_fails_on_a_dropped_term():
+    """temme_table_faults finds each single needed term dropped: the last
+    term of any row of any bin, and any row's whole last term set."""
+    shapes, etas, terms = specfun._TEMME_SHAPES, specfun._TEMME_ETAS, specfun._TEMME_TERMS
+    for i, bins in enumerate(terms):
+        for j, cell in enumerate(bins):
+            for r, row in enumerate(cell):
+                mutated = [list(map(list, b)) for b in terms]
+                mutated[i][j][r] = row[1:]  # its highest term dropped
+                assert temme_table_faults(shapes, etas, mutated), (i, j, r)
+
+
 KERNEL_BITS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "specfun_bits.txt")
 
 # (a, x) on every row of reg_lower_gamma's dispatch table, then points whose
@@ -1022,8 +1102,12 @@ class _Float(float):
 
 
 def checked_h(kappa, alpha):
-    """h as it stood with its check always run: the fast path's reference."""
-    return reg_lower_gamma(alpha, specfun._check_positive("kappa", kappa) * alpha)
+    """h with its check always run: the fast path's reference. A product
+    kappa alpha that overflows at a supported shape gives 1.0."""
+    x = specfun._check_positive("kappa", kappa) * alpha
+    if x == math.inf and type(alpha) in (float, int) and MIN_SHAPE <= alpha <= MAX_SHAPE:
+        return Probability(1.0)
+    return reg_lower_gamma(alpha, x)
 
 
 class TestEntryFastPath:
@@ -1074,8 +1158,11 @@ class TestEntryFastPath:
                 expected = self.outcome(checked_h, kappa, alpha)
                 assert self.outcome(h, kappa, alpha) == expected, (kappa, alpha)
                 outcomes.append(expected)
-        assert sum(outcome[0] is ValueError for outcome in outcomes) == 28
-        assert sum(outcome[0] in (Probability, LogProbability) for outcome in outcomes) == 22
+        # kappa = the largest double overflows kappa alpha at alpha = 2, 3
+        # and MAX_SHAPE, where h is 1.0
+        assert sum(outcome[0] is ValueError for outcome in outcomes) == 25
+        assert sum(outcome[0] in (Probability, LogProbability) for outcome in outcomes) == 25
+        assert outcomes.count((Probability, "0x1.0000000000000p+0", None)) >= 3
 
     def test_plain_floats_skip_the_checks(self, monkeypatch):
         def refuse(*args):
