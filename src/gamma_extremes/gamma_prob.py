@@ -10,13 +10,18 @@ import math
 
 from .specfun import (
     _MAX_DOUBLE,
+    MAX_SHAPE,
+    TEMME_MIN_SHAPE,
     Probability,
     _Record,
     _check_domain,
     _check_positive,
+    _deviance,
     _finite_variance,
+    _large_shape_lower,
     _probability,
     _reg_lower_gamma,
+    _temme_band,
     reg_lower_gamma,
 )
 
@@ -58,11 +63,24 @@ def _overflowed(alpha, x):
 
 def h(kappa, alpha):
     """P{X <= kappa * E[X]} for X ~ Gamma(alpha, 1); 1.0 where kappa * alpha
-    overflows."""
+    overflows.
+
+    From shape TEMME_MIN_SHAPE up, at kappa in [1/2, 2], the exponent comes
+    from the edge's offset d = (kappa - 1) alpha, one rounding of d itself
+    (kappa - 1 is exact there, Sterbenz), through specfun._deviance, not
+    from x = fl(kappa alpha), whose rounding moves P by up to
+    |kappa - 1| alpha ulp(x) / (2x) relative: at kappa = 0.95 and alpha in
+    [3e5, 5e5] 1.5e-12 against 40-digit mpmath at the exact product, where
+    the offset leaves 1.8e-13, the exponent's own rounding. Elsewhere, as
+    below that shape, it is reg_lower_gamma at x."""
     # a plain float kappa in (0, _MAX_DOUBLE], the usual case, is one that
     # _check_positive returns unchanged
     if not (type(kappa) is float and 0.0 < kappa <= _MAX_DOUBLE):
         kappa = _check_positive("kappa", kappa)
+    if (0.5 <= kappa <= 2.0 and (type(alpha) is float or type(alpha) is int)
+            and TEMME_MIN_SHAPE <= alpha <= MAX_SHAPE):
+        d = (kappa - 1.0) * alpha
+        return _large_shape_lower(alpha, d, kappa * alpha, -_deviance(alpha, d))
     try:
         return reg_lower_gamma(alpha, kappa * alpha)
     except ValueError:
@@ -75,9 +93,19 @@ def _band_shape(alpha, kappa):
     """P{|X - alpha| <= kappa*sqrt(alpha)} for X ~ Gamma(alpha, 1); 1.0 where
     the upper edge overflows.
 
-    The upper edge's reg_lower_gamma call checks alpha; the lower edge, in
+    From shape TEMME_MIN_SHAPE up, where both edges lie in Temme's band,
+    specfun._temme_band takes them in one frame from their offsets
+    +-kappa sqrt(alpha), never rounding alpha +- kappa sqrt(alpha): within
+    3e-16 relative, where the rounded edges cost up to 5.7e-13, and
+    t(alpha) in ~4.8 us against ~6.6 for two calls (CPython 3.11, mean
+    over alpha log-uniform in [1e2, 1e7]). Elsewhere, as below that shape,
+    the upper edge's reg_lower_gamma call checks alpha; the lower edge, in
     [0, alpha) once alpha > kappa^2, skips the checks."""
     half_width = kappa * math.sqrt(alpha)
+    if TEMME_MIN_SHAPE <= alpha <= MAX_SHAPE and half_width <= 0.5 * alpha:
+        band = _temme_band(alpha, half_width)
+        if band is not None:
+            return band
     try:
         upper = reg_lower_gamma(alpha, alpha + half_width)
     except ValueError:
@@ -93,7 +121,11 @@ def _band_shape(alpha, kappa):
 
 def t(alpha):
     """One-standard-deviation band probability of Gamma(alpha, 1)."""
-    return _band_shape(_check_positive("alpha", alpha), 1.0)
+    # a plain float alpha in (0, _MAX_DOUBLE] is one that _check_positive
+    # returns unchanged
+    if not (type(alpha) is float and 0.0 < alpha <= _MAX_DOUBLE):
+        alpha = _check_positive("alpha", alpha)
+    return _band_shape(alpha, 1.0)
 
 
 def band(params, kappa):

@@ -16,7 +16,9 @@ The incomplete gamma uses four methods, each where it is accurate:
   only by x/a per step.
 
 reg_lower_gamma is the one point that chooses among them for P, with
-a eta^2 / 2 = -_log_ratio_term(a, x) (see _temme):
+a eta^2 / 2 = -_log_ratio_term(a, x) (see _temme); gamma_prob's h and band
+enter it at large shapes with an edge's offset d = x - a in place of x
+(_large_shape_lower, _temme_band):
 
     region                             method        relative error
     a < 100, x < a + 1                 series        ~1e-14
@@ -44,13 +46,14 @@ x^b e^-x / Gamma(b + 1). So P and Q never come from one another:
 P + Q - 1 checks two methods against each other everywhere. The log-prefactor
 a*ln(x) - x - ln_gamma(a) is evaluated in a cancellation-free form: from
 a = 10 up, its a ln(x/a) - (x - a) is the deviance -d v + 2 a v^3 S(v^2)
-in d = x - a and v = d / (x + a), whose leading -d v is formed from exact
+in d = x - a and v = d / (2a + d), whose leading -d v is formed from exact
 remainders recovered in plain doubles by TwoSum and Dekker's TwoProduct
-(see _log_ratio_term); it is within 2e-16 relative. Without it,
-probabilities near a ~ 1e6 carry ~1e-13 noise, too coarse to resolve
-strict monotonicity of the one-sigma band probability. Results below the
-normal double range carry their natural log (LogProbability), so they
-stay ordered after underflow.
+(see _deviance, which takes d itself); it is within 2e-16 relative.
+Without it, probabilities near a ~ 1e6 carry ~1e-13 noise, too coarse to
+resolve strict monotonicity of the one-sigma band probability; so does
+the rounding of the band's edges to doubles, which their offsets avoid.
+Results below the normal double range carry their natural log
+(LogProbability), so they stay ordered after underflow.
 """
 
 import math
@@ -180,8 +183,10 @@ def _temme_tables():
     scheme sums a row from its last kept term down, so the row's width in
     bin j is the number of those thresholds' suffix minima below eta_hi,
     one bisect. terms[i][j] holds the rows - i rows the bin's shapes keep,
-    last first, each highest first. Against the full table R moves by at
-    most 2 ulp, on ~2 in 10^4 points with a in [100, 1e7] and
+    last first, each highest first. The shape bins stop at the last that
+    starts at or below MAX_SHAPE (a_lo = 273520; the whole-row tests would
+    start two more, at 3.2e8 and 1.1e17). Against the full table R moves by
+    at most 2 ulp, on ~2 in 10^4 points with a in [100, 1e7] and
     |x - a| <= 9 sqrt(a).
     """
     tol = 2.0 ** -62 / 3.0
@@ -196,8 +201,10 @@ def _temme_tables():
     ]
     # a kept row or column keeps all below it: more than m rows are kept
     # while a <= max(row_shapes[m - 1:]), more than m columns while
-    # |eta| >= min(column_etas[m - 1:])
-    shapes = tuple(sorted(max(row_shapes[m - 1:]) for m in range(1, rows)))
+    # |eta| >= min(column_etas[m - 1:]); a shape bin that would start
+    # above MAX_SHAPE serves no supported shape
+    shapes = sorted(max(row_shapes[m - 1:]) for m in range(1, rows))
+    shapes = tuple(shapes[:bisect(shapes, MAX_SHAPE)])
     etas = tuple(min(column_etas[m - 1:]) for m in range(1, cols))
     eta_his = etas + (eta_max,)
     magnitudes = [[abs(d) for d in row] for row in _TEMME_COEFFS]
@@ -542,36 +549,48 @@ def _two_product_error(u, v, p):
 def _log_ratio_term(a, x):
     """a ln(x/a) - (x - a) = -a eta^2 / 2, to full relative accuracy near x = a.
 
-    Outside [a/2, 2a], the direct form. Inside, the deviance in the atanh
-    series of ln(x/a) = 2 atanh(v), v = d / (x + a), d = x - a (Loader's
-    bd0, 2000, with the roles of x and a swapped):
-
-        a ln(x/a) - d = -d v + 2 a v^3 S(v^2),   S(w) = sum_k w^k / (2k + 3).
-
-    d is exact (Sterbenz). The leading -d v holds all but ~|v| / 3 <= 1/9
-    of the result, so it is formed from exact parts: the rounding error of
-    s = fl(x + a) by Knuth's TwoSum, the division remainder d - v s of
-    v = fl(d / s) (d - fl(v s) by Sterbenz, v s - fl(v s) by Dekker's
-    TwoProduct), and d v - fl(d v) by TwoProduct. To first order the
-    quotient d / (x + a) is v + (remainder - v (x + a - s)) / s. The
-    series term is (u + 3 u w S_1(w)) / 3 with u = 2 a v w and
-    S(w) = 1/3 + w S_1(w), S_1 a Horner sum over as many coefficients as w
-    needs. Against mpmath the result is within 2e-16 relative (1.96e-16
-    on 100,000 seeded points), less than an ulp off where |v| < 1/10
-    (0.66 ulp; up to 1.2 near |v| = 1/3, where the series term is ~1/8
-    of the result), and exactly 0.0 at x = a. TwoProduct stays exact: for
-    a >= MIN_SHAPE and d != 0, |d v| > 2^-130, so the lowest bits of its
-    partial products sit far above the subnormals, near 2^-240.
+    Outside [a/2, 2a], the direct form; inside, _deviance at d = x - a,
+    which is exact there (Sterbenz).
     """
     if not (0.5 * a <= x <= 2.0 * a):
         ratio = x / a
         if ratio == 0.0:  # x subnormal: x/a underflows, split the logarithm
             return a * (math.log(x) - math.log(a)) - (x - a)
         return a * math.log(ratio) - (x - a)
-    d = x - a  # exact: x within a factor of 2 of a
-    s = x + a
-    t = s - a
-    s_err = (x - t) + (a - (s - t))
+    return _deviance(a, x - a)
+
+
+def _deviance(a, d):
+    """a ln(1 + d/a) - d = -a eta^2 / 2 at x = a + d, from the offset d, for
+    -a/2 <= d <= a: the deviance in the atanh series of ln(x/a) =
+    2 atanh(v), v = d / (2a + d) (Loader's bd0, 2000, with the roles of x
+    and a swapped):
+
+        a ln(x/a) - d = -d v + 2 a v^3 S(v^2),   S(w) = sum_k w^k / (2k + 3).
+
+    The leading -d v holds all but ~|v| / 3 <= 1/9 of the result, so it is
+    formed from exact parts: the rounding error of s = fl(2a + d) by
+    Knuth's TwoSum, the division remainder d - v s of v = fl(d / s)
+    (d - fl(v s) by Sterbenz, v s - fl(v s) by Dekker's TwoProduct), and
+    d v - fl(d v) by TwoProduct. To first order the quotient d / (2a + d)
+    is v + (remainder - v (2a + d - s)) / s. The series term is
+    (u + 3 u w S_1(w)) / 3 with u = 2 a v w and S(w) = 1/3 + w S_1(w), S_1
+    a Horner sum over as many coefficients as w needs. Against mpmath the
+    result is within 2e-16 relative (1.96e-16 on 100,000 seeded points),
+    less than an ulp off where |v| < 1/10 (0.66 ulp; up to 1.2 near
+    |v| = 1/3, where the series term is ~1/8 of the result), and exactly
+    0.0 at d = 0. TwoProduct stays exact: for a >= MIN_SHAPE and d != 0,
+    |d v| > 2^-130, so the lowest bits of its partial products sit far
+    above the subnormals, near 2^-240. Where d = x - a for a double x, s
+    and its error are those of fl(x + a), the same real sum rounded once,
+    so the result is _log_ratio_term(a, x) to the bit. Where x is not a
+    double, as at a band's edge a +- kappa sqrt(a), the result carries no
+    rounding of x: half an ulp of x moves P by ~ulp(a) / sqrt(a) relative.
+    """
+    two_a = 2.0 * a
+    s = two_a + d
+    t = s - two_a
+    s_err = (d - t) + (two_a - (s - t))
     v = d / s
     q = v * s
     r = (d - q) - _two_product_error(v, s, q)
@@ -580,7 +599,7 @@ def _log_ratio_term(a, x):
     series = 0.0
     for c in _DEVIANCE_TERMS[bisect_left(_DEVIANCE_MAX_W, w)]:
         series = series * w + c
-    u = 2.0 * a * v * w
+    u = two_a * v * w
     tail = (u + 3.0 * u * w * series) / 3.0  # 1/3 is not a double
     return (tail - (_two_product_error(d, v, p) + d * ((r - v * s_err) / s))) - p
 
@@ -599,39 +618,81 @@ def _stirling_shift(a):
     return -0.5 * math.log(a) + _HALF_LOG_TWO_PI + _stirlerr(a)
 
 
-def _temme(a, x, half_a_eta2):
+def _temme(a, d, half_a_eta2):
     """Temme's uniform expansion for a >= TEMME_MIN_SHAPE: (y, R) with
 
         Q(a, x) = erfc(y) / 2 + R,    P(a, x) = erfc(-y) / 2 - R,
 
     y = eta sqrt(a/2), eta^2 / 2 = lambda - 1 - ln lambda, lambda = x/a,
-    sign(eta) = sign(x - a), R = e^(-y^2) / sqrt(2 pi a) sum_k C_k(eta)
-    a^-k, and half_a_eta2 = a eta^2 / 2 = -_log_ratio_term(a, x). Q is then
-    accurate to ~2e-16 relative for x <= a and P for x >= a. P below the
-    mean is accurate while a eta^2 / 2 <= min(_TEMME_EXPONENT_CUTOFF,
-    0.08 a), where eta^2 <= 0.16 and the table gives C_k(eta) to full
-    precision, to 5e-15 plus 5e-16 per unit of a eta^2 / 2, the error of
-    the exponent (measured: 6.5e-15, and 3.8e-16 per unit). The sum keeps
-    only the rows and columns of the table that a and eta need (see
-    _temme_tables).
+    sign(eta) = sign(d), d = x - a (any double of that sign),
+    R = e^(-y^2) / sqrt(2 pi a) sum_k C_k(eta) a^-k, and half_a_eta2 =
+    a eta^2 / 2 = -_log_ratio_term(a, x). Q is then accurate to ~2e-16
+    relative for x <= a and P for x >= a. P below the mean is accurate
+    while a eta^2 / 2 <= min(_TEMME_EXPONENT_CUTOFF, 0.08 a), where
+    eta^2 <= 0.16 and the table gives C_k(eta) to full precision, to 5e-15
+    plus 5e-16 per unit of a eta^2 / 2, the error of the exponent
+    (measured: 6.5e-15, and 3.8e-16 per unit). The sum keeps only the rows
+    and columns of the table that a and eta need (see _temme_tables).
     """
-    y = math.copysign(math.sqrt(half_a_eta2), x - a)
+    y = math.copysign(math.sqrt(half_a_eta2), d)
     if half_a_eta2 > _TEMME_EXPONENT_CUTOFF:
         return y, 0.0
     eta = y * math.sqrt(2.0 / a)
     series = 0.0
     for row in _TEMME_TERMS[bisect_left(_TEMME_SHAPES, a)][bisect(_TEMME_ETAS, abs(eta))]:
         coeff = 0.0
-        for d in row:
-            coeff = coeff * eta + d
+        for c in row:
+            coeff = coeff * eta + c
         series = series / a + coeff
     return y, math.exp(-half_a_eta2) / math.sqrt(2.0 * math.pi * a) * series
 
 
-def _temme_lower(a, x, half_a_eta2):
-    """P(a, x) = erfc(-y) / 2 - R from Temme's expansion (see _temme)."""
-    y, remainder = _temme(a, x, half_a_eta2)
+def _temme_lower(a, d, half_a_eta2):
+    """P(a, a + d) = erfc(-y) / 2 - R from Temme's expansion (see _temme)."""
+    y, remainder = _temme(a, d, half_a_eta2)
     return _probability(0.5 * math.erfc(-y) - remainder)
+
+
+def _temme_band(a, w):
+    """P(a, a + w) - P(a, a - w) for TEMME_MIN_SHAPE <= a <= MAX_SHAPE and
+    0 < w <= a/2, by Temme's P form at both edges (see _temme), whose
+    exponents come from the offsets +-w themselves (_deviance): the edges
+    a +- w are never rounded to doubles. None where the lower edge lies
+    below Temme's band, a eta^2 / 2 > min(_TEMME_EXPONENT_CUTOFF, 0.08 a)
+    (_reg_lower_gamma's test), where gamma_prob takes the rounded edges
+    instead.
+
+    The edges share sqrt(2 pi a), sqrt(2/a), the table's shape bin and one
+    pass of Horner's scheme, which sums both edges' C_k(eta) a^-k over the
+    cell of the lower edge's |eta|. That is the larger (the lower edge's
+    a eta^2 / 2 exceeds the upper's, as 2 atanh(u) > 2u), so the cell
+    keeps every term the upper edge's would, and the upper's sum is within
+    the cutoff too. The erfc(-y) / 2 terms combine to
+    (erf(y_high) - erf(y_low)) / 2, a sum of two positive terms, where a
+    difference of the two P would cancel their roundings into the band.
+    Within 3e-16 relative of 40-digit mpmath at the exact edges (measured
+    2.9e-16 on 6,400 seeded points at kappa = 0.5 to 4; the rounded edges
+    cost up to 5.7e-13 at a ~ 9e6).
+    """
+    low = -_deviance(a, -w)
+    if low > min(_TEMME_EXPONENT_CUTOFF, 0.08 * a):
+        return None
+    high = -_deviance(a, w)
+    scale = math.sqrt(2.0 / a)
+    y_low, y_high = -math.sqrt(low), math.sqrt(high)
+    eta_low, eta_high = y_low * scale, y_high * scale
+    sum_low = sum_high = 0.0
+    for row in _TEMME_TERMS[bisect_left(_TEMME_SHAPES, a)][bisect(_TEMME_ETAS, -eta_low)]:
+        c_low = c_high = 0.0
+        for c in row:
+            c_low = c_low * eta_low + c
+            c_high = c_high * eta_high + c
+        sum_low = sum_low / a + c_low
+        sum_high = sum_high / a + c_high
+    root = math.sqrt(2.0 * math.pi * a)
+    r_low = math.exp(-low) / root * sum_low
+    r_high = math.exp(-high) / root * sum_high
+    return _probability(0.5 * (math.erf(y_high) - math.erf(y_low)) - (r_high - r_low))
 
 
 def _check_domain(a, x):
@@ -691,7 +752,7 @@ def _lower_series(a, x):
     if x == 0.0:
         return Probability(0.0)
     if a >= TEMME_MIN_SHAPE and x >= a + 1.0:
-        return _temme_lower(a, x, -_log_ratio_term(a, x))
+        return _temme_lower(a, x - a, -_log_ratio_term(a, x))
     return _from_log_parts(_series_sum(a, x), _log_prefactor(a, x))
 
 
@@ -725,14 +786,15 @@ def _series_sum(a, x):
     raise ConvergenceError(f"lower series did not converge for a={a}, x={x}")
 
 
-def _lower_asymptotic(a, x, half_a_eta2):
+def _lower_asymptotic(a, d, x, half_a_eta2):
     """P(a, x) far below the mean at large shapes, from the expansion for
     large a at fixed lambda = x/a < 1 (DLMF 8.11.iii):
 
         gamma(a, x) ~ x^a e^-x / (a - x) sum_k (-t)^k b_k(lambda),
 
     t = a / (a - x)^2, b_0 = 1 and b_k(lambda) = lambda q_k(lambda) with
-    q_k the rows of _ASYMPTOTIC_TERMS. For half_a_eta2 = a eta^2 / 2 =
+    q_k the rows of _ASYMPTOTIC_TERMS. For the offset d = x - a, whose
+    negation it takes for a - x, half_a_eta2 = a eta^2 / 2 =
     -_log_ratio_term(a, x), 0 < x < a and t <= 1 / _ASYMPTOTIC_MIN_SPREAD,
     where reg_lower_gamma takes it. The sum lies in (1 - t lambda, 1), so
     the first term below _ASYMPTOTIC_TOL = 2^-56 in magnitude, where it
@@ -746,8 +808,8 @@ def _lower_asymptotic(a, x, half_a_eta2):
     Horner steps, ~20 us on CPython 3.11 at the band's edge.
     """
     lam = x / a
-    d = a - x
-    ratio = -a / (d * d)
+    gap = -d  # a - x
+    ratio = -a / (gap * gap)
     power = lam
     tail = 0.0
     tol = _ASYMPTOTIC_TOL
@@ -759,7 +821,7 @@ def _lower_asymptotic(a, x, half_a_eta2):
         term = power * b
         tail += term
         if -tol < term < tol:
-            return _from_log_parts((1.0 + tail) / d, -half_a_eta2 - _stirling_shift(a))
+            return _from_log_parts((1.0 + tail) / gap, -half_a_eta2 - _stirling_shift(a))
     raise ConvergenceError(f"asymptotic sum for P did not converge for a={a}, x={x}")
 
 
@@ -859,7 +921,7 @@ def _upper_continued_fraction(a, x):
     if x == 0.0:
         return Probability(1.0)
     if a >= TEMME_MIN_SHAPE:
-        y, remainder = _temme(a, x, -_log_ratio_term(a, x))
+        y, remainder = _temme(a, x - a, -_log_ratio_term(a, x))
         return _probability(0.5 * math.erfc(y) + remainder)
     if x < UPPER_MIN_X:
         raise ConvergenceError(
@@ -904,9 +966,15 @@ def reg_lower_gamma(a, x):
     Every path at a >= TEMME_MIN_SHAPE takes its exponent from the
     a eta^2 / 2 computed here. Results below the normal double range come
     from the series or the asymptotic sum and are LogProbability values.
-    The dispatch itself is _reg_lower_gamma, for arguments already checked:
-    gamma_prob's band takes its lower edge there, once the upper edge's
-    call has checked the shape.
+    The dispatch itself is _reg_lower_gamma, for arguments already checked,
+    and from a >= TEMME_MIN_SHAPE up _large_shape_lower, which takes the
+    edge's offset d = x - a with the exponent: there gamma_prob's h passes
+    d = (kappa - 1) alpha and _deviance's exponent from it, so that the
+    rounding of x = kappa alpha reaches only the sums. gamma_prob's band
+    takes both edges from their offsets +-kappa sqrt(alpha) in one frame
+    (_temme_band) where both lie in Temme's band, and elsewhere calls this
+    function at the upper edge and _reg_lower_gamma at the lower edge,
+    once the upper edge's call has checked the shape.
     """
     if (type(a) is float and type(x) is float
             and MIN_SHAPE <= a <= MAX_SHAPE and 0.0 <= x <= _MAX_DOUBLE):
@@ -922,12 +990,22 @@ def _reg_lower_gamma(a, x):
         if x < a + 1.0:
             return _from_log_parts(_series_sum(a, x), _log_prefactor(a, x))
         return _probability(1.0 - _upper_continued_fraction(a, x))
-    half_a_eta2 = -_log_ratio_term(a, x)
-    if x >= a + 1.0 or half_a_eta2 <= min(_TEMME_EXPONENT_CUTOFF, 0.08 * a):
-        return _temme_lower(a, x, half_a_eta2)
-    d = a - x
+    return _large_shape_lower(a, x - a, x, -_log_ratio_term(a, x))
+
+
+def _large_shape_lower(a, d, x, half_a_eta2):
+    """_reg_lower_gamma at TEMME_MIN_SHAPE <= a <= MAX_SHAPE and 0 < x,
+    x = a + d, given half_a_eta2 = a eta^2 / 2 there. Temme's P form reads
+    only d's sign and the asymptotic sum reads d for a - x, so the result
+    carries the roundings of d and of the exponent, and of x only where
+    the sums take x/a or x^n: _reg_lower_gamma passes d = fl(x - a), and
+    gamma_prob.h its edge's offset (kappa - 1) alpha with the exponent
+    _deviance gives from it. Every point above the mean takes Temme's P
+    form: below x = a + 1 it lies in Temme's band, a eta^2 / 2 < 1/200."""
+    if d > 0.0 or half_a_eta2 <= min(_TEMME_EXPONENT_CUTOFF, 0.08 * a):
+        return _temme_lower(a, d, half_a_eta2)
     if d * d >= _ASYMPTOTIC_MIN_SPREAD * a:
-        return _lower_asymptotic(a, x, half_a_eta2)
+        return _lower_asymptotic(a, d, x, half_a_eta2)
     return _from_log_parts(_series_sum(a, x), -half_a_eta2 - _stirling_shift(a))
 
 

@@ -10,12 +10,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from gamma_extremes import certificates, iddist
+from gamma_extremes import certificates, iddist, specfun
 from gamma_extremes.gamma_prob import GammaParams, band, h, t
 from gamma_extremes.optimize import edgeworth_argmin, min_h, scan
 from gamma_extremes.specfun import (
     MAX_SHAPE,
     MIN_SHAPE,
+    TEMME_MIN_SHAPE,
     LogProbability,
     Probability,
     reg_lower_gamma,
@@ -226,7 +227,9 @@ class TestBand:
         domain checks once alpha > kappa^2: on 20,000 seeded kappa with
         alpha one to three doubles above kappa^2, where rounding could push
         the edge below 0, it is >= 0, and on a sample of those and of int
-        shapes band is bit-identical to two checked reg_lower_gamma calls."""
+        shapes below TEMME_MIN_SHAPE band is bit-identical to two checked
+        reg_lower_gamma calls; an int shape from TEMME_MIN_SHAPE up gives
+        the bits of the float shape."""
         rng = random.Random(35)
         points = []
         for _ in range(20000):
@@ -239,9 +242,116 @@ class TestBand:
         points = points[:300] + [(alpha, 1.0) for alpha in (2, 7, 99, 150, 12345, 10 ** 7)]
         for alpha, kappa in points:
             half_width = kappa * math.sqrt(alpha)
-            checked = Probability(reg_lower_gamma(alpha, alpha + half_width)
-                                  - reg_lower_gamma(alpha, alpha - half_width))
+            if alpha >= TEMME_MIN_SHAPE and half_width <= 0.5 * alpha:
+                # both edges in Temme's band (the int shapes from 150 up):
+                # the float shape's bits, from the edges' offsets
+                checked = specfun._temme_band(float(alpha), half_width)
+            else:
+                checked = Probability(reg_lower_gamma(alpha, alpha + half_width)
+                                      - reg_lower_gamma(alpha, alpha - half_width))
             assert band(GammaParams(alpha), kappa).hex() == checked.hex(), (alpha, kappa)
+
+
+def mp_lower(a, x):
+    """P(a, x) for mpf a and x at the working precision, from the Kummer
+    series x^a e^-x / Gamma(a+1) 1F1(1; a+1; x)."""
+    log_prefactor = a * mpmath.log(x) - x - mpmath.loggamma(a + 1)
+    return mpmath.exp(log_prefactor) * mpmath.hyp1f1(1, a + 1, x, maxterms=10 ** 6)
+
+
+def mp_band(alpha, kappa):
+    """P{|X - alpha| <= kappa sqrt(alpha)} at 40 digits, at the exact edges
+    alpha +- kappa sqrt(alpha), for alpha > kappa^2."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        w = mpmath.mpf(kappa) * mpmath.sqrt(a)
+        return mp_lower(a, a + w) - mp_lower(a, a - w)
+
+
+def stratified_shapes(seed, lo, hi, n):
+    """n seeded shapes, one in each of n equal cells of [log lo, log hi],
+    all at one seeded offset in their cells."""
+    offset = random.Random(seed).random()
+    step = (math.log(hi) - math.log(lo)) / n
+    return [math.exp(math.log(lo) + (i + offset) * step) for i in range(n)]
+
+
+class TestOffsetEdges:
+    """From shape TEMME_MIN_SHAPE up, t and band take both edges in one
+    frame from their offsets +-kappa sqrt(alpha) (specfun._temme_band), and
+    h its edge from (kappa - 1) alpha, so no rounding of an edge to a
+    double reaches P."""
+
+    def test_t_and_band_against_mpmath(self):
+        """t, and band at kappa = 0.5, 2 and 4, are within 3e-16 relative of
+        40-digit mpmath at the exact edges, on 200 seeded shapes in
+        [1e2, 1e7] (measured 2.9e-16 over 6,400 such points; the rounded
+        edges cost up to 5.7e-13 at kappa = 0.5, alpha ~ 9e6)."""
+        worst = 0.0
+        for alpha in stratified_shapes(40, 1e2, 1e7, 200):
+            for kappa in (1.0, 0.5, 2.0, 4.0):
+                value = t(alpha) if kappa == 1.0 else band(GammaParams(alpha), kappa)
+                expected = mp_band(alpha, kappa)
+                error = float(abs(value - expected) / expected)
+                assert error <= 3e-16, (alpha, kappa, error)
+                worst = max(worst, error)
+        assert worst > 1e-16  # the sample reaches the bound's scale
+
+    @pytest.mark.parametrize(
+        "lo, hi", ((9e4, 1.1e5), (9e5, 1.1e6), (2.7e6, 3e6), (9e6, MAX_SHAPE - 1.0)))
+    def test_t_decreases_strictly_up_to_the_largest_shape(self, lo, hi):
+        """t(alpha + 1) < t(alpha) at 200 seeded alpha in each range; with
+        the edges rounded to doubles, 0, 2, 92 and 90 of these failed near
+        1e5, 1e6, 3e6 and 1e7."""
+        rng = random.Random(f"t-step:{lo}")
+        for _ in range(200):
+            alpha = rng.uniform(lo, hi)
+            assert t(alpha + 1.0) < t(alpha), alpha
+
+    def test_h_below_the_mean_against_mpmath_at_the_exact_product(self):
+        """h(0.95, alpha) is within 1e-12 relative of 40-digit mpmath at
+        the exact product kappa alpha, on 60 seeded alpha in [3e5, 5e5],
+        where P lies far below Temme's band (measured 1.8e-13; from
+        x = fl(kappa alpha), up to 1.5e-12)."""
+        rng = random.Random(95)
+        for _ in range(60):
+            alpha = rng.uniform(3e5, 5e5)
+            with mpmath.workdps(40):
+                expected = mp_lower(mpmath.mpf(alpha), mpmath.mpf(0.95) * mpmath.mpf(alpha))
+            assert abs(h(0.95, alpha) - expected) <= 1e-12 * expected, alpha
+
+    def test_band_takes_the_rounded_edges_outside_temmes_band(self):
+        """Where the lower edge lies below Temme's band, or alpha < 100, or
+        alpha <= kappa^2, band is the two reg_lower_gamma calls at the
+        rounded edges, bit for bit; inside it, _temme_band's value. On
+        3,000 seeded (alpha, kappa), alpha in [10, 1e7] and kappa in
+        [0.01, 30], both sides are reached."""
+        rng = random.Random(4040)
+        offsets = edges = 0
+        for _ in range(3000):
+            alpha = 10.0 ** rng.uniform(1.0, 7.0)
+            kappa = 10.0 ** rng.uniform(-2.0, math.log10(30.0))
+            half_width = kappa * math.sqrt(alpha)
+            entry = None
+            if alpha >= TEMME_MIN_SHAPE and half_width <= 0.5 * alpha:
+                entry = specfun._temme_band(alpha, half_width)
+            if entry is None:
+                edges += 1
+                lower = reg_lower_gamma(alpha, max(0.0, alpha - half_width))
+                expected = Probability(reg_lower_gamma(alpha, alpha + half_width) - lower)
+            else:
+                offsets += 1
+                expected = entry
+            assert band(GammaParams(alpha), kappa).hex() == expected.hex(), (alpha, kappa)
+        assert offsets > 1500 and edges > 500, (offsets, edges)
+
+    def test_int_shapes_give_the_float_shapes_bits(self):
+        for alpha in (150, 12345, 10 ** 6, 10 ** 7):
+            assert t(alpha).hex() == t(float(alpha)).hex(), alpha
+            for kappa in (0.5, 0.9, 1.5, 2.0):
+                assert h(kappa, alpha).hex() == h(kappa, float(alpha)).hex(), (kappa, alpha)
+                int_band = band(GammaParams(alpha), kappa)
+                assert int_band.hex() == band(GammaParams(float(alpha)), kappa).hex(), alpha
 
 
 class TestEdgeOverflow:

@@ -8,6 +8,7 @@ import pickle
 import random
 import re
 import sys
+from bisect import bisect, bisect_left
 from fractions import Fraction
 
 import mpmath
@@ -476,7 +477,8 @@ class TestRegLowerGamma:
         assert half_a_eta2 > cutoff
         if a >= 1e3:
             assert (a - outside) ** 2 >= specfun._ASYMPTOTIC_MIN_SPREAD * a
-            assert reg_lower_gamma(a, outside) == specfun._lower_asymptotic(a, outside, half_a_eta2)
+            expected = specfun._lower_asymptotic(a, outside - a, outside, half_a_eta2)
+            assert reg_lower_gamma(a, outside) == expected
         else:
             assert (a - outside) ** 2 < specfun._ASYMPTOTIC_MIN_SPREAD * a
             assert reg_lower_gamma(a, outside) == lower_series(a, outside)
@@ -706,7 +708,8 @@ class TestLowerAsymptotic:
         for a, x in cliff + asymptotic_points(3803, 300):
             assert takes_asymptotic_sum(a, x), (a, x)
             half_a_eta2 = -specfun._log_ratio_term(a, x)
-            assert reg_lower_gamma(a, x) == specfun._lower_asymptotic(a, x, half_a_eta2), (a, x)
+            expected = specfun._lower_asymptotic(a, x - a, x, half_a_eta2)
+            assert reg_lower_gamma(a, x) == expected, (a, x)
         assert calls == []
 
     def test_series_short_of_it_is_bounded_and_unchanged(self, monkeypatch):
@@ -763,23 +766,45 @@ def mp_log_ratio_term(a, x):
         return a * mpmath.log(x / a) - (x - a)
 
 
+def x_form_deviance(a, x):
+    """The deviance kernel as formed from x in [a/2, 2a]: s = fl(x + a)
+    and its error by TwoSum of (x, a). The reference for _deviance at
+    d = x - a, bit for bit."""
+    d = x - a
+    s = x + a
+    t = s - a
+    s_err = (x - t) + (a - (s - t))
+    v = d / s
+    q = v * s
+    r = (d - q) - specfun._two_product_error(v, s, q)
+    p = d * v
+    w = v * v
+    series = 0.0
+    for c in specfun._DEVIANCE_TERMS[bisect_left(specfun._DEVIANCE_MAX_W, w)]:
+        series = series * w + c
+    u = 2.0 * a * v * w
+    tail = (u + 3.0 * u * w * series) / 3.0
+    return (tail - (specfun._two_product_error(d, v, p) + d * ((r - v * s_err) / s))) - p
+
+
 class TestLogRatioTerm:
     @staticmethod
     def _check(a, x):
         """The exact remainders of _log_ratio_term's leading term -d v,
-        taken as it takes them, each equal to its exact rational: the
-        rounding error of s = fl(x + a), the division remainder d - v s and
-        the product's d v - fl(d v). Then the result: within 2.5e-16
-        relative of mpmath, and where |v| < 1/10, so that the series term
-        is under 1/30 of the result, less than an ulp from it (faithfully
-        rounded; measured 0.66 ulp there, and 1.2 ulp at |v| near 1/3).
+        taken as _deviance takes them, each equal to its exact rational:
+        the rounding error of s = fl(2a + d) = fl(x + a), the division
+        remainder d - v s and the product's d v - fl(d v). Then the
+        result: within 2.5e-16 relative of mpmath, and where |v| < 1/10,
+        so that the series term is under 1/30 of the result, less than an
+        ulp from it (faithfully rounded; measured 0.66 ulp there, and 1.2
+        ulp at |v| near 1/3).
         Without any one of the three remainders the seeded sample reads
         up to 1.5-1.8 ulp."""
         assert 0.5 * a <= x <= 2.0 * a
         d = x - a
-        s = x + a
-        t = s - a
-        s_err = (x - t) + (a - (s - t))
+        s = 2.0 * a + d
+        t = s - 2.0 * a
+        s_err = (d - t) + (2.0 * a - (s - t))
         assert Fraction(s_err) == Fraction(x) + Fraction(a) - Fraction(s), (a, x)
         v = d / s
         q = v * s
@@ -813,6 +838,38 @@ class TestLogRatioTerm:
             value = specfun._log_ratio_term(a, a)
             assert value == 0.0 and math.copysign(1.0, value) == 1.0, a
 
+    def test_offset_form_is_the_x_form_to_the_bit(self):
+        """_deviance(a, d) sums 2a + d by TwoSum; at d = x - a that is the
+        real sum x + a rounded once, as the kernel formed it from x. So on
+        20,000 seeded (a, x), x in [a/2, 2a] and every 100th point at an
+        end, _log_ratio_term(a, x) and _deviance(a, x - a) have the bits
+        of the x-form kernel."""
+        rng = random.Random(1973)
+        for k in range(20000):
+            a = 10.0 ** rng.uniform(-6.0, 7.0)
+            x = a * (0.5, 2.0)[k // 100 % 2] if k % 100 == 0 else a * 2.0 ** rng.uniform(-1.0, 1.0)
+            expected = x_form_deviance(a, x).hex()
+            assert specfun._deviance(a, x - a).hex() == expected, (a, x)
+            assert specfun._log_ratio_term(a, x).hex() == expected, (a, x)
+
+    def test_offsets_off_the_doubles(self):
+        """At a band's edge offset d = +-kappa fl(sqrt a), where a + d is
+        no double, _deviance(a, d) is within 2.5e-16 relative of mpmath's
+        a ln(1 + d/a) - d at the exact a + d: 4,000 seeded a in
+        [100, 1e7], kappa in [0.01, 8] and d in [-a/2, a]."""
+        rng = random.Random(1974)
+        worst = 0.0
+        for _ in range(4000):
+            a = 10.0 ** rng.uniform(2.0, 7.0)
+            d = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-2.0, math.log10(8.0)) * math.sqrt(a)
+            if not -0.5 * a <= d <= a:
+                continue
+            with mpmath.workdps(60):
+                ma, md = mpmath.mpf(a), mpmath.mpf(d)
+                expected = ma * mpmath.log1p(md / ma) - md
+            worst = max(worst, float(abs(specfun._deviance(a, d) - expected) / abs(expected)))
+        assert worst <= 2.5e-16, worst
+
 
 def temme_full(a, x, half_a_eta2):
     """_temme's (y, R) from every row and column of _TEMME_COEFFS."""
@@ -840,7 +897,7 @@ def test_temme_truncation_matches_the_full_table():
         a = 10.0 ** rng.uniform(2.0, 7.0)
         x = a + rng.uniform(-9.0, 9.0) * math.sqrt(a)
         half_a_eta2 = -specfun._log_ratio_term(a, x)
-        y, remainder = specfun._temme(a, x, half_a_eta2)
+        y, remainder = specfun._temme(a, x - a, half_a_eta2)
         full_y, full_remainder = temme_full(a, x, half_a_eta2)
         assert y == full_y, (a, x)
         assert abs(remainder - full_remainder) <= 4 * math.ulp(full_remainder), (a, x)
@@ -896,10 +953,48 @@ def test_temme_table_keeps_the_terms_that_reach_the_tolerance():
     # the bins are those of whole rows and columns; the largest cells lost
     # terms: 84 -> 83 at a <= 1625 (48 -> 37, 72 -> 53), 70 -> 64 below 12692
     sizes = [[sum(map(len, cell)) for cell in row] for row in terms]
-    assert [len(row) for row in sizes] == [14] * 6
+    assert [len(row) for row in sizes] == [14] * 4
     assert (sizes[0][0], sizes[0][7], sizes[0][11], sizes[0][13]) == (6, 37, 53, 83)
     assert (sizes[1][0], sizes[1][7], sizes[1][13]) == (5, 27, 64)
-    assert sizes[5] == list(range(1, 15))
+    assert (sizes[3][0], sizes[3][13]) == (3, 39)
+
+
+def test_temme_table_bins_stop_at_the_supported_shapes(monkeypatch):
+    """Every kept shape bin starts at or below MAX_SHAPE, and the kept bins
+    are the first ones of the table built with no such stop (whose next
+    two bins start at 3.2e8 and 1.1e17): so on 20,000 seeded (a, x),
+    a in [100, MAX_SHAPE], each a finds the same cell in both, and R keeps
+    its bits."""
+    shapes, terms = specfun._TEMME_SHAPES, specfun._TEMME_TERMS
+    assert len(terms) == len(shapes) + 1 == 4
+    assert all(a_lo <= MAX_SHAPE for a_lo in (TEMME_MIN_SHAPE,) + shapes)
+    monkeypatch.setattr(specfun, "MAX_SHAPE", math.inf)
+    all_shapes, _, all_terms = specfun._temme_tables()
+    monkeypatch.undo()
+    assert all_shapes[:len(shapes)] == shapes and all_terms[:len(terms)] == terms
+    assert len(all_terms) == 6
+    assert 3.1e8 < all_shapes[-2] < 3.2e8 and 1.0e17 < all_shapes[-1] < 1.2e17
+
+    def remainder(a, x, shapes, terms):
+        half_a_eta2 = -specfun._log_ratio_term(a, x)
+        if half_a_eta2 > specfun._TEMME_EXPONENT_CUTOFF:
+            return 0.0
+        eta = math.copysign(math.sqrt(half_a_eta2), x - a) * math.sqrt(2.0 / a)
+        series = 0.0
+        for row in terms[bisect_left(shapes, a)][bisect(specfun._TEMME_ETAS, abs(eta))]:
+            coeff = 0.0
+            for c in row:
+                coeff = coeff * eta + c
+            series = series / a + coeff
+        return math.exp(-half_a_eta2) / math.sqrt(2.0 * math.pi * a) * series
+
+    rng = random.Random(1980)
+    for _ in range(20000):
+        a = 10.0 ** rng.uniform(2.0, 7.0)
+        x = a + rng.uniform(-9.0, 9.0) * math.sqrt(a)
+        assert bisect_left(shapes, a) == bisect_left(all_shapes, a) <= 3, a
+        kept = specfun._temme(a, x - a, -specfun._log_ratio_term(a, x))[1]
+        assert kept.hex() == remainder(a, x, all_shapes, all_terms).hex(), (a, x)
 
 
 def test_temme_table_check_fails_on_a_dropped_term():
