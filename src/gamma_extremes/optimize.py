@@ -9,9 +9,10 @@ bracket search starts at the grid point nearest a two-term estimate of the
 argmin (_argmin_seed: the Edgeworth estimate plus a term that gives it the
 argmin's limits at kappa -> 1 and kappa -> inf) and walks downhill on that
 grid; at every table kappa it starts on the triple's middle, in 3 calls of
-h. It falls back to the left-to-right scan of bracket_minimum at a tie or
-a grid end. h(kappa, .) is unimodal for kappa > 1, so both find the same
-grid triple, whatever the seed. Both read
+h. Where it reaches a grid end, one more call, at the other end, settles
+the diagnosis; it falls back to the left-to-right scan of bracket_minimum
+at any other tie. h(kappa, .) is unimodal for kappa > 1, so both find the
+same grid triple or grid end, whatever the seed. Both read
 grid points by index (_lin_point) and never build the grid. brent_min is a
 classic golden-section / parabolic-interpolation minimizer (Numerical
 Recipes style) with an evaluation budget, which also stops at the rounding
@@ -117,7 +118,8 @@ def bracket_minimum(f, lo, hi, grid_n):
     a boundary.
 
     min_h calls it only for kappa > 1, when its downhill walk from
-    _argmin_seed meets a tie or a grid end.
+    _argmin_seed meets a tie away from the grid's ends, or reaches an end
+    where h is not the lower of the two ends.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo}, {hi}")
@@ -252,9 +254,12 @@ def _descend_to_triple(f, lo, hi, n, x0):
     """Walk downhill on the grid _lin_grid(lo, hi, n) from the point nearest x0.
 
     Returns the first triple (xs[i-1], xs[i], xs[i+1]) with f strictly
-    smaller at the middle point that the walk meets, or None where it meets
-    a tie (or a NaN) or reaches a grid end. f is called three times plus
-    once per step; the grid points are read by index, never listed.
+    smaller at the middle point that the walk meets; the index of the grid
+    end it reaches, 0 or n - 1, where it steps onto one strictly downhill
+    or, with x0 at or below lo, starts beside the lower end on values that
+    do not fall away from it (ties allowed); or None where it meets any
+    other tie (or a NaN). f is called three times plus once per step; the
+    grid points are read by index, never listed.
     """
     def point(j):
         return _lin_point(lo, hi, n, j)
@@ -268,12 +273,14 @@ def _descend_to_triple(f, lo, hi, n, x0):
         step, ahead = 1, above
     elif below < here < above:
         step, ahead = -1, below
+    elif x0 <= lo and below <= here <= above:
+        return 0
     else:
         return None
     while ahead < here:
         i += step
         if not 0 < i < last:
-            return None
+            return i
         here, ahead = ahead, f(point(i + step))
     if ahead > here:
         return (point(i - 1), point(i), point(i + 1))
@@ -348,11 +355,18 @@ def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
     from the point nearest ln _argmin_seed(kappa); the walk meets the same
     first triple as the full scan because h(kappa, .) is unimodal there,
     in 3 calls of h at every table kappa (3-5 from ln edgeworth_argmin)
-    rather than up to ~110. Where the walk meets a tie or a grid end,
-    bracket_minimum scans the grid instead. Both read the grid's points by
-    index; no list of grid_n points is built. From kappa ~ 1.8e302 up,
-    kappa alpha overflows on the grid, where h is 1.0: the scan reports
-    the lower grid end, as it does at kappa = 1e300.
+    rather than up to ~110. Where the walk reaches a grid end, unimodality
+    leaves the grid no strict interior triple, so the scan would report
+    the end where h is lower; one call of h at the other end checks that
+    it is the walk's end, which is then reported, in 4 calls of h where the
+    scan took 200 (from kappa ~ 4103 up, and from 1 to 1 + 3.5e-7, where
+    the grid's first or last triple holds no minimum). Where h is 1.0 on
+    the whole grid (from kappa ~ 2.5e5 up; from ~1.8e302 kappa alpha
+    overflows too) the seed lies below 1e-4, and the walk, starting beside
+    the lower end on a tie, reports that end, as the scan does. Where the
+    check fails, or the walk meets another tie, bracket_minimum scans the
+    grid instead. Both read the grid's points by index; no list of grid_n
+    points is built.
 
     brent_min starts from h at the bracket's ends, which the walk or the
     scan has already computed, and stops at h's rounding floor, or on tol
@@ -393,6 +407,16 @@ def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
         raise NoInteriorMinimum("upper", math.exp(DEFAULT_LOG_HI), objective(DEFAULT_LOG_HI))
     log_bracket = _descend_to_triple(objective, DEFAULT_LOG_LO, DEFAULT_LOG_HI, grid_n,
                                      math.log(_argmin_seed(kappa)))
+    if type(log_bracket) is int:
+        # the walk reached a grid end: unimodal values on the grid give no
+        # strict interior triple, and h lower at that end than at the far
+        # one, which one call checks; the scan then reports that end
+        f_lo, f_hi = objective(DEFAULT_LOG_LO), objective(DEFAULT_LOG_HI)
+        if log_bracket == 0 and f_lo <= f_hi:
+            raise NoInteriorMinimum("lower", math.exp(DEFAULT_LOG_LO), f_lo)
+        if log_bracket > 0 and f_hi < f_lo:
+            raise NoInteriorMinimum("upper", math.exp(DEFAULT_LOG_HI), f_hi)
+        log_bracket = None
     if log_bracket is None:
         try:
             log_bracket = bracket_minimum(objective, DEFAULT_LOG_LO, DEFAULT_LOG_HI, grid_n)

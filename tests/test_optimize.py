@@ -306,8 +306,9 @@ class TestMinH:
         assert sum(counts.values()) == 39
 
     def test_dense_sweep_evaluation_budget(self):
-        # measured 2405 over the sweep, 5 to 8 per kappa; 3084 (6 to 17) from
-        # a cold start, 5657 on tol alone
+        # measured 2403 over the sweep (2405 before the series summed four
+        # terms a pass), 5 to 8 per kappa; 3084 (6 to 17) from a cold start,
+        # 5657 on tol alone
         counts = [min_h(kappa).evaluations for kappa in DENSE_KAPPAS]
         assert sum(counts) <= 2405
         assert max(counts) <= 8
@@ -336,6 +337,43 @@ class TestMinH:
             assert info.value.abscissa == math.exp(expected.value.abscissa), kappa
             assert float(info.value.value).hex() == float(expected.value.value).hex(), kappa
             assert type(info.value.value) is type(expected.value.value), kappa
+
+    @pytest.mark.parametrize("kappa", OUTSIDE_GRID_KAPPAS + (1e303,))
+    def test_grid_end_call_budget(self, kappa, monkeypatch):
+        """Where the walk reaches a grid end (or, at 1e303, starts beside the
+        lower one on values that are all 1.0), min_h calls h 4 times: the
+        walk's 3 and one at the far end. The full scan took 200, and gives
+        the same diagnosis."""
+        with pytest.raises(NoInteriorMinimum) as expected:
+            bracket_minimum(lambda x: h(kappa, math.exp(x)), DEFAULT_LOG_LO, DEFAULT_LOG_HI, 200)
+        counted = Counting(h)
+        monkeypatch.setattr(optimize, "h", counted)
+        with pytest.raises(NoInteriorMinimum) as info:
+            min_h(kappa)
+        assert counted.calls == 4
+        assert info.value.boundary == expected.value.boundary
+        assert info.value.abscissa == math.exp(expected.value.abscissa)
+        assert info.value.value == expected.value.value
+
+    def test_grid_end_check_falls_back_to_the_scan(self, monkeypatch):
+        """An objective that rises from the lower end, where the walk stops,
+        and dips at the upper end is not unimodal: the far end's call sees
+        the lower end is not the lower one, and the scan reports the upper
+        end, as bracket_minimum does."""
+        def bent(kappa, alpha):
+            return 0.25 if alpha == math.exp(DEFAULT_LOG_HI) else 1.0 - 1e-3 / (1.0 + alpha)
+
+        with pytest.raises(NoInteriorMinimum) as expected:
+            bracket_minimum(lambda x: bent(5000.0, math.exp(x)),
+                            DEFAULT_LOG_LO, DEFAULT_LOG_HI, 200)
+        counted = Counting(bent)
+        monkeypatch.setattr(optimize, "h", counted)
+        with pytest.raises(NoInteriorMinimum) as info:
+            min_h(5000.0)
+        assert expected.value.boundary == info.value.boundary == "upper"
+        assert info.value.abscissa == math.exp(DEFAULT_LOG_HI)
+        assert info.value.value == 0.25
+        assert counted.calls == 200
 
     @pytest.mark.parametrize("kappa", (0.2, 0.5, 0.8, 1.0))
     def test_decreasing_kappa_call_budget(self, kappa, monkeypatch):
