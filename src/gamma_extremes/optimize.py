@@ -9,9 +9,9 @@ bracket search starts at the grid point nearest a two-term estimate of the
 argmin (_argmin_seed: the Edgeworth estimate plus a term that gives it the
 argmin's limits at kappa -> 1 and kappa -> inf) and walks downhill on that
 grid; at every table kappa it starts on the triple's middle, in 3 calls of
-h. Where it reaches a grid end, one more call, at the other end, settles
-the diagnosis; it falls back to the left-to-right scan of bracket_minimum
-at any other tie. h(kappa, .) is unimodal for kappa > 1, so both find the
+h. Where it reaches a grid end, one more call, at the other end, gives
+the scan's diagnosis; it falls back to the left-to-right scan of
+bracket_minimum at any other tie. h(kappa, .) is unimodal for kappa > 1, so both find the
 same grid triple or grid end, whatever the seed. Both read
 grid points by index (_lin_point) and never build the grid. brent_min is a
 classic golden-section / parabolic-interpolation minimizer (Numerical
@@ -118,8 +118,7 @@ def bracket_minimum(f, lo, hi, grid_n):
     a boundary.
 
     min_h calls it only for kappa > 1, when its downhill walk from
-    _argmin_seed meets a tie away from the grid's ends, or reaches an end
-    where h is not the lower of the two ends.
+    _argmin_seed meets a tie away from the grid's ends.
     """
     if not lo < hi:
         raise ValueError(f"need lo < hi, got {lo}, {hi}")
@@ -357,15 +356,14 @@ def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
     in 3 calls of h at every table kappa (3-5 from ln edgeworth_argmin)
     rather than up to ~110. Where the walk reaches a grid end, unimodality
     leaves the grid no strict interior triple, so the scan would report
-    the end where h is lower; one call of h at the other end checks that
-    it is the walk's end, which is then reported, in 4 calls of h where the
-    scan took 200 (from kappa ~ 4103 up, and from 1 to 1 + 3.5e-7, where
-    the grid's first or last triple holds no minimum). Where h is 1.0 on
-    the whole grid (from kappa ~ 2.5e5 up; from ~1.8e302 kappa alpha
-    overflows too) the seed lies below 1e-4, and the walk, starting beside
-    the lower end on a tie, reports that end, as the scan does. Where the
-    check fails, or the walk meets another tie, bracket_minimum scans the
-    grid instead. Both read the grid's points by index; no list of grid_n
+    the end where h is lower (the lower end on a tie); one call of h at the
+    other end gives that verdict, in 4 calls of h where the scan took 200
+    (from kappa ~ 4103 up, and from 1 to 1 + 3.5e-7, where the grid's
+    first or last triple holds no minimum). Where h is 1.0 on the whole
+    grid (from kappa ~ 2.5e5 up; from ~1.8e302 kappa alpha overflows too)
+    the seed lies below 1e-4, and the walk, starting beside the lower end
+    on a tie, reports that end, as the scan does. Where the walk meets
+    another tie, bracket_minimum scans the grid instead. Both read the grid's points by index; no list of grid_n
     points is built.
 
     brent_min starts from h at the bracket's ends, which the walk or the
@@ -409,14 +407,12 @@ def min_h(kappa, tol=DEFAULT_TOL, grid_n=200):
                                      math.log(_argmin_seed(kappa)))
     if type(log_bracket) is int:
         # the walk reached a grid end: unimodal values on the grid give no
-        # strict interior triple, and h lower at that end than at the far
-        # one, which one call checks; the scan then reports that end
+        # strict interior triple, and the scan reports the lower of the two
+        # ends' values, the lower grid end on a tie
         f_lo, f_hi = objective(DEFAULT_LOG_LO), objective(DEFAULT_LOG_HI)
-        if log_bracket == 0 and f_lo <= f_hi:
+        if f_lo <= f_hi:
             raise NoInteriorMinimum("lower", math.exp(DEFAULT_LOG_LO), f_lo)
-        if log_bracket > 0 and f_hi < f_lo:
-            raise NoInteriorMinimum("upper", math.exp(DEFAULT_LOG_HI), f_hi)
-        log_bracket = None
+        raise NoInteriorMinimum("upper", math.exp(DEFAULT_LOG_HI), f_hi)
     if log_bracket is None:
         try:
             log_bracket = bracket_minimum(objective, DEFAULT_LOG_LO, DEFAULT_LOG_HI, grid_n)

@@ -30,7 +30,7 @@ enter it at large shapes with an edge's offset d = x - a in place of x
       (a - x)^2 >= 60 a                asymptotic    that (1.5e-15 a eta^2/2
                                        (<= 34 terms) where x < a/2)
       (a - x)^2 < 60 a                 series        that + 2e-15
-                                       (<= 72 terms)
+                                       (<= 68 terms)
 
 The error that grows with a eta^2 / 2, or with |ln P| below shape 100,
 is that of the prefactor's exponent, which the methods share; below
@@ -243,8 +243,8 @@ _TEMME_SHAPES, _TEMME_ETAS, _TEMME_TERMS = _temme_tables()
 # t = a / (a - x)^2 <= 1/60. That covers every such point from a ~ 494 up,
 # where the band's edge lies at (a - x)^2 / a >= 60.7 (79.8 at a = 1e7);
 # below a ~ 494 the band ends at lambda = x/a = 0.6515, and the series
-# keeps lambda < 0.6515 with (a - x)^2 < 60 a, where it takes at most 72
-# terms (18 passes of four). The sum stops once a term is below
+# keeps lambda < 0.6515 with (a - x)^2 < 60 a, where it takes at most 68
+# terms (17 passes of four). The sum stops once a term is below
 # _ASYMPTOTIC_TOL; it takes at most 34 terms over its path (at
 # (a - x)^2 = 60 a, lambda = 0.649) and 33 along the band's edge at larger
 # shapes. _ASYMPTOTIC_TERMS holds 40 rows; a sum that reads them all
@@ -731,11 +731,11 @@ def lower_series(a, x):
       Kahan-compensated. Below x = a + 1 at a < TEMME_MIN_SHAPE it is
       within 3.5e-15 + 3.2e-16 |ln P| relative (~1e-14 while |ln P| <= 20,
       1e-13 at |ln P| ~ 600), the rounding of the prefactor's exponent;
-      the sum itself is within 4e-16. Near x = a its stopping test ignores
-      the slowly decaying tail, which leaves ~1.3e-16 sqrt(a) relative
-      there (4.2e-13 at a = 1e7, 1.3e-13 at 1e6). Far above the mean it
+      the sum itself is within 4.2e-16. Near x = a its stopping test ignores
+      the slowly decaying tail, which leaves ~1.35e-16 sqrt(a) relative
+      there (4.3e-13 at a = 1e7, 1.3e-13 at 1e6). Far above the mean it
       grows to ~1e-16 x, the rounding of the prefactor's exponent of size
-      ~x: 4.5e-14 at (1, 709.5), 1.9e-14 at (1, 600), 1.2e-14 at (50, 400)
+      ~x: 4.6e-14 at (1, 709.5), 2.1e-14 at (1, 600), 1.4e-14 at (50, 400)
       against 40-digit mpmath (the sum's own ~x roundings reach 4e-14 at
       (5.5, 596), where P rounds to 1). It costs
       O(sqrt(a)) terms near x = a and O(x) terms above it. A result below
@@ -768,11 +768,11 @@ def _series_sum(a, x):
 
     Each pass forms four terms t1..t4 by the ratio recursion and adds
     (t1 + t2) + (t3 + t4) to the total in one Kahan-compensated step; it
-    stops once t1 is below REL_TOL of the total, t2..t4 being smaller and
-    already added, so the truncation is below that of a stop at the first
-    term under REL_TOL. A call takes 4.2 us at (50, 45), against 6.3 us
-    adding and testing term by term (CPython 3.11); MAX_ITERATIONS still
-    counts terms."""
+    stops once t4 is below REL_TOL of the total, at the pass that holds the
+    first term under REL_TOL, so it reads that term and at most three more,
+    and truncates no more than a stop there. A call takes 4.2 us at
+    (50, 45), against 6.3 us adding and testing term by term (CPython
+    3.11); MAX_ITERATIONS still counts terms."""
     term = 1.0 / a
     total = term
     comp = 0.0
@@ -791,10 +791,10 @@ def _series_sum(a, x):
         t = total + y
         comp = (t - total) - y
         total = t
-        # t1 < total * tol while both are finite; an overflowed sum stops
-        # here too, at once (t1 finite, total inf) or one pass after both
+        # t4 < total * tol while both are finite; an overflowed sum stops
+        # here too, at once (t4 finite, total inf) or one pass after both
         # overflow (total nan)
-        if not t1 >= total * tol:
+        if not term >= total * tol:
             if not total < math.inf:
                 raise ConvergenceError(
                     f"lower series overflowed for a={a}, x={x}; "
@@ -988,7 +988,7 @@ def reg_lower_gamma(a, x):
       of a eta^2 / 2 below x = a/2, where the exponent takes its direct
       form);
     - a >= TEMME_MIN_SHAPE, short of that: the lower series, only at
-      a < 494 and x/a < 0.6515, at most 72 terms; the same error plus its
+      a < 494 and x/a < 0.6515, at most 68 terms; the same error plus its
       truncated tail, up to 2e-15 relative.
 
     Every path at a >= TEMME_MIN_SHAPE takes its exponent from the

@@ -446,27 +446,14 @@ class TestBandProb:
             expected = dist.cdf(hi) - (dist.cdf(lo - 1) if lo > 0 else 0.0)
             assert band_prob(Poisson(lam)) == pytest.approx(expected, abs=1e-9)
 
-    def test_poisson_scipy_points_against_mpmath(self):
-        # test_poisson_against_scipy's points and tolerance, with a 40-digit
-        # pmf sum in place of scipy, which the test extras do not install
-        rng = random.Random(11)
-        for _ in range(50):
-            lam = math.exp(rng.uniform(math.log(0.01), math.log(1e3)))
-            mean, sd = lam, math.sqrt(lam)
-            lo, hi = max(0, math.ceil(mean - sd)), math.floor(mean + sd)
-            with mpmath.workdps(40):
-                mlam = mpmath.mpf(lam)
-                expected = mpmath.fsum(
-                    mpmath.exp(k * mpmath.log(mlam) - mlam - mpmath.loggamma(k + 1))
-                    for k in range(lo, hi + 1)
-                )
-            assert abs(band_prob(Poisson(lam)) - expected) <= 1e-9, lam
-
     def test_poisson_against_mpmath(self):
         rng = random.Random(14)
         lams = [math.exp(rng.uniform(math.log(0.01), math.log(1e3))) for _ in range(50)]
         # the four default-grid lams whose 12th printed digit the window pmf corrected
         lams += [148.20207057988566, 444.8782831127584, 529.1978735958436, 666.9919663030117]
+        # test_poisson_against_scipy's points, checked here without scipy
+        rng = random.Random(11)
+        lams += [math.exp(rng.uniform(math.log(0.01), math.log(1e3))) for _ in range(50)]
         for lam in lams:
             sd = math.sqrt(lam)
             lo, hi = max(0, math.ceil(lam - sd)), math.floor(lam + sd)
@@ -487,6 +474,11 @@ class TestBandProb:
         # p^r underflows at the first two; the band is [1, 2] at the third
         points = [(1e3, 0.01), (1e4, 0.01), (1e3, 0.999), (16.0, 0.05)]
         points += [(s.r, s.p) for s in random.Random(15).sample(default_grid("negbinomial"), 150)]
+        # test_negbinomial_against_scipy's points, checked here without scipy
+        rng = random.Random(12)
+        for _ in range(50):
+            r = math.exp(rng.uniform(math.log(0.1), math.log(100.0)))
+            points.append((r, rng.uniform(0.05, 0.95)))
         for r, p in points:
             expected = _negbinomial_band_mpmath(r, p)
             assert abs(band_prob(NegativeBinomial(r, p)) - expected) <= 1e-14, (r, p)
@@ -543,16 +535,6 @@ class TestBandProb:
             expected = dist.cdf(hi) - (dist.cdf(lo - 1) if lo > 0 else 0.0)
             assert band_prob(NegativeBinomial(r, p)) == pytest.approx(expected, abs=1e-9)
 
-    def test_negbinomial_scipy_points_against_mpmath(self):
-        # test_negbinomial_against_scipy's points and tolerance, with the
-        # 40-digit band of _negbinomial_band_mpmath in place of scipy
-        rng = random.Random(12)
-        for _ in range(50):
-            r = math.exp(rng.uniform(math.log(0.1), math.log(100.0)))
-            p = rng.uniform(0.05, 0.95)
-            expected = _negbinomial_band_mpmath(r, p)
-            assert abs(band_prob(NegativeBinomial(r, p)) - expected) <= 1e-9, (r, p)
-
     def test_inverse_gaussian_against_scipy(self):
         stats = pytest.importorskip("scipy.stats")
         for mu, shape in ((1.0, 2.0), (0.3, 5.0), (10.0, 0.5), (0.05, 80.0), (100.0, 0.01)):
@@ -562,19 +544,15 @@ class TestBandProb:
             expected = dist.cdf(mean + sd) - (dist.cdf(mean - sd) if mean > sd else 0.0)
             assert band_prob(InverseGaussian(mu, shape)) == pytest.approx(expected, abs=1e-9)
 
-    def test_inverse_gaussian_scipy_points_against_mpmath(self):
-        # test_inverse_gaussian_against_scipy's points and tolerance, with
-        # the 40-digit closed form in place of scipy
-        for mu, shape in ((1.0, 2.0), (0.3, 5.0), (10.0, 0.5), (0.05, 80.0), (100.0, 0.01)):
-            expected = _inverse_gaussian_band_mpmath(mu, shape)
-            assert abs(band_prob(InverseGaussian(mu, shape)) - expected) <= 1e-9, (mu, shape)
-
     def test_inverse_gaussian_against_mpmath(self):
         # the closed form at 40 digits and the exact band edges; the worst
         # point of the whole default grid is 2.2e-16, at mu = 39, shape = 1.9
         sample = random.Random(16).sample(default_grid("invgaussian"), 300)
         points = [(s.mu, s.shape) for s in sample]
         points += [(0.01, 100.0), (100.0, 0.01), (1.0, 1.0)]
+        # test_inverse_gaussian_against_scipy's other points, checked here
+        # without scipy
+        points += [(1.0, 2.0), (0.3, 5.0), (10.0, 0.5), (0.05, 80.0)]
         for mu, shape in points:
             expected = _inverse_gaussian_band_mpmath(mu, shape)
             assert abs(band_prob(InverseGaussian(mu, shape)) - expected) <= 4e-16, (mu, shape)

@@ -355,26 +355,6 @@ class TestMinH:
         assert info.value.abscissa == math.exp(expected.value.abscissa)
         assert info.value.value == expected.value.value
 
-    def test_grid_end_check_falls_back_to_the_scan(self, monkeypatch):
-        """An objective that rises from the lower end, where the walk stops,
-        and dips at the upper end is not unimodal: the far end's call sees
-        the lower end is not the lower one, and the scan reports the upper
-        end, as bracket_minimum does."""
-        def bent(kappa, alpha):
-            return 0.25 if alpha == math.exp(DEFAULT_LOG_HI) else 1.0 - 1e-3 / (1.0 + alpha)
-
-        with pytest.raises(NoInteriorMinimum) as expected:
-            bracket_minimum(lambda x: bent(5000.0, math.exp(x)),
-                            DEFAULT_LOG_LO, DEFAULT_LOG_HI, 200)
-        counted = Counting(bent)
-        monkeypatch.setattr(optimize, "h", counted)
-        with pytest.raises(NoInteriorMinimum) as info:
-            min_h(5000.0)
-        assert expected.value.boundary == info.value.boundary == "upper"
-        assert info.value.abscissa == math.exp(DEFAULT_LOG_HI)
-        assert info.value.value == 0.25
-        assert counted.calls == 200
-
     @pytest.mark.parametrize("kappa", (0.2, 0.5, 0.8, 1.0))
     def test_decreasing_kappa_call_budget(self, kappa, monkeypatch):
         counted = Counting(h)
