@@ -11,9 +11,9 @@ argmin's limits at kappa -> 1 and kappa -> inf) and walks downhill on that
 grid; at every table kappa it starts on the triple's middle, in 3 calls of
 h. Where it reaches a grid end, one more call, at the other end, gives
 the scan's diagnosis; it falls back to the left-to-right scan of
-bracket_minimum at any other tie. h(kappa, .) is unimodal for kappa > 1, so both find the
-same grid triple or grid end, whatever the seed. Both read
-grid points by index (_lin_point) and never build the grid. brent_min is a
+bracket_minimum at any other tie. h(kappa, .) is unimodal for kappa > 1,
+so both find the same grid triple or grid end, whatever the seed. Both
+read grid points by index (_lin_point) and never build the grid. brent_min is a
 classic golden-section / parabolic-interpolation minimizer (Numerical
 Recipes style) with an evaluation budget, which also stops at the rounding
 floor of the objective: a minimum is located only to about sqrt(eps) of

@@ -306,9 +306,8 @@ class TestMinH:
         assert sum(counts.values()) == 39
 
     def test_dense_sweep_evaluation_budget(self):
-        # measured 2403 over the sweep (2405 before the series summed four
-        # terms a pass), 5 to 8 per kappa; 3084 (6 to 17) from a cold start,
-        # 5657 on tol alone
+        # measured 2403 over the sweep, 5 to 8 per kappa; 3084 (6 to 17)
+        # from a cold start, 5657 on tol alone
         counts = [min_h(kappa).evaluations for kappa in DENSE_KAPPAS]
         assert sum(counts) <= 2405
         assert max(counts) <= 8
