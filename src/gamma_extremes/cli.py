@@ -22,7 +22,7 @@ import sys
 # iddist loads here, not on first use: build_parser reads iddist.FAMILIES
 # for the --family choices. certificates loads in _cmd_verify, its one user.
 from . import iddist, optimize
-from .gamma_prob import GammaParams, band, h, t
+from .gamma_prob import GammaDist, band, h, t
 from .optimize import NoInteriorMinimum
 from .specfun import std_normal_band
 
@@ -47,7 +47,7 @@ def counterexample_table():
     rows = []
     for label, kappa, (kind, alpha), reference in COUNTEREXAMPLES:
         if kind == "gamma":
-            value = band(GammaParams(alpha), kappa)
+            value = band(GammaDist(alpha), kappa)
         else:
             value = std_normal_band(kappa)
         rows.append((label, kappa, float(value), reference))
@@ -129,7 +129,7 @@ def _cmd_eval(args, out):
     elif args.function == "h":
         value = h(args.kappa, args.alpha)
     else:
-        value = band(GammaParams(args.alpha, args.beta), args.kappa)
+        value = band(GammaDist(args.alpha, args.beta), args.kappa)
     print(format(float(value), _SIG), file=out)
     return 0
 

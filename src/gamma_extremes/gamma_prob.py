@@ -3,7 +3,8 @@
 h(kappa, alpha) is the chance that a Gamma(alpha, 1) variable falls at or
 below kappa times its mean; t(alpha) and band(...) are the probabilities of
 the symmetric kappa-standard-deviation window around the mean. Both reduce
-to the regularized incomplete gamma and are scale-free in beta.
+to the regularized incomplete gamma and are scale-free in beta. The law has
+one type, GammaDist, also iddist's Gamma member; GammaParams is its alias.
 """
 
 import math
@@ -25,11 +26,12 @@ from .specfun import (
     reg_lower_gamma,
 )
 
+# GammaDist is exported by iddist, the catalog of laws it belongs to
 __all__ = ["GammaParams", "h", "t", "band"]
 
 
-class GammaParams(_Record):
-    """Shape/scale parameter pair of a Gamma distribution."""
+class GammaDist(_Record):
+    """Gamma(alpha, beta), shape and scale."""
 
     _fields = __slots__ = ("alpha", "beta")
     _defaults = (1.0,)
@@ -46,19 +48,20 @@ class GammaParams(_Record):
     def variance(self):
         return _finite_variance(self.mean * self.beta, self, "alpha beta^2")
 
+    def moments(self):
+        return self.mean, self.variance
 
-def _overflowed(alpha, x):
-    """Whether reg_lower_gamma refused (alpha, x) only because x, an edge
-    formed from a finite kappa, overflowed to +inf: P(alpha, x) is 1.0 there.
-    h and band ask only after that refusal, so their usual path costs
-    nothing more."""
-    if x != math.inf:
-        return False
-    try:
-        _check_domain(alpha, 0.0)
-    except ValueError:
-        return False
-    return True
+    def band(self):
+        return band(self, 1.0)
+
+
+GammaParams = GammaDist
+
+
+def _infinite_edge(alpha):
+    """P(alpha, +inf) = 1.0 at an edge that overflowed, alpha checked as reg_lower_gamma does."""
+    _check_domain(alpha, 0.0)
+    return Probability(1.0)
 
 
 def h(kappa, alpha):
@@ -81,12 +84,10 @@ def h(kappa, alpha):
             and TEMME_MIN_SHAPE <= alpha <= MAX_SHAPE):
         d = (kappa - 1.0) * alpha
         return _large_shape_lower(alpha, d, kappa * alpha, -_deviance(alpha, d))
-    try:
-        return reg_lower_gamma(alpha, kappa * alpha)
-    except ValueError:
-        if not _overflowed(alpha, kappa * alpha):
-            raise
-    return Probability(1.0)
+    x = kappa * alpha
+    if x == math.inf:
+        return _infinite_edge(alpha)
+    return reg_lower_gamma(alpha, x)
 
 
 def _band_shape(alpha, kappa):
@@ -106,12 +107,10 @@ def _band_shape(alpha, kappa):
         band = _temme_band(alpha, half_width)
         if band is not None:
             return band
-    try:
-        upper = reg_lower_gamma(alpha, alpha + half_width)
-    except ValueError:
-        if not _overflowed(alpha, alpha + half_width):
-            raise
-        return Probability(1.0)
+    x = alpha + half_width
+    if x == math.inf:
+        return _infinite_edge(alpha)
+    upper = reg_lower_gamma(alpha, x)
     if alpha <= kappa * kappa:
         # lower endpoint clamps to 0 exactly
         return _probability(upper)

@@ -14,7 +14,8 @@ from k = 0 but the negative binomial's below r = 10. The compound Poisson
 band sums its mixture of Gamma laws term by term below rate ~23.7, and
 above it integrates its Bessel-function density in 12 Gauss-Legendre
 nodes. The inverse Gaussian band is a function of phi = shape/mu alone, in
-a closed form whose terms neither cancel nor overflow, at any phi.
+a closed form whose terms neither cancel nor overflow, at any phi. GammaDist
+is gamma_prob's one Gamma type (alias GammaParams), re-exported here.
 conjecture_scan sweeps a parameter grid looking for band probabilities
 below the standard normal band. The underlying question is open: scans
 produce evidence only, and reports say so.
@@ -22,7 +23,7 @@ produce evidence only, and reports say so.
 
 import math
 
-from . import gamma_prob
+from .gamma_prob import GammaDist
 from .optimize import _lin_grid, _log_grid
 from .specfun import (
     _Record,
@@ -415,18 +416,6 @@ class CompoundPoissonExp(_Record):
                                                for x, w in zip(*_GAUSS_LEGENDRE_12)))
         mass, _ = _compound_termwise(rate, max(lower, 0.0), upper)
         return _probability(mass + math.exp(-rate) if lower <= 0.0 else mass)
-
-
-class GammaDist(gamma_prob.GammaParams):
-    """Gamma(alpha, beta) as a member of the catalog."""
-
-    __slots__ = ()
-
-    def moments(self):
-        return self.mean, self.variance
-
-    def band(self):
-        return gamma_prob.band(self, 1.0)
 
 
 class NormalBaseline(_Record):

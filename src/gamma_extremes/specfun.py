@@ -293,9 +293,6 @@ class Probability(float):
     __slots__ = ()
 
     def __new__(cls, value):
-        # the usual case, a float in (0, 1], needs neither conversion nor clamp
-        if type(value) is float and 0.0 < value <= 1.0:
-            return float.__new__(cls, value)
         try:
             value = float(value)
         except OverflowError:
@@ -306,14 +303,14 @@ class Probability(float):
 
 
 def _probability(value):
-    """Probability(value), with the constructor's fast path for a float in
-    (0, 1] called as a plain function: a type call into a Python __new__
-    costs ~0.1 us more (CPython 3.11), once per band or incomplete gamma
-    result. A value whose type is exactly Probability, already checked and
-    clamped, is returned as it is: 0.05 us, where the constructor took 1.0.
-    Any other value goes to the checked constructor, so the class, the bits
-    and the errors are those of Probability(value): a LogProbability comes
-    back a plain Probability."""
+    """Probability(value), the package's one fast path: a float in (0, 1],
+    which needs neither conversion nor clamp, skips the type call into a
+    Python __new__, ~0.1 us (CPython 3.11), once per band or incomplete
+    gamma result. A value whose type is exactly Probability, already
+    checked and clamped, is returned as it is: 0.05 us, where the
+    constructor took 1.0. Any other value goes to the checked constructor,
+    so the class, the bits and the errors are those of Probability(value):
+    a LogProbability comes back a plain Probability."""
     if type(value) is float and 0.0 < value <= 1.0:
         return float.__new__(Probability, value)
     if type(value) is Probability:

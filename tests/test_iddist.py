@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gamma_extremes import gamma_prob, iddist, specfun
-from gamma_extremes.gamma_prob import GammaParams, t
+from gamma_extremes.gamma_prob import t
 from gamma_extremes.iddist import (
     CompoundPoissonExp,
     DistributionSpec,
@@ -31,6 +31,7 @@ from gamma_extremes.iddist import (
     default_grid,
     moments,
 )
+from gamma_extremes.optimize import OptimizationResult
 from gamma_extremes.specfun import (
     LogProbability,
     Probability,
@@ -40,6 +41,9 @@ from gamma_extremes.specfun import (
     std_normal_band,
     upper_continued_fraction,
 )
+
+# a record of the package that is not one of the six families
+NOT_A_FAMILY = OptimizationResult(3.47, Probability(0.64), (1.0, 3.0, 9.0), 12, True)
 
 
 def _negbinomial_band_mpmath(r, p):
@@ -364,17 +368,16 @@ class TestMoments:
         assert band_prob(CompoundPoissonExp(1.0, 1.4e154)) == band_prob(CompoundPoissonExp(1.0, 1.0))
 
     def test_rejects_non_spec(self):
-        with pytest.raises(TypeError):
-            moments(42)
-        with pytest.raises(TypeError):
-            band_prob(42)
-        with pytest.raises(TypeError):
-            band_prob(GammaParams(2.0))
+        # a record that is not one of the families is refused like any object
+        for entry in (moments, band_prob):
+            for spec in (42, NOT_A_FAMILY):
+                with pytest.raises(TypeError):
+                    entry(spec)
 
     def test_spec_check_by_exact_type_then_isinstance(self):
         # the six classes pass on their exact type, a subclass of one on the
         # isinstance check after it; anything else gets the same TypeError,
-        # GammaDist's own base class too
+        # a record of the package that is not a family too
         class PoissonSubclass(Poisson):
             __slots__ = ()
 
@@ -389,9 +392,11 @@ class TestMoments:
         for entry in (band_prob, moments):
             with pytest.raises(TypeError, match=r"^not a distribution spec: 42$"):
                 entry(42)
-            message = r"^not a distribution spec: GammaParams\(alpha=2.0, beta=1.0\)$"
+            message = (r"^not a distribution spec: OptimizationResult\(argmin=3.47, "
+                       r"min_value=0.64, bracket=\(1.0, 3.0, 9.0\), evaluations=12, "
+                       r"converged=True\)$")
             with pytest.raises(TypeError, match=message):
-                entry(GammaParams(2.0))
+                entry(NOT_A_FAMILY)
 
     def test_spec_type_is_the_six_family_classes(self):
         assert type(DistributionSpec) is tuple

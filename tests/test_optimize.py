@@ -22,6 +22,7 @@ from gamma_extremes.optimize import (
     min_h,
     scan,
 )
+from gamma_extremes.specfun import Probability
 
 # reference interior minima: kappa -> (argmin, min value)
 REFERENCE_MINIMA = {
@@ -353,6 +354,84 @@ class TestMinH:
         assert info.value.boundary == expected.value.boundary
         assert info.value.abscissa == math.exp(expected.value.abscissa)
         assert info.value.value == expected.value.value
+
+    @staticmethod
+    def tied_h(kappa, rest):
+        """A stand-in for h(kappa, .) that is 0.5 within 1 of the walk's seed
+        in ln alpha, so that the walk meets a tie there, and rest(ln alpha)
+        elsewhere. No h found so far ties there: a sweep of 39,973 kappa,
+        log-spaced over kappa - 1 in [1e-15, 1e308] and in steps of 1e-4 up
+        to 3, reached no tie."""
+        seed = math.log(optimize._argmin_seed(kappa))
+
+        def tied(kappa_, alpha):
+            y = math.log(alpha)
+            return 0.5 if abs(y - seed) < 1.0 else rest(y)
+
+        return tied, seed
+
+    def fall_back_to_the_scan(self, kappa, rest, monkeypatch):
+        """min_h on tied_h(kappa, rest), with the walk's result and the
+        scan's brackets recorded, and the objective min_h minimizes."""
+        fake, seed = self.tied_h(kappa, rest)
+        walks, scans = [], []
+        descend, scan_grid = optimize._descend_to_triple, optimize.bracket_minimum
+
+        def recorded_descend(*args):
+            walks.append(descend(*args))
+            return walks[-1]
+
+        def recorded_scan(*args):
+            scans.append(scan_grid(*args))
+            return scans[-1]
+
+        monkeypatch.setattr(optimize, "h", fake)
+        monkeypatch.setattr(optimize, "_descend_to_triple", recorded_descend)
+        monkeypatch.setattr(optimize, "bracket_minimum", recorded_scan)
+        return (lambda x: fake(kappa, math.exp(x))), seed, walks, scans
+
+    def test_tie_beside_the_seed_falls_back_to_the_scan(self, monkeypatch):
+        # the walk meets the tie and returns None; min_h then takes the
+        # scan's first triple, about the minimum at ln alpha = -6, and
+        # brent_min starts from h at that triple's ends
+        kappa = 2.0
+        objective, seed, walks, scans = self.fall_back_to_the_scan(
+            kappa, lambda y: 0.25 + 0.01 * (y + 6.0) ** 2, monkeypatch)
+        log_bracket = bracket_minimum(objective, DEFAULT_LOG_LO, DEFAULT_LOG_HI, 200)
+        lo, mid, hi = log_bracket
+        assert hi < seed - 1.0 and lo < -6.0 < hi
+        expected = brent_min(objective, log_bracket, DEFAULT_TOL,
+                             ends=(objective(lo), objective(hi)))
+        result = min_h(kappa)
+        assert walks == [None]
+        assert scans == [log_bracket]
+        assert result.bracket == tuple(math.exp(x) for x in log_bracket)
+        assert result.argmin == math.exp(expected.argmin)
+        assert result.min_value == expected.min_value
+        assert type(result.min_value) is Probability
+        assert result.evaluations == expected.evaluations
+        assert result.converged == expected.converged
+
+    @pytest.mark.parametrize("slope, boundary, log_end", (
+        (0.01, "lower", DEFAULT_LOG_LO), (-0.01, "upper", DEFAULT_LOG_HI)), ids=("lower", "upper"))
+    def test_tie_beside_the_seed_scan_diagnosis_in_alpha(self, slope, boundary, log_end,
+                                                         monkeypatch):
+        # values monotone in ln alpha but for the tie: the scan finds no
+        # strict interior triple, and min_h raises its diagnosis again with
+        # the abscissa converted from ln alpha to alpha
+        kappa = 2.0
+        objective, seed, walks, scans = self.fall_back_to_the_scan(
+            kappa, lambda y: 0.5 + slope * (y - seed), monkeypatch)
+        with pytest.raises(NoInteriorMinimum) as expected:
+            bracket_minimum(objective, DEFAULT_LOG_LO, DEFAULT_LOG_HI, 200)
+        with pytest.raises(NoInteriorMinimum) as info:
+            min_h(kappa)
+        assert walks == [None]
+        assert scans == []  # the scan raised
+        assert expected.value.boundary == info.value.boundary == boundary
+        assert expected.value.abscissa == log_end
+        assert info.value.abscissa == math.exp(log_end)
+        assert info.value.value == expected.value.value == objective(log_end)
 
     @pytest.mark.parametrize("kappa", (0.2, 0.5, 0.8, 1.0))
     def test_decreasing_kappa_call_budget(self, kappa, monkeypatch):

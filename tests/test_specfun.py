@@ -1099,6 +1099,15 @@ def test_kernel_bits_match_golden():
     assert kernel_bit_lines() == golden
 
 
+def test_gamma_band_prob_is_t_bit_for_bit():
+    """The catalog's Gamma band is t itself: one record type, one kernel."""
+    for alpha in KERNEL_SHAPES:
+        for beta in (1.0, 3.0):
+            value = iddist.band_prob(GammaParams(alpha, beta))
+            assert type(value) is Probability, alpha
+            assert value.hex() == t(alpha).hex(), (alpha, beta)
+
+
 def guarded_lentz(a, x):
     """Lentz's loop with its zero guards, as it stood before they were
     proved idle: (the fraction, the least of D_i / (b_0 + i) and
@@ -1447,9 +1456,10 @@ class TestScaledNormalSf:
 
 
 # each public record: keyword fields, and its repr as the dataclass-built
-# records printed it (GammaParams and GammaDist show their default beta)
+# records printed it (GammaDist shows its default beta; GammaParams, its
+# alias, builds the same record and prints the class's one name)
 RECORDS = [
-    (GammaParams, {"alpha": 2}, "GammaParams(alpha=2, beta=1.0)"),
+    (GammaParams, {"alpha": 2}, "GammaDist(alpha=2, beta=1.0)"),
     (GammaDist, {"alpha": 0.001}, "GammaDist(alpha=0.001, beta=1.0)"),
     (Poisson, {"lam": 3.5}, "Poisson(lam=3.5)"),
     (NegativeBinomial, {"r": 2.0, "p": 0.25}, "NegativeBinomial(r=2.0, p=0.25)"),
@@ -1480,7 +1490,8 @@ RECORDS = [
 
 
 class TestRecords:
-    @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+    @pytest.mark.parametrize("cls, fields, text", RECORDS,
+                             ids=["GammaParams"] + [r[0].__name__ for r in RECORDS[1:]])
     def test_semantics(self, cls, fields, text):
         record = cls(**fields)
         assert repr(record) == text
@@ -1506,5 +1517,20 @@ class TestRecords:
         assert repr(record) == text
 
     def test_equal_fields_of_another_class_differ(self):
-        assert GammaDist(2.0) != GammaParams(2.0)
-        assert GammaParams(2.0) != GammaDist(2.0)
+        # the Gamma law has one type, so its two names build equal records;
+        # the same fields in any other record class, a subclass included,
+        # compare unequal both ways
+        assert gamma_prob.GammaParams is iddist.GammaDist is gamma_prob.GammaDist
+        assert GammaParams(2.0) == GammaDist(2.0)
+
+        class Shape(specfun._Record):
+            _fields = __slots__ = ("alpha", "beta")
+            _defaults = (1.0,)
+
+        class GammaSubclass(GammaDist):
+            __slots__ = ()
+
+        for other in (Shape(2.0), GammaSubclass(2.0)):
+            assert other._values() == GammaDist(2.0)._values()
+            assert GammaDist(2.0) != other
+            assert other != GammaDist(2.0)
