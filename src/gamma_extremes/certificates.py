@@ -465,13 +465,21 @@ def verify_case1_transcendental():
 
 
 def verify_all(full_compare=False, only=None):
-    """Run every certificate; returns (reports, case1_report)."""
+    """Run every certificate, or those named in `only`; returns (reports,
+    case1_report). An empty `only` or an unknown name raises ValueError."""
     runners = {
         "smallalpha": lambda: [verify_small_alpha_certificate()],
         "chain_plus": lambda: verify_chain_plus(full_compare),
         "chain_minus": lambda: verify_chain_minus(full_compare),
         "case2": lambda: [verify_case2_J()],
     }
+    if only is not None:
+        choices = (*runners, "case1")
+        unknown = sorted(set(only).difference(choices))
+        if unknown:
+            raise ValueError(f"unknown certificate names {unknown}; choose from {choices}")
+        if not only:
+            raise ValueError(f"no certificate selected; choose from {choices}")
     selected = list(runners) if only is None else [k for k in runners if k in only]
     reports = []
     for key in selected:

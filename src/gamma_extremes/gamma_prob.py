@@ -21,7 +21,6 @@ from .specfun import (
     _finite_variance,
     _large_shape_lower,
     _probability,
-    _reg_lower_gamma,
     _temme_band,
     reg_lower_gamma,
 )
@@ -100,8 +99,8 @@ def _band_shape(alpha, kappa):
     3e-16 relative, where the rounded edges cost up to 5.7e-13, and
     t(alpha) in ~4.8 us against ~6.6 for two calls (CPython 3.11, mean
     over alpha log-uniform in [1e2, 1e7]). Elsewhere, as below that shape,
-    the upper edge's reg_lower_gamma call checks alpha; the lower edge, in
-    [0, alpha) once alpha > kappa^2, skips the checks."""
+    both rounded edges take reg_lower_gamma, whose call at the upper edge
+    checks alpha; the lower edge lies in [0, alpha) once alpha > kappa^2."""
     half_width = kappa * math.sqrt(alpha)
     if TEMME_MIN_SHAPE <= alpha <= MAX_SHAPE and half_width <= 0.5 * alpha:
         band = _temme_band(alpha, half_width)
@@ -114,7 +113,7 @@ def _band_shape(alpha, kappa):
     if alpha <= kappa * kappa:
         # lower endpoint clamps to 0 exactly
         return _probability(upper)
-    lower = _reg_lower_gamma(alpha, alpha - half_width)
+    lower = reg_lower_gamma(alpha, alpha - half_width)
     return _probability(upper - lower)
 
 

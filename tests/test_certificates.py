@@ -372,6 +372,16 @@ class TestReporting:
         assert [r.name for r in reports] == ["smallalpha"]
         assert case1 is None
 
+    def test_verify_all_refuses_a_selection_that_checks_nothing(self):
+        choices = "('smallalpha', 'chain_plus', 'chain_minus', 'case2', 'case1')"
+        with pytest.raises(ValueError) as excinfo:
+            C.verify_all(only={"chain-plus", "case2", "case3"})
+        assert str(excinfo.value) == (
+            f"unknown certificate names ['case3', 'chain-plus']; choose from {choices}")
+        with pytest.raises(ValueError) as excinfo:
+            C.verify_all(only=set())
+        assert str(excinfo.value) == f"no certificate selected; choose from {choices}"
+
     def test_mismatch_carries_both_values(self):
         exc = C.CertificateMismatch("X", 2, Fraction(5), Fraction(7))
         assert exc.index == 2

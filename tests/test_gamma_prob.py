@@ -10,7 +10,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from gamma_extremes import certificates, iddist, specfun
+from gamma_extremes import certificates, gamma_prob, iddist, specfun
 from gamma_extremes.gamma_prob import GammaParams, band, h, t
 from gamma_extremes.optimize import edgeworth_argmin, min_h, scan
 from gamma_extremes.specfun import (
@@ -223,10 +223,11 @@ class TestBand:
         assert 0.999996 < value < 1.0
 
     def test_lower_edge_is_nonnegative_and_matches_the_checked_call(self):
-        """band takes its lower edge alpha - kappa sqrt(alpha) past the
-        domain checks once alpha > kappa^2: on 20,000 seeded kappa with
-        alpha one to three doubles above kappa^2, where rounding could push
-        the edge below 0, it is >= 0, and on a sample of those and of int
+        """band takes its lower edge alpha - kappa sqrt(alpha) to the
+        checked reg_lower_gamma once alpha > kappa^2, which would refuse
+        one below 0: on 20,000 seeded kappa with alpha one to three doubles
+        above kappa^2, where rounding could push the edge below 0, it is
+        >= 0, and on a sample of those and of int
         shapes below TEMME_MIN_SHAPE band is bit-identical to two checked
         reg_lower_gamma calls; an int shape from TEMME_MIN_SHAPE up gives
         the bits of the float shape."""
@@ -250,6 +251,24 @@ class TestBand:
                 checked = Probability(reg_lower_gamma(alpha, alpha + half_width)
                                       - reg_lower_gamma(alpha, alpha - half_width))
             assert band(GammaParams(alpha), kappa).hex() == checked.hex(), (alpha, kappa)
+
+    def test_rounded_edges_take_the_public_entry(self, monkeypatch):
+        """Both rounded edges go through gamma_prob's reg_lower_gamma, so a
+        wrapper of the public function counts them: t(50) makes two calls
+        and keeps its bits; t(1e4) takes _temme_band and makes none."""
+        expected = t(50.0).hex()
+        calls = []
+
+        def record(a, x):
+            calls.append((a, x))
+            return reg_lower_gamma(a, x)
+
+        monkeypatch.setattr(gamma_prob, "reg_lower_gamma", record)
+        assert t(50.0).hex() == expected
+        assert calls == [(50.0, 50.0 + math.sqrt(50.0)), (50.0, 50.0 - math.sqrt(50.0))]
+        calls.clear()
+        t(1e4)
+        assert calls == []
 
 
 def mp_lower(a, x):

@@ -326,3 +326,24 @@ def test_no_unused_import_or_private_name():
             (filename, "private", n) for n in _private_definitions(tree) if n not in used_anywhere
         ]
     assert not unused
+
+
+def test_every_private_helper_is_loaded_in_the_package():
+    """Each module-level private name of the package (function, class or
+    assignment) is read somewhere in it, as a name or an attribute; an
+    import of it alone does not count."""
+    trees = _module_trees()
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    dead = [
+        (filename, name)
+        for filename, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in loaded
+    ]
+    assert not dead

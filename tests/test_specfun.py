@@ -730,7 +730,6 @@ class TestLowerAsymptotic:
         (a - x)^2 = 90 a at a = 1e4 ... 1e7 (a eta^2 / 2 ~ 45 at 1e7), where
         the series took 35 us to 0.93 ms; each result is the sum's."""
         calls = []
-        monkeypatch.setattr(specfun, "_lower_series", lambda a, x: calls.append((a, x)))
         monkeypatch.setattr(specfun, "_series_sum", lambda a, x: calls.append((a, x)))
         cliff = [(a, a - math.sqrt(90.0 * a)) for a in (1e4, 1e5, 1e6, 1e7)]
         assert 44.9 < -specfun._log_ratio_term(*cliff[-1]) < 45.2
@@ -1245,10 +1244,10 @@ def checked_h(kappa, alpha):
 
 
 class TestEntryFastPath:
-    """reg_lower_gamma, lower_series, upper_continued_fraction and h take a
-    plain in-range float straight to their bodies; everything else goes
-    through the checks. Both routes give the same class, bits and log, or
-    the same error type and message."""
+    """reg_lower_gamma, lower_series, upper_continued_fraction and h let a
+    plain in-range float skip the checks; everything else goes through
+    them. Both routes give the same class, bits and log, or the same error
+    type and message."""
 
     SHAPES = (MIN_SHAPE, math.nextafter(MIN_SHAPE, 0.0), MAX_SHAPE,
               math.nextafter(MAX_SHAPE, math.inf), 10 ** 7, True, Probability(0.5),
@@ -1258,11 +1257,7 @@ class TestEntryFastPath:
     KAPPAS = (math.nan, math.inf, 0.0, -0.0, 5e-324, sys.float_info.max, 2, True,
               _Float(1.5), 1.5)
     ALPHAS = (MIN_SHAPE, 0.5, 2.0, MAX_SHAPE, 3)
-    BODIES = {
-        reg_lower_gamma: specfun._reg_lower_gamma,
-        lower_series: specfun._lower_series,
-        upper_continued_fraction: specfun._upper_continued_fraction,
-    }
+    PUBLIC = (reg_lower_gamma, lower_series, upper_continued_fraction)
 
     @staticmethod
     def outcome(call, *args):
@@ -1272,18 +1267,33 @@ class TestEntryFastPath:
             return type(exc), str(exc)
         return type(value), float(value).hex(), getattr(value, "log", None)
 
-    @pytest.mark.parametrize("public", list(BODIES), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("public", PUBLIC, ids=lambda f: f.__name__)
     def test_same_outcome_as_the_checks(self, public):
-        body = self.BODIES[public]
         outcomes = []
         for a in self.SHAPES:
             for x in self.ARGUMENTS:
-                checked = self.outcome(lambda: body(*specfun._check_domain(a, x)))
+                checked = self.outcome(lambda: public(*specfun._check_domain(a, x)))
                 assert self.outcome(public, a, x) == checked, (a, x)
                 outcomes.append(checked)
         # the inputs reach the results, the refusals and the fast path
         assert sum(outcome[0] is ValueError for outcome in outcomes) == 74
         assert sum(outcome[0] in (Probability, LogProbability) for outcome in outcomes) >= 14
+
+    def test_guard_accepts_only_what_the_checks_return_unchanged(self):
+        """Every pair that the public functions' guard lets skip
+        _check_domain is one that _check_domain returns unchanged."""
+        accepted = 0
+        for a in self.SHAPES:
+            for x in self.ARGUMENTS:
+                if (type(a) is float and type(x) is float
+                        and MIN_SHAPE <= a <= MAX_SHAPE and 0.0 <= x <= sys.float_info.max):
+                    accepted += 1
+                    checked = specfun._check_domain(a, x)
+                    assert tuple(map(type, checked)) == (float, float), (a, x)
+                    # hex tells -0.0 from 0.0
+                    assert [v.hex() for v in checked] == [a.hex(), x.hex()], (a, x)
+        # MIN_SHAPE and MAX_SHAPE at 0.0, -0.0, 5e-324 and the largest double
+        assert accepted == 8
 
     def test_h_same_outcome_as_the_check(self):
         outcomes = []
@@ -1302,13 +1312,17 @@ class TestEntryFastPath:
         def refuse(*args):
             raise AssertionError(f"checked {args}")
 
+        points = ((2.0, 3.0), (MIN_SHAPE, -0.0))
+        calls = [(public, args) for public in self.PUBLIC for args in points]
+        # the results as computed with the checks in place
+        expected = [self.outcome(public, *args) for public, args in calls]
+        assert all(outcome[0] is Probability for outcome in expected)
+        expected_h = self.outcome(reg_lower_gamma, 2.0, 3.0)
         monkeypatch.setattr(specfun, "_check_domain", refuse)
         monkeypatch.setattr(specfun, "_check_positive", refuse)
-        for public in self.BODIES:
-            assert public(2.0, 3.0) == self.BODIES[public](2.0, 3.0)
-            assert public(MIN_SHAPE, -0.0) == self.BODIES[public](MIN_SHAPE, -0.0)
+        assert [self.outcome(public, *args) for public, args in calls] == expected
         monkeypatch.setattr(gamma_prob, "_check_positive", refuse)
-        assert h(1.5, 2.0) == specfun._reg_lower_gamma(2.0, 3.0)
+        assert self.outcome(h, 1.5, 2.0) == expected_h
         # an int, a bool or a float subclass is checked
         for args in ((2, 3.0), (2.0, True), (Probability(0.5), 3.0)):
             with pytest.raises(AssertionError, match="checked"):
